@@ -65,10 +65,19 @@ def _normal_pdf(t, m, sd):
     return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
 
 
-def _find_crossings(diff, lo, hi, n_brackets=BRACKETS_PER_PANEL):
-    """Sign changes of diff on [lo, hi], located by bisection per bracket."""
+def _find_crossings(diff, diff_vec, lo, hi, n_brackets=BRACKETS_PER_PANEL):
+    """Sign changes of diff on [lo, hi], scanned with the vectorized
+    diff_vec and located by bisection per bracket.
+
+    diff may jump at the panel edges, where its value already belongs to
+    the neighbouring piece, so the scan and the outer brackets start and end
+    just inside the panel: a crossing next to a jump would otherwise cancel
+    against the jump as a sign change and be missed.
+    """
     xs = np.linspace(lo, hi, n_brackets + 1)
-    vals = np.array([diff(x) for x in xs])
+    inset = max(1e-12 * (hi - lo), 1e-13 * max(abs(lo), abs(hi), 1.0))
+    xs[0], xs[-1] = lo + inset, hi - inset
+    vals = diff_vec(xs)
     roots = []
     for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if fa == 0.0:
@@ -125,11 +134,11 @@ def tv_to_normal(spec: DistributionSpec,
     edges = sorted(edges)
 
     def diff(t):
-        return ac_density(spec, t) - float(_normal_pdf(t, m, sd))
+        return ac_density(spec, t) - _normal_pdf(t, m, sd)
 
     splits = []
     for a, b in zip(edges[:-1], edges[1:]):
-        splits.extend(_find_crossings(diff, a, b))
+        splits.extend(_find_crossings(diff, diff, a, b))
     pts = _panel_points(edges, splits, hi - lo)
 
     # each panel is one-signed between crossings, so |integral of the signed
@@ -161,6 +170,9 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
     def gap(t):
         return kernel.evaluate(t) - var
 
+    def gap_vec(ts):
+        return kernel.values(ts) - var
+
     if spec.cantor_parts:
         # |tau - sigma^2| on uniform grids; the abs kinks cost only O(h^2)
         # locally and the rough Cantor modulus averages out
@@ -186,7 +198,7 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
         edges = sorted(edges)
         crossings = []
         for a, b in zip(edges[:-1], edges[1:]):
-            crossings.extend(_find_crossings(gap, a, b))
+            crossings.extend(_find_crossings(gap, gap_vec, a, b))
 
         # per-panel signed integrals; tau - sigma^2 keeps one sign between
         # consecutive crossings, so the absolute values sum to E|tau - sigma^2|

@@ -107,8 +107,8 @@ class Tabulated:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
         _check_weight(self.weight, "tabulated")
-        # Per-segment mass and first/second moments, plus suffix sums for
-        # O(log n) survival / upper-partial-mean queries.
+        # Per-segment mass and first/second moments, plus suffix and prefix
+        # sums for O(log n) upper and lower partial-mean queries.
         a, b = g[:-1], g[1:]
         va, vb = v[:-1], v[1:]
         h = b - a
@@ -118,11 +118,15 @@ class Tabulated:
                              + vb * (a * a + 2 * a * b + 3 * b * b))
         suf_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
         suf_m1 = np.concatenate([np.cumsum(seg_m1[::-1])[::-1], [0.0]])
-        for arr in (seg_mass, seg_m1, seg_m2, suf_mass, suf_m1):
+        pre_mass = np.concatenate([[0.0], np.cumsum(seg_mass)])
+        pre_m1 = np.concatenate([[0.0], np.cumsum(seg_m1)])
+        for arr in (seg_mass, seg_m1, seg_m2, suf_mass, suf_m1, pre_mass, pre_m1):
             arr.flags.writeable = False
         object.__setattr__(self, "_seg_m2", seg_m2)
         object.__setattr__(self, "_suf_mass", suf_mass)
         object.__setattr__(self, "_suf_m1", suf_m1)
+        object.__setattr__(self, "_pre_mass", pre_mass)
+        object.__setattr__(self, "_pre_m1", pre_m1)
 
 
 @dataclass(frozen=True)
@@ -366,22 +370,62 @@ def _piece_survival_centered_upper(c, t: np.ndarray):
     raise TypeError(f"unknown component {c!r}")
 
 
-def _tabulated_survival_centered_upper(c: Tabulated, t: np.ndarray):
+def _tabulated_split(c: Tabulated, t: np.ndarray):
+    """Locate t in the tabulated grid: (tc, idx, value at tc), with tc the
+    clamped point and idx its segment."""
     g, v = c.grid, c.values
-    t = np.asarray(t, dtype=float)
-    tc = np.clip(t, g[0], g[-1])
+    tc = np.clip(np.asarray(t, dtype=float), g[0], g[-1])
     idx = np.clip(np.searchsorted(g, tc, side="right") - 1, 0, len(g) - 2)
-    a = tc
-    b = g[idx + 1]
-    h = g[idx + 1] - g[idx]
-    va = v[idx] + (v[idx + 1] - v[idx]) * (a - g[idx]) / h
-    vb = v[idx + 1]
+    vt = v[idx] + (v[idx + 1] - v[idx]) * (tc - g[idx]) / (g[idx + 1] - g[idx])
+    return tc, idx, vt
+
+
+def _linear_piece_mass_m1(a, b, va, vb):
+    """Mass and first moment of a linear density from (a, va) to (b, vb)."""
     w = b - a
-    part_mass = 0.5 * (va + vb) * w
-    part_m1 = w / 6.0 * (va * (2 * a + b) + vb * (a + 2 * b))
+    return 0.5 * (va + vb) * w, w / 6.0 * (va * (2 * a + b) + vb * (a + 2 * b))
+
+
+def _tabulated_survival_centered_upper(c: Tabulated, t: np.ndarray):
+    tc, idx, vt = _tabulated_split(c, t)
+    part_mass, part_m1 = _linear_piece_mass_m1(tc, c.grid[idx + 1], vt, c.values[idx + 1])
     s = part_mass + c._suf_mass[idx + 1]
     u = part_m1 + c._suf_m1[idx + 1]
     return s, u - _piece_mean(c) * s
+
+
+def _piece_cdf_centered_lower(c, t: np.ndarray):
+    """(P(X < t), E[(X - mean_c) 1{X < t}]) for one component, elementwise.
+
+    The lower-tail twin of `_piece_survival_centered_upper`: each CDF is
+    computed directly rather than as one minus a survival function, so
+    both values are exactly zero below the support and keep full relative
+    precision in a deep lower tail.
+    """
+    match c:
+        case Uniform():
+            tc = np.clip(t, c.lo, c.hi)
+            f = (tc - c.lo) / (c.hi - c.lo)
+            centered = -(c.hi - tc) * (tc - c.lo) / (2.0 * (c.hi - c.lo))
+            return f, centered
+        case Normal():
+            z = (t - c.mean) / c.sd
+            return special.ndtr(z), -c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
+        case Exponential():
+            tc = np.maximum(t, 0.0)
+            return -np.expm1(-c.rate * tc), -tc * np.exp(-c.rate * tc)
+        case Tabulated():
+            tc, idx, vt = _tabulated_split(c, t)
+            part_mass, part_m1 = _linear_piece_mass_m1(c.grid[idx], tc, c.values[idx], vt)
+            f = c._pre_mass[idx] + part_mass
+            return f, c._pre_m1[idx] + part_m1 - _piece_mean(c) * f
+        case Atom():
+            return (t > c.location).astype(float), np.zeros_like(t)
+        case CantorPart():
+            span = c.hi - c.lo
+            s, m = cantor_survival_upper_mean((t - c.lo) / span)
+            return 1.0 - s, -span * (m - 0.5 * s)
+    raise TypeError(f"unknown component {c!r}")
 
 
 def _piece_support(c):
@@ -473,6 +517,8 @@ class DistributionSpec:
         if len(set(locs)) != len(locs):
             raise SpecError("atom locations must be pairwise distinct")
         object.__setattr__(self, "components", comps)
+        # the spec is frozen, so its closed-form moments are computed once
+        object.__setattr__(self, "_moments", _closed_form_moments(self))
 
     @property
     def ac_pieces(self) -> tuple:
@@ -558,6 +604,10 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 def moments(spec: DistributionSpec) -> Moments:
     """Mean and variance of the mixture, from closed forms per component."""
+    return spec._moments
+
+
+def _closed_form_moments(spec: DistributionSpec) -> Moments:
     mean = sum(_component_weight(c) * _piece_mean(c) for c in spec.components)
     m2 = sum(_component_weight(c) * _piece_second_moment(c) for c in spec.components)
     var = max(m2 - mean * mean, 0.0)
@@ -595,20 +645,40 @@ def ac_density(spec: DistributionSpec, t):
 def partial_expectation(spec: DistributionSpec, t):
     """E[(X - m) 1{X >= t}] for the mixture, m the mixture mean.
 
-    Per component this is (mean_c - m) * P(X >= t) plus the component's
-    centered upper partial mean: closed forms for uniform, normal and
-    exponential pieces, exact piecewise-polynomial integrals for tabulated
-    pieces, atom indicator sums, and the Cantor self-similarity recursion.
-    Accepts scalars or arrays.
+    For t >= m, per component this is (mean_c - m) * P(X >= t) plus the
+    component's centered upper partial mean: closed forms for uniform,
+    normal and exponential pieces, exact piecewise-polynomial integrals for
+    tabulated pieces, atom indicator sums, and the Cantor self-similarity
+    recursion.  For t < m the equal lower form
+    -sum_c w_c [(mean_c - m) * P(X < t) + E[(X - mean_c) 1{X < t}]] is used
+    instead: in a deep lower tail the upper form sums order-one terms that
+    cancel down to the tiny true value, while every lower term is itself
+    tiny there.  Accepts scalars or arrays.
     """
     m = moments(spec).mean
     arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(arr)
+    if arr.ndim == 0:
+        return float(_upper_form(spec, arr, m) if arr >= m else _lower_form(spec, arr, m))
+    out = np.empty_like(arr)
+    upper = arr >= m
+    out[upper] = _upper_form(spec, arr[upper], m)
+    out[~upper] = _lower_form(spec, arr[~upper], m)
+    return out
+
+
+def _upper_form(spec: DistributionSpec, t: np.ndarray, m: float) -> np.ndarray:
+    out = np.zeros_like(t)
     for c in spec.components:
-        s, centered = _piece_survival_centered_upper(c, arr)
+        s, centered = _piece_survival_centered_upper(c, t)
         out = out + _component_weight(c) * ((_piece_mean(c) - m) * s + centered)
-    if np.ndim(t) == 0:
-        return float(out)
+    return out
+
+
+def _lower_form(spec: DistributionSpec, t: np.ndarray, m: float) -> np.ndarray:
+    out = np.zeros_like(t)
+    for c in spec.components:
+        f, centered = _piece_cdf_centered_lower(c, t)
+        out = out - _component_weight(c) * ((_piece_mean(c) - m) * f + centered)
     return out
 
 

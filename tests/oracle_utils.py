@@ -13,6 +13,7 @@ from scipy import integrate, optimize, stats
 from scipy.special import ndtr
 
 from steinkit.distributions import (
+    DEFAULT_CONFIG,
     Atom,
     CantorPart,
     Exponential,
@@ -21,6 +22,7 @@ from steinkit.distributions import (
     Uniform,
     cantor_points,
 )
+from steinkit.recovery import EXPONENT_FLOOR, _segmented_grid
 
 CANTOR_DEPTH = 14
 
@@ -181,3 +183,47 @@ def gamma_standardized_tv_oracle(n):
     total = _split_abs_integral(diff, -sc + 1e-12, 40.0)
     total += float(ndtr(-sc))
     return 0.5 * total
+
+
+def recover_density_reference(kernel, m, grid_size, config=DEFAULT_CONFIG, anchor=None):
+    """(grid, values) of the density recovered from a positive kernel by
+    one scalar adaptive quadrature per grid cell, swept outward from the
+    anchor; the same grid, floor rule and normalization as the library."""
+    lo = kernel.domain.lo if math.isfinite(kernel.domain.lo) else float(kernel.grid_t[0])
+    hi = kernel.domain.hi if math.isfinite(kernel.domain.hi) else float(kernel.grid_t[-1])
+    x0 = m if anchor is None else anchor
+    grid = _segmented_grid(lo, hi, kernel.density_breaks, grid_size)
+    tau = np.array([kernel.evaluate(float(t)) for t in grid])
+    pos = np.nonzero(tau > 0.0)[0]
+    grid = grid[pos[0]:pos[-1] + 1]
+    tau = tau[pos[0]:pos[-1] + 1]
+    n = len(grid)
+
+    def psi(t):
+        return (m - t) / kernel.evaluate(t)
+
+    def quad(a, b):
+        val, _ = integrate.quad(psi, a, b, epsabs=config.abs_tol,
+                                epsrel=config.rel_tol, limit=config.max_subdivisions)
+        return val
+
+    start = min(max(int(np.searchsorted(grid, x0)), 0), n - 1)
+    expo = np.empty(n)
+    expo[start] = quad(x0, grid[start])
+
+    def sweep(indices):
+        prev, dead = start, False
+        for i in indices:
+            if dead:
+                expo[i] = -math.inf
+                continue
+            expo[i] = expo[prev] + quad(grid[prev], grid[i])
+            if expo[i] < EXPONENT_FLOOR:
+                expo[i] = -math.inf
+                dead = True
+            prev = i
+
+    sweep(range(start + 1, n))
+    sweep(range(start - 1, -1, -1))
+    raw = np.exp(expo) / tau
+    return grid, raw / float(np.trapezoid(raw, grid))

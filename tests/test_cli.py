@@ -16,6 +16,15 @@ TWO_BUMP = {"components": [
 DIRAC = {"components": [{"kind": "atom", "location": 0.7, "mass": 1.0}]}
 EXP1 = {"components": [{"kind": "exponential", "rate": 1.0, "weight": 1.0}]}
 NORMAL = {"components": [{"kind": "normal", "mean": 0.0, "sd": 1.0, "weight": 1.0}]}
+UNIFORM_CANTOR = {"components": [
+    {"kind": "uniform", "lo": 0.0, "hi": 1.0, "weight": 0.5},
+    {"kind": "cantor", "lo": 0.0, "hi": 1.0, "weight": 0.5},
+]}
+# mixture mean 0.3 differs from the normal piece's mean 0.1
+NORMAL_UNIFORM = {"components": [
+    {"kind": "normal", "mean": 0.1, "sd": 1, "weight": 0.5},
+    {"kind": "uniform", "lo": 0, "hi": 1, "weight": 0.5},
+]}
 
 
 def run_cli(*args):
@@ -115,6 +124,13 @@ def test_bound_json(tmp_path):
     assert doc["bound_sd"] < 1e-8
 
 
+def test_bound_off_centre_normal_mixture(tmp_path):
+    cp = run_cli("bound", write_spec(tmp_path, "mix.json", NORMAL_UNIFORM), "--grid", "256")
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads(cp.stdout)
+    assert 0.0 < doc["bound_l1"] <= doc["bound_sd"] < 1.0
+
+
 def test_clt_curve_golden_bounds(tmp_path):
     out = tmp_path / "curve.csv"
     cp = run_cli("clt", write_spec(tmp_path, "exp1.json", EXP1),
@@ -145,6 +161,14 @@ def test_recover_density_csv(tmp_path):
     assert len(lines) == 513
     mid = lines[len(lines) // 2].split(",")
     assert abs(float(mid[0])) < 0.1 and float(mid[1]) > 0.35
+
+
+def test_recover_cantor_spec_exits_two(tmp_path):
+    cp = run_cli("recover", write_spec(tmp_path, "cantor.json", UNIFORM_CANTOR),
+                 "--grid", "64")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and "Cantor" in cp.stderr
+    assert cp.stdout == ""
 
 
 def test_corpus_verb_passes():

@@ -9,6 +9,7 @@ from steinkit import (
     discrepancy_bounds,
     kernel_stats,
     moments,
+    spec_from_dict,
     stein_kernel,
     truncated_support,
     tv_to_normal,
@@ -50,6 +51,21 @@ def test_tv_against_oracle(name):
                                       max(hi, m.mean + 8 * sd),
                                       singular_mass=spec.singular_mass)
     assert tv_to_normal(spec) == pytest.approx(want, abs=1e-7)
+
+
+def test_tv_finds_crossing_next_to_density_jump():
+    # the matched normal crosses the mixture density at -1.1796, within one
+    # scan bracket of the jump at -1.1693; the pinned value is an independent
+    # 24-point Gauss-Legendre quadrature split at every crossing
+    spec = spec_from_dict({"components": [
+        {"kind": "uniform", "lo": -1.8391288256568001, "hi": -0.5763866297579239,
+         "weight": 0.3132239485831543},
+        {"kind": "uniform", "lo": -1.1693390965827892, "hi": 0.47433658959668845,
+         "weight": 0.34036079418640086},
+        {"kind": "uniform", "lo": -0.035073048896532066, "hi": 1.7205038460737965,
+         "weight": 0.34641525723044486},
+    ]})
+    assert tv_to_normal(spec) == pytest.approx(0.20689832751800563, abs=1e-8)
 
 
 def test_tv_affine_invariance():

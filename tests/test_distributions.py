@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from steinkit import (
     CantorPart,
     DistributionSpec,
+    Normal,
     SpecError,
     Tabulated,
     Uniform,
@@ -187,6 +189,29 @@ def test_partial_expectation_against_oracle(name):
             continue
         assert partial_expectation(spec, t) == pytest.approx(
             oracle.partial_expectation_oracle(spec, t), abs=tol)
+
+
+def test_partial_expectation_lower_tail_keeps_relative_precision():
+    # normal(0.1, 1) + uniform(0, 1), mean 0.3: below 0 only the normal piece
+    # contributes, 0.5 * (phi(z) + 0.2 * Phi(z)) at z = t - 0.1, here taken
+    # through logarithms; the upper form sums order-one terms that cancel
+    spec = DistributionSpec((Normal(0.1, 1.0, 0.5), Uniform(0.0, 1.0, 0.5)))
+    for t in (-3.0, -12.0, -30.0):
+        z = t - 0.1
+        log_phi = -0.5 * z * z - 0.5 * math.log(2 * math.pi)
+        want = 0.5 * (math.exp(log_phi) + 0.2 * math.exp(float(log_ndtr(z))))
+        assert partial_expectation(spec, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert partial_expectation(spec, np.array([t, 0.5]))[0] == partial_expectation(spec, t)
+
+
+def test_partial_expectation_tabulated_lower_edge():
+    # triangle on [0, 1] with peak 2 at 1/2, mean 1/2: for 0 <= t <= 1/2,
+    # E[(X - 1/2) 1{X >= t}] = -(integral from 0 to t of (x - 1/2) 4x dx)
+    spec = KERNEL_SPECS["tabulated_triangle"]
+    for t in (1e-7, 1e-3, 0.2):
+        assert partial_expectation(spec, t) == pytest.approx(t * t - 4.0 * t ** 3 / 3.0,
+                                                             rel=1e-12, abs=0.0)
+    assert partial_expectation(spec, -1.0) == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from steinkit import (
     Atom,
@@ -334,6 +335,21 @@ def test_kernel_stats_mixed_against_oracle():
     # E[tau^2] over the AC part: quadrature oracle of (1+(1-t^2)/2)^2 / 4
     e2, _ = quad(lambda t: (1 + 0.5 * (1 - t * t)) ** 2 * 0.25, -1, 1)
     assert var_tau == pytest.approx(e2 - 4.0 / 9.0, abs=1e-9)
+
+
+def test_kernel_stats_finite_for_off_centre_normal_mixture():
+    # normal(0.1, 1) + uniform(0, 1): far below the mean the kernel tends to
+    # the normal piece's variance, tau(t) = 1 + 0.2 * Phi(z) / phi(z) at
+    # z = t - 0.1, with Mills' ratio taken through logarithms
+    spec = DistributionSpec((Normal(0.1, 1.0, 0.5), Uniform(0.0, 1.0, 0.5)))
+    kernel = stein_kernel(spec, 256)
+    z = -30.1
+    log_phi = -0.5 * z * z - 0.5 * math.log(2 * math.pi)
+    assert kernel.evaluate(-30.0) == pytest.approx(
+        1.0 + 0.2 * math.exp(float(log_ndtr(z)) - log_phi), rel=1e-12)
+    mean_tau, var_tau = kernel_stats(spec, kernel)
+    assert mean_tau == pytest.approx(moments(spec).variance, abs=1e-9)
+    assert math.isfinite(var_tau)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))

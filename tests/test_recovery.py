@@ -1,11 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from steinkit import (
+    KernelFn,
     NumericsError,
     SpecError,
+    SupportInterval,
     TestFunction,
     ac_density,
     moments,
@@ -17,9 +20,14 @@ from steinkit import (
 from steinkit.corpus import KERNEL_SPECS
 from steinkit.recovery import density_to_csv
 
+import oracle_utils as oracle
+
 U01 = KERNEL_SPECS["uniform01"]
 N01 = KERNEL_SPECS["normal_std"]
 E1 = KERNEL_SPECS["exponential1"]
+
+# corpus specs whose kernel is positive inside the support
+RECOVERABLE = sorted(set(KERNEL_SPECS) - {"atom_inside_uniform", "uniform_cantor"})
 
 
 def test_uniform_kernel_recovers_flat_density():
@@ -54,6 +62,59 @@ def test_round_trip_l1(name):
     truth = ac_density(spec, den.grid)
     l1 = float(np.trapezoid(np.abs(den.values - truth), den.grid))
     assert l1 < 1e-4, name
+
+
+# (grid size, anchor as a fraction of the way from the mean to the upper end)
+@pytest.mark.parametrize("grid_size,anchor_shift", [(16, 0.0), (512, 0.0), (2048, 0.0),
+                                                    (512, 0.3)])
+@pytest.mark.parametrize("name", RECOVERABLE)
+def test_matches_per_cell_adaptive_reference(name, grid_size, anchor_shift):
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 64)
+    m = moments(spec).mean
+    x0 = m + anchor_shift * (truncated_support(spec, 1e-9)[1] - m)
+    den = recover_density(kernel, m, grid_size, anchor=x0)
+    grid, values = oracle.recover_density_reference(kernel, m, grid_size, anchor=x0)
+    assert np.array_equal(den.grid, grid)
+    np.testing.assert_allclose(den.values, values, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("anchor", [None, 0.4, -0.7])
+def test_underflow_floor_matches_reference(anchor):
+    # tau = 1e-3 on (-5, 5): the exponent -t^2/2e-3 passes the floor near
+    # |t| = 1.2, so most of the grid is pinned to zero on both sides
+    kernel = KernelFn(domain=SupportInterval(-5.0, 5.0), form="constant",
+                      params={"value": 1e-3}, grid_t=np.linspace(-4.9, 4.9, 16),
+                      grid_tau=np.full(16, 1e-3), atom_zeros=(),
+                      _fn=lambda t: 1e-3, _fn_vec=lambda ts: np.full_like(ts, 1e-3))
+    den = recover_density(kernel, 0.0, 512, anchor=anchor)
+    grid, values = oracle.recover_density_reference(kernel, 0.0, 512, anchor=anchor)
+    assert np.array_equal(den.grid, grid)
+    assert np.count_nonzero(values == 0.0) > 300
+    np.testing.assert_array_equal(den.values == 0.0, values == 0.0)
+    np.testing.assert_allclose(den.values, values, rtol=1e-10, atol=0.0)
+
+
+# At grid 16 the two end cells of tabulated_triangle are so wide that the
+# adaptive fallback's own abserr there sums to 3e-8, so the bound is checked
+# from grid 512 up.
+@pytest.mark.parametrize("grid_size", [512, 2048])
+@pytest.mark.parametrize("name", RECOVERABLE)
+def test_error_estimate_is_small(name, grid_size):
+    spec = KERNEL_SPECS[name]
+    den = recover_density(stein_kernel(spec, 64), moments(spec).mean, grid_size)
+    assert math.isfinite(den.error_estimate)
+    assert 0.0 <= den.error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("grid_size", [64, 4096])
+def test_cantor_kernel_raises_before_quadrature(grid_size):
+    spec = KERNEL_SPECS["uniform_cantor"]
+    kernel = stein_kernel(spec, grid_size)
+    start = time.perf_counter()
+    with pytest.raises(NumericsError, match="Cantor"):
+        recover_density(kernel, moments(spec).mean, grid_size)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_anchor_independence():
