@@ -1,6 +1,6 @@
 """Quantitative CLT harness: the kernel-variance bound on the total
 variation distance of standardized i.i.d. sums to the standard normal,
-checked against exact distances from n-fold FFT self-convolution.
+checked against exact distances.
 
 For X with variance sigma^2 and Stein kernel tau, the standardized sum
 S_n^* = (S_n - n m) / (sigma sqrt(n)) satisfies
@@ -8,8 +8,16 @@ S_n^* = (S_n - n m) / (sigma sqrt(n)) satisfies
     d_TV(S_n^*, Z) <= 2 sqrt(Var tau(X)) / (sigma^2 sqrt(n)),
 
 an O(n^-1/2) rate with an explicit constant.  The empirical side holds for
-purely absolutely continuous specs, where the n-fold density is computable
-by discrete convolution without mixture blow-up.
+purely absolutely continuous specs, by one of two routes.  The
+characteristic-function route inverts the closed-form characteristic
+function of S_n^*,
+
+    psi(s) = [phi_X(s / (sigma sqrt(n))) e^(-i s m / (sigma sqrt(n)))]^n,
+
+as a Fourier series on a fixed window [-Z, Z], at a cost set by how fast
+psi decays rather than by n.  The FFT route self-convolves the density,
+sampled on a grid, n times; it runs where psi decays too slowly, such as
+small n on a density with jumps.
 """
 
 from __future__ import annotations
@@ -21,9 +29,17 @@ import numpy as np
 from scipy.special import ndtr
 
 from .distributions import (
+    _SQRT2PI,
     DEFAULT_CONFIG,
     DistributionSpec,
     QuadratureConfig,
+    Tabulated,
+    _expi_minus_one,
+    _piece_cdf_centered_lower,
+    _piece_cf_centered,
+    _piece_cf_envelope,
+    _piece_mean,
+    _piece_support,
     ac_density,
     moments,
     truncated_support,
@@ -31,15 +47,41 @@ from .distributions import (
 from .errors import NumericsError, SpecError
 from .kernels import KernelFn, kernel_stats, stein_kernel
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
 MASS_DEFECT_LIMIT = 1e-3
+
+# Characteristic-function route.  The window Z is the first of CF_WINDOWS
+# whose Chernoff bound on P(|S_n^*| > Z) is below CF_TOL; M is the first
+# power of two from CF_MIN_FREQS to CF_MAX_FREQS whose first M/2
+# frequencies already meet CF_TOL by the decay envelope of |psi|.  The route
+# evaluates one closed form per frequency and per term (a tabulated piece
+# has one term per segment, other pieces one), and runs when M * terms +
+# CF_FIXED_POINTS is below the FFT route's transform length: its fixed work
+# (the Chernoff and envelope checks, the root refinement) takes about as
+# long as an FFT convolution of CF_FIXED_POINTS points.  A result whose
+# error estimate exceeds CF_ERROR_LIMIT is discarded for the FFT route.
+CF_TOL = 1e-10
+CF_ERROR_LIMIT = 1e-8
+CF_MIN_FREQS = 512
+CF_MAX_FREQS = 1 << 16
+CF_FIXED_POINTS = 8192
+CF_WINDOWS = (8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0, 48.0, 64.0)
+_CHERNOFF_THETAS = np.geomspace(1.0 / 16.0, 128.0, 64)
+# Candidate M, and the envelope's grid in units of the frequency step pi/Z:
+# 16 points per decade from the first frequency any candidate M/2 drops to
+# 10^3 times the last one M drops; _HALF_CUT and _FULL_CUT index the grid
+# point at or below the first frequency dropped by M/2 and by M.
+_FREQS = CF_MIN_FREQS << np.arange((CF_MAX_FREQS // CF_MIN_FREQS).bit_length())
+_ENVELOPE_KS = np.geomspace(CF_MIN_FREQS // 2 - 1, 1e3 * CF_MAX_FREQS,
+                            int(16 * math.log10(2e3 * CF_MAX_FREQS / CF_MIN_FREQS)) + 1)
+_ENVELOPE_DLOG = np.diff(np.log(_ENVELOPE_KS))
+_HALF_CUT = np.searchsorted(_ENVELOPE_KS, _FREQS // 2 - 1, side="right") - 1
+_FULL_CUT = np.searchsorted(_ENVELOPE_KS, _FREQS - 1, side="right") - 1
 
 
 @dataclass(frozen=True)
 class CltCurve:
-    """Bound and (for pure-AC specs) exact-convolution d_TV per n, with
-    fitted log-log decay slopes."""
+    """Bound and (for pure-AC specs) exact d_TV per n, with fitted log-log
+    decay slopes."""
 
     ns: tuple
     bounds: tuple
@@ -59,11 +101,17 @@ class CltCurve:
 
 @dataclass(frozen=True)
 class ConvolutionResult:
-    """Exact-convolution distance plus accounting for its numeric error."""
+    """Exact distance plus accounting for its numeric error and the route
+    ("cf" or "fft") that computed it."""
 
     tv: float
     mass_defect: float
     error_estimate: float | None = None
+    route: str = "fft"
+
+
+def _bound_from_var_tau(var_tau: float, variance: float, n: int) -> float:
+    return 2.0 * math.sqrt(var_tau) / (variance * math.sqrt(n))
 
 
 def clt_bound(spec: DistributionSpec, n: int,
@@ -76,16 +124,51 @@ def clt_bound(spec: DistributionSpec, n: int,
         kernel = stein_kernel(spec, config=config)
     mom = moments(spec)
     _, var_tau = kernel_stats(spec, kernel, config=config)
-    return 2.0 * math.sqrt(var_tau) / (mom.variance * math.sqrt(n))
+    return _bound_from_var_tau(var_tau, mom.variance, n)
+
+
+# ---------------------------------------------------------------------------
+# FFT route
+# ---------------------------------------------------------------------------
+
+def _fft_len(n: int, grid_size: int) -> int:
+    """Zero-padded transform length of the n-fold convolution of a grid."""
+    return 1 << (n * (grid_size - 1)).bit_length()
+
+
+def _cell_masses(spec: DistributionSpec, lo: float, hi: float, grid_size: int):
+    """Mass of the AC density in each grid cell: the exact CDF difference in
+    every cell that holds exactly one distinct density break (a break on a
+    cell edge belongs to both cells), the midpoint sample elsewhere."""
+    dx = (hi - lo) / grid_size
+    xs = lo + (np.arange(grid_size) + 0.5) * dx
+    w = ac_density(spec, xs) * dx
+    breaks = set()
+    for c in spec.ac_pieces:
+        breaks.update(b for b in _piece_support(c) if math.isfinite(b))
+        if isinstance(c, Tabulated):
+            breaks.update(float(g) for g in c.grid)
+    held = {}
+    for b in breaks:
+        if lo <= b <= hi:
+            pos = (b - lo) / dx
+            cells = {min(max(i, 0), grid_size - 1) for i in (math.floor(pos), math.ceil(pos) - 1)}
+            for cell in cells:
+                held[cell] = held.get(cell, 0) + 1
+    single = [k for k, count in held.items() if count == 1]
+    if single:
+        edges = np.array([lo + k * dx for k in single]
+                         + [min(lo + (k + 1) * dx, hi) for k in single])
+        cdf = sum(c.weight * _piece_cdf_centered_lower(c, edges)[0] for c in spec.ac_pieces)
+        w[single] = cdf[len(single):] - cdf[:len(single)]
+    return w, dx
 
 
 def _sum_density_grid(spec: DistributionSpec, n: int, grid_size: int,
                       config: QuadratureConfig):
-    """Midpoint-sampled density of X, self-convolved n times by FFT."""
+    """Cell masses of X, self-convolved n times by FFT."""
     lo, hi = truncated_support(spec, config.tail_quantile)
-    dx = (hi - lo) / grid_size
-    xs = lo + (np.arange(grid_size) + 0.5) * dx
-    w = ac_density(spec, xs) * dx
+    w, dx = _cell_masses(spec, lo, hi, grid_size)
     mass = float(np.sum(w))
     defect = abs(1.0 - mass)
     if defect > MASS_DEFECT_LIMIT:
@@ -95,7 +178,7 @@ def _sum_density_grid(spec: DistributionSpec, n: int, grid_size: int,
     w = w / mass
 
     out_len = n * (grid_size - 1) + 1
-    fft_len = 1 << (out_len - 1).bit_length()
+    fft_len = _fft_len(n, grid_size)
     spectrum = np.fft.rfft(w, fft_len)
     conv = np.fft.irfft(spectrum ** n, fft_len)[:out_len]
     np.maximum(conv, 0.0, out=conv)
@@ -103,17 +186,222 @@ def _sum_density_grid(spec: DistributionSpec, n: int, grid_size: int,
     return ys, conv, dx, defect
 
 
+def _fft_tv(spec: DistributionSpec, n: int, grid_size: int,
+            config: QuadratureConfig) -> tuple:
+    """(d_TV, mass defect) from the n-fold convolution: trapezoid of
+    |density - phi| on the standardized sum grid plus the normal mass
+    beyond it."""
+    mom = moments(spec)
+    scale = math.sqrt(mom.variance) * math.sqrt(n)
+    ys, conv, dx, defect = _sum_density_grid(spec, n, grid_size, config)
+    zs = (ys - n * mom.mean) / scale
+    dz = dx / scale
+    dens = conv / dz
+    phi = np.exp(-0.5 * zs * zs) / _SQRT2PI
+    tv = 0.5 * float(np.trapezoid(np.abs(dens - phi), zs))
+    tv += 0.5 * float(ndtr(zs[0] - 0.5 * dz) + ndtr(-(zs[-1] + 0.5 * dz)))
+    return min(1.0, tv), defect
+
+
+# ---------------------------------------------------------------------------
+# Characteristic-function route
+# ---------------------------------------------------------------------------
+
+def _centered_cf_minus_one(spec: DistributionSpec, t) -> np.ndarray:
+    """phi_X(t) e^(-i t m) - 1, each piece's centring e^(i t (mean_c - m))
+    applied analytically; at t = -iu the centred MGF minus one."""
+    m = moments(spec).mean
+    pieces = spec.ac_pieces
+    total = math.fsum(c.weight for c in pieces)
+    out = np.zeros(np.shape(t), dtype=complex)
+    for c in pieces:
+        d = _piece_cf_centered(c, t)
+        rot = _expi_minus_one((_piece_mean(c) - m) * t)
+        out += (c.weight / total) * (rot * (1.0 + d) + d)
+    return out
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """(1 + x)^n for complex x as exp(n log|1 + x|) e^(i n arg(1 + x)),
+    keeping relative precision at small |x| and giving 0 where 1 + x = 0."""
+    re, im = x.real, x.imag
+    with np.errstate(divide="ignore"):
+        modulus = np.exp(0.5 * n * np.log1p(re * (2.0 + re) + im * im))
+    return modulus * np.exp(1j * (n * np.arctan2(im, 1.0 + re)))
+
+
+def _window(spec: DistributionSpec, n: int, scale: float):
+    """(Z, bound) for the first window in CF_WINDOWS whose Chernoff bound
+    min_theta exp(n K(+-theta / scale) - theta Z), summed over both tails,
+    is below CF_TOL; K is the centred cumulant generating function of X.
+    None when no window qualifies."""
+    thetas = _CHERNOFF_THETAS
+    u = np.concatenate([thetas, -thetas]) / scale
+    with np.errstate(all="ignore"):
+        x = _centered_cf_minus_one(spec, -1j * u).real
+        cgf = n * np.log1p(x)
+        cgf = np.where((x > -1.0) & np.isfinite(cgf), cgf, np.inf)
+    zs = np.asarray(CF_WINDOWS)
+    exponents = cgf.reshape(2, -1, 1) - thetas[None, :, None] * zs
+    bounds = np.exp(exponents.min(axis=1)).sum(axis=0)
+    ok = np.flatnonzero(bounds <= CF_TOL)
+    if not ok.size:
+        return None
+    return float(zs[ok[0]]), float(bounds[ok[0]])
+
+
+def _frequencies(spec: DistributionSpec, n: int, scale: float, zwin: float):
+    """(M, truncation bound at M) for the first M in _FREQS whose M/2
+    frequencies already meet CF_TOL; None when none does.
+
+    Dropping the frequencies s >= S changes the windowed density by at most
+    (1/pi) int_S^inf |psi|, so d_TV by at most (Z/pi) int_S^inf |psi|, with
+    |psi(s)| <= E(s) = [sum_c w_c env_c(s / scale)]^n.  The integral is a
+    trapezoid in log s up to the top of _ENVELOPE_KS, plus E(s) s / (n - 1)
+    above it, which bounds the rest of a tail decaying like s^-n.
+    """
+    step = math.pi / zwin
+    s = _ENVELOPE_KS * step
+    pieces = spec.ac_pieces
+    total = math.fsum(c.weight for c in pieces)
+    env = sum(c.weight / total * _piece_cf_envelope(c, s / scale) for c in pieces)
+    with np.errstate(divide="ignore", under="ignore"):
+        e = np.exp(n * np.log(np.minimum(env, 1.0)))
+    if n > 1:
+        beyond = e[-1] * s[-1] / (n - 1)
+    else:
+        beyond = 0.0 if e[-1] == 0.0 else math.inf
+    g = e * s
+    parts = 0.5 * (g[1:] + g[:-1]) * _ENVELOPE_DLOG
+    tails = np.concatenate([np.cumsum(parts[::-1])[::-1], [0.0]]) + beyond
+    ok = np.flatnonzero(tails[_HALF_CUT] <= CF_TOL * math.pi / zwin)
+    if not ok.size:
+        return None
+    return int(_FREQS[ok[0]]), zwin / math.pi * float(tails[_FULL_CUT[ok[0]]])
+
+
+def _phases(x: np.ndarray, count: int, zwin: float) -> np.ndarray:
+    """e^(-i s_k x) for s_k = k pi / Z, k < count (a multiple of 32), as
+    products of two short tables of exponentials."""
+    base = (-1j * math.pi / zwin) * x[:, None]
+    coarse = np.exp(base * (32.0 * np.arange(count // 32)))
+    fine = np.exp(base * np.arange(32.0))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), count)
+
+
+def _fourier_sums(phases: np.ndarray, weights: np.ndarray, x: np.ndarray,
+                  zwin: float):
+    """d = f - phi, d' and G(x) = int_{-Z}^x (f - phi) at points x, for the
+    density f whose Fourier coefficients on [-Z, Z) are psi_k / (2Z);
+    weights holds psi_k, s_k psi_k and psi_k / s_k (zero at k = 0)."""
+    count = len(weights)
+    sums = phases[:, :count] @ weights
+    re, im_up, im_down = sums[:, 0].real, sums[:, 1].imag, sums[:, 2].imag
+    edge = float(np.sum(weights[::2, 2].imag) - np.sum(weights[1::2, 2].imag))
+    phi = np.exp(-0.5 * x * x) / _SQRT2PI
+    f = (1.0 + 2.0 * re) / (2.0 * zwin)
+    cdf = (x + zwin) / (2.0 * zwin) - (im_down - edge) / zwin
+    return f - phi, im_up / zwin + x * phi, cdf - (ndtr(x) - ndtr(-zwin))
+
+
+def _inverted_tv(psi: np.ndarray, zwin: float) -> tuple:
+    """(d_TV, d_TV from the first half of psi, window mass) of the
+    Fourier-series density against phi.
+
+    One FFT gives f on len(psi) points of [-Z, Z).  Sign changes of f - phi
+    between points where |f - phi| is above rounding level bracket the
+    crossings; a Newton step on the Fourier sums refines them.  Then d_TV is
+    half the sum of |G| increments between consecutive crossings, plus half
+    the normal mass beyond +-Z.  The half-resolution value reuses the
+    crossings: G is stationary there, so moving them changes it only to
+    second order.
+    """
+    count = len(psi)
+    alt = psi.copy()
+    alt[1::2] *= -1.0
+    zs = -zwin + (2.0 * zwin / count) * np.arange(count)
+    dens = (2.0 * np.fft.fft(alt).real - 1.0) / (2.0 * zwin)
+    diff = dens - np.exp(-0.5 * zs * zs) / _SQRT2PI
+    noise = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(psi))) / zwin
+    sign = np.where(np.abs(diff) > noise, np.sign(diff), 0.0)
+    live = np.flatnonzero(sign)
+    flips = np.flatnonzero(sign[live[1:]] != sign[live[:-1]])
+    left, right = live[flips], live[flips + 1]
+    a, b = zs[left], zs[right]
+    x = a + (b - a) * diff[left] / (diff[left] - diff[right])
+
+    sk = np.arange(count) * (math.pi / zwin)
+    sk[0] = 1.0
+    weights = np.stack([psi, sk * psi, psi / sk], axis=1)
+    weights[0] = 0.0
+    d, slope, _ = _fourier_sums(_phases(x, count, zwin), weights, x, zwin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.clip(np.where(slope != 0.0, x - d / slope, x), a, b)
+    pts = np.concatenate([[-zwin], x, [zwin]])
+    phases = _phases(pts, count, zwin)
+    gaps = [_fourier_sums(phases, w, pts, zwin)[2] for w in (weights, weights[:count // 2])]
+    tail = float(ndtr(-zwin))
+    tv, tv_half = (min(1.0, 0.5 * float(np.sum(np.abs(np.diff(g)))) + tail) for g in gaps)
+    mass = float(np.sum(dens)) * (2.0 * zwin / count)
+    return tv, tv_half, mass
+
+
+def _cf_result(spec: DistributionSpec, n: int, grid_size: int):
+    """The characteristic-function route's result, or None when its error
+    bound needs M frequencies with M * terms + CF_FIXED_POINTS at least the
+    FFT route's transform length for this n and grid, or when its own check
+    fails."""
+    terms = sum(len(c.grid) - 1 if isinstance(c, Tabulated) else 1
+                for c in spec.ac_pieces)
+    budget = (_fft_len(n, grid_size) - CF_FIXED_POINTS) / terms
+    if budget <= CF_MIN_FREQS:
+        return None
+    scale = math.sqrt(moments(spec).variance) * math.sqrt(n)
+    # M only grows with the window, so the smallest one rules out most
+    # hopeless cases before the Chernoff bound is computed
+    freqs = _frequencies(spec, n, scale, CF_WINDOWS[0])
+    if freqs is None or freqs[0] >= budget:
+        return None
+    window = _window(spec, n, scale)
+    if window is None:
+        return None
+    zwin, window_bound = window
+    if zwin != CF_WINDOWS[0]:
+        freqs = _frequencies(spec, n, scale, zwin)
+        if freqs is None or freqs[0] >= budget:
+            return None
+    m_freqs, truncation = freqs
+    s = np.arange(m_freqs) * (math.pi / zwin)
+    psi = _power(_centered_cf_minus_one(spec, s / scale), n)
+    tv, tv_half, mass = _inverted_tv(psi, zwin)
+    err = truncation + window_bound + abs(tv - tv_half)
+    if not err <= CF_ERROR_LIMIT:
+        return None
+    return ConvolutionResult(tv=tv, mass_defect=abs(1.0 - mass),
+                             error_estimate=err, route="cf")
+
+
 def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
                           config: QuadratureConfig = DEFAULT_CONFIG,
                           error_estimate: bool = True) -> ConvolutionResult:
-    """Exact d_TV(S_n^*, Z) for a purely AC spec via FFT self-convolution.
+    """Exact d_TV(S_n^*, Z) for a purely AC spec.
 
-    Samples the density on a uniform grid over the (tail-truncated) support,
-    convolves n-fold with zero-padding past the full output length so cyclic
-    wrap-around is structurally impossible, standardizes the sum grid, and
-    integrates |density - phi| by trapezoid, adding the normal mass beyond
-    the grid.  The error estimate is the difference against a half-resolution
-    recomputation.
+    Characteristic-function route ("cf"): psi is sampled at M frequencies
+    k pi / Z and inverted on [-Z, Z] (see `_inverted_tv`).  It runs when its
+    error bound holds within fewer transform points than the FFT route
+    would use for this n and grid_size, its fixed work counted as
+    CF_FIXED_POINTS points.  Its error estimate is the truncation bound
+    plus the window's Chernoff bound plus the change against M/2
+    frequencies (always computed); the mass defect is |1 - integral of f
+    over the window|.
+
+    FFT route ("fft"): the cell masses of the density on a uniform grid over
+    the (tail-truncated) support, exact in cells holding one density break
+    and midpoint samples elsewhere, are convolved n-fold with zero-padding
+    past the full output length so cyclic wrap-around is structurally
+    impossible; the sum grid is standardized and |density - phi| integrated
+    by trapezoid, adding the normal mass beyond the grid.  The error
+    estimate is the difference against a half-resolution recomputation.
     """
     if spec.atoms or spec.cantor_parts:
         raise SpecError("exact convolution distance requires a purely "
@@ -123,23 +411,14 @@ def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
     if grid_size < 1024 or grid_size & (grid_size - 1):
         raise SpecError(f"grid_size must be a power of two >= 1024, got {grid_size}")
 
-    mom = moments(spec)
-    scale = math.sqrt(mom.variance) * math.sqrt(n)
-
-    ys, conv, dx, defect = _sum_density_grid(spec, n, grid_size, config)
-    zs = (ys - n * mom.mean) / scale
-    dz = dx / scale
-    dens = conv / dz
-    phi = np.exp(-0.5 * zs * zs) / _SQRT2PI
-    tv = 0.5 * float(np.trapezoid(np.abs(dens - phi), zs))
-    tv += 0.5 * float(ndtr(zs[0] - 0.5 * dz) + ndtr(-(zs[-1] + 0.5 * dz)))
-    tv = min(1.0, tv)
-
+    cf = _cf_result(spec, n, grid_size)
+    if cf is not None:
+        return cf
+    tv, defect = _fft_tv(spec, n, grid_size, config)
     err = None
     if error_estimate and grid_size >= 2048:
-        coarse = convolution_tv_result(spec, n, grid_size // 2, config,
-                                       error_estimate=False)
-        err = abs(tv - coarse.tv)
+        coarse, _ = _fft_tv(spec, n, grid_size // 2, config)
+        err = abs(tv - coarse)
     return ConvolutionResult(tv=tv, mass_defect=defect, error_estimate=err)
 
 
@@ -181,7 +460,7 @@ def clt_curve(spec: DistributionSpec, ns, grid_size: int = 4096,
         kernel = stein_kernel(spec, config=config)
     mom = moments(spec)
     _, var_tau = kernel_stats(spec, kernel, config=config)
-    bounds = tuple(2.0 * math.sqrt(var_tau) / (mom.variance * math.sqrt(n)) for n in ns)
+    bounds = tuple(_bound_from_var_tau(var_tau, mom.variance, n) for n in ns)
 
     empirical = None
     if not spec.atoms and not spec.cantor_parts:

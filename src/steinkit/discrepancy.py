@@ -25,6 +25,7 @@ from scipy import integrate, optimize
 from scipy.special import ndtr, ndtri
 
 from .distributions import (
+    _SQRT2PI,
     DEFAULT_CONFIG,
     DistributionSpec,
     QuadratureConfig,
@@ -40,8 +41,6 @@ from .distributions import (
 )
 from .errors import DegenerateError
 from .kernels import COMPOSITE_POINTS, KernelFn, kernel_stats
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 BRACKETS_PER_PANEL = 64
 

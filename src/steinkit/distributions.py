@@ -32,6 +32,12 @@ def _check_weight(w, what):
         raise SpecError(f"{what} weight must lie in (0, 1], got {w}")
 
 
+def _check_finite(what, **params):
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise SpecError(f"{what} piece needs a finite {name}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Mixture components
 # ---------------------------------------------------------------------------
@@ -45,6 +51,7 @@ class Uniform:
     weight: float
 
     def __post_init__(self):
+        _check_finite("uniform", lo=self.lo, hi=self.hi)
         if not self.lo < self.hi:
             raise SpecError(f"uniform piece needs lo < hi, got [{self.lo}, {self.hi}]")
         _check_weight(self.weight, "uniform")
@@ -59,6 +66,7 @@ class Normal:
     weight: float
 
     def __post_init__(self):
+        _check_finite("normal", mean=self.mean, sd=self.sd)
         if not self.sd > 0.0:
             raise SpecError(f"normal piece needs sd > 0, got {self.sd}")
         _check_weight(self.weight, "normal")
@@ -72,6 +80,7 @@ class Exponential:
     weight: float
 
     def __post_init__(self):
+        _check_finite("exponential", rate=self.rate)
         if not self.rate > 0.0:
             raise SpecError(f"exponential piece needs rate > 0, got {self.rate}")
         _check_weight(self.weight, "exponential")
@@ -94,6 +103,7 @@ class Tabulated:
         v = np.array(self.values, dtype=float)
         if g.ndim != 1 or v.ndim != 1 or g.shape != v.shape or len(g) < 2:
             raise SpecError("tabulated piece needs matching 1-D grid/values with >= 2 points")
+        _check_finite("tabulated", grid=g, values=v)
         if not np.all(np.diff(g) > 0):
             raise SpecError("tabulated grid must be strictly increasing")
         if np.any(v < 0):
@@ -137,6 +147,7 @@ class Atom:
     mass: float
 
     def __post_init__(self):
+        _check_finite("atom", location=self.location)
         _check_weight(self.mass, "atom")
 
 
@@ -153,6 +164,7 @@ class CantorPart:
     weight: float
 
     def __post_init__(self):
+        _check_finite("cantor", lo=self.lo, hi=self.hi)
         if not self.lo < self.hi:
             raise SpecError(f"cantor part needs lo < hi, got [{self.lo}, {self.hi}]")
         _check_weight(self.weight, "cantor")
@@ -428,6 +440,116 @@ def _piece_cdf_centered_lower(c, t: np.ndarray):
     raise TypeError(f"unknown component {c!r}")
 
 
+def _series(z, coeffs):
+    """sum_k coeffs[k] z^k by Horner's rule."""
+    acc = np.zeros_like(z)
+    for a in reversed(coeffs):
+        acc = acc * z + a
+    return acc
+
+
+# Below |argument| = 1/2 the difference functions of the characteristic
+# functions cancel; these power series reach full precision there.
+# 1 - sin(x)/x = sum_{k>=1} (-1)^(k+1) x^(2k) / (2k+1)!, a series in x^2
+_ONE_MINUS_SINC = [0.0] + [(-1.0) ** (k + 1) / math.factorial(2 * k + 1) for k in range(1, 9)]
+# int_0^1 e^(zu) du - 1 and int_0^1 u e^(zu) du - 1/2, series in z
+_E1_MINUS = [0.0] + [1.0 / math.factorial(k + 1) for k in range(1, 16)]
+_E2_MINUS = [0.0] + [1.0 / (math.factorial(k) * (k + 2)) for k in range(1, 16)]
+_TABULATED_BLOCK = 1 << 16
+
+
+def _by_size(x, small, large):
+    """small(x) where |x| < 1/2, large(x) elsewhere, elementwise."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, dtype=np.result_type(x, 1j))
+    near = np.abs(x) < 0.5
+    out[near] = small(x[near])
+    out[~near] = large(x[~near])
+    return out
+
+
+def _one_minus_sinc(x):
+    """1 - sin(x)/x elementwise, for real or complex x."""
+    return _by_size(x, lambda v: _series(v * v, _ONE_MINUS_SINC),
+                    lambda v: 1.0 - np.sin(v) / v)
+
+
+def _expi_minus_one(y):
+    """e^(iy) - 1 without cancellation at small |y|, for real or complex y."""
+    return -2.0 * np.sin(0.5 * y) ** 2 + 1j * np.sin(y)
+
+
+def _piece_cf_centered(c, t):
+    """phi_c(t) e^(-i t mean_c) - 1 for one AC piece, elementwise.
+
+    The centred characteristic function minus one, in forms that keep full
+    relative precision as t -> 0, where it behaves like -var_c t^2 / 2.  The
+    forms are analytic in t, so t = -iu gives E[e^(u (X - mean_c))] - 1, the
+    centred moment generating function minus one (infinite where the MGF
+    diverges).
+    """
+    match c:
+        case Uniform():
+            return -_one_minus_sinc(0.5 * (c.hi - c.lo) * t)
+        case Normal():
+            return np.expm1(-0.5 * (c.sd * t) ** 2 + 0j)
+        case Exponential():
+            # e^(-iu) / (1 - iu) - 1 with u = t / rate; the transform
+            # diverges where Im t <= -rate, i.e. where Re(1 - iu) <= 0
+            u = t / c.rate
+            den = 1.0 - 1j * u
+            val = (-2.0 * np.sin(0.5 * u) ** 2 + 1j * u * _one_minus_sinc(u)) / den
+            return np.where(den.real > 0.0, val, np.inf)
+        case Tabulated():
+            return _tabulated_cf_centered(c, t)
+    raise TypeError(f"{c!r} has no density")
+
+
+def _tabulated_cf_centered(c: Tabulated, t):
+    """Sum over linear segments [a, a + h] (centred at the piece's mean) of
+    h int_0^1 (v_a + (v_b - v_a) u) (e^(it(a + hu)) - 1) du, with
+    int_0^1 e^(i theta u) du and int_0^1 u e^(i theta u) du from their power series
+    when |theta| = |t h| < 1/2.  Points are taken in blocks so that a block
+    times the segment count stays within _TABULATED_BLOCK values."""
+    t = np.asarray(t)
+    a = c.grid[:-1] - _piece_mean(c)
+    h = np.diff(c.grid)
+    va, dv = c.values[:-1], np.diff(c.values)
+    flat = t.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    rows = max(1, _TABULATED_BLOCK // len(h))
+    for start in range(0, flat.size, rows):
+        tb = flat[start:start + rows, None]
+        z = 1j * (tb * h)
+        e1m = _by_size(z, lambda v: _series(v, _E1_MINUS),
+                       lambda v: np.expm1(v) / v - 1.0)
+        e2m = _by_size(z, lambda v: _series(v, _E2_MINUS),
+                       lambda v: (v * np.exp(v) - np.expm1(v)) / (v * v) - 0.5)
+        rot = _expi_minus_one(tb * a)
+        seg = h * (va * (rot * (1.0 + e1m) + e1m) + dv * (rot * (0.5 + e2m) + e2m))
+        out[start:start + rows] = seg.sum(axis=1)
+    return out.reshape(t.shape)
+
+
+def _piece_cf_envelope(c, t):
+    """Upper bound on |phi_c(t)| for t > 0 that decays at the family's rate:
+    2/(t (hi - lo)) for a uniform, the Gaussian itself, rate/sqrt(rate^2 +
+    t^2) for an exponential, and the density's total variation over t for a
+    tabulated piece (integration by parts, counting the jumps at its ends)."""
+    match c:
+        case Uniform():
+            return np.minimum(1.0, 2.0 / ((c.hi - c.lo) * t))
+        case Normal():
+            return np.exp(-0.5 * (c.sd * t) ** 2)
+        case Exponential():
+            return c.rate / np.hypot(c.rate, t)
+        case Tabulated():
+            v = c.values
+            variation = v[0] + v[-1] + float(np.sum(np.abs(np.diff(v))))
+            return np.minimum(1.0, variation / t)
+    raise TypeError(f"{c!r} has no density")
+
+
 def _piece_support(c):
     match c:
         case Uniform():
@@ -608,9 +730,14 @@ def moments(spec: DistributionSpec) -> Moments:
 
 
 def _closed_form_moments(spec: DistributionSpec) -> Moments:
-    mean = sum(_component_weight(c) * _piece_mean(c) for c in spec.components)
-    m2 = sum(_component_weight(c) * _piece_second_moment(c) for c in spec.components)
-    var = max(m2 - mean * mean, 0.0)
+    try:
+        mean = sum(_component_weight(c) * _piece_mean(c) for c in spec.components)
+        m2 = sum(_component_weight(c) * _piece_second_moment(c) for c in spec.components)
+        var = max(m2 - mean * mean, 0.0)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise SpecError(f"closed-form moments are not finite: {exc}") from exc
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise SpecError(f"closed-form moments are not finite: mean {mean}, variance {var}")
     if spec.is_single_atom():
         var = 0.0
     return Moments(mean=mean, variance=var)

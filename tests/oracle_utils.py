@@ -185,6 +185,60 @@ def gamma_standardized_tv_oracle(n):
     return 0.5 * total
 
 
+def _raw_pdf_array(c, t):
+    """raw_pdf over an array of points."""
+    if isinstance(c, Uniform):
+        return np.where((t >= c.lo) & (t <= c.hi), 1.0 / (c.hi - c.lo), 0.0)
+    if isinstance(c, Normal):
+        z = (t - c.mean) / c.sd
+        return np.exp(-0.5 * z * z) / (c.sd * math.sqrt(2 * math.pi))
+    if isinstance(c, Exponential):
+        return np.where(t >= 0, c.rate * np.exp(-c.rate * np.maximum(t, 0.0)), 0.0)
+    if isinstance(c, Tabulated):
+        return np.interp(t, c.grid, c.values, left=0.0, right=0.0)
+    raise TypeError(c)
+
+
+def fft_convolution_tv_reference(spec, n, grid_size, tail=1e-9):
+    """(d_TV(S_n^*, Z), error estimate) for a purely AC spec by n-fold FFT
+    self-convolution of the density sampled at the midpoints of a uniform
+    grid over the support truncated at the `tail` quantiles, integrated
+    against phi by trapezoid plus the normal mass beyond the grid.  The
+    error estimate is the change against half the grid."""
+    m, var = moments_oracle(spec)
+    los, his = [], []
+    for c in spec.components:
+        if isinstance(c, Normal):
+            z = float(stats.norm.ppf(tail))
+            lo, hi = c.mean + c.sd * z, c.mean - c.sd * z
+        elif isinstance(c, Exponential):
+            lo, hi = 0.0, -math.log(tail) / c.rate
+        else:
+            lo, hi = component_range(c)
+        los.append(lo)
+        his.append(hi)
+    lo, hi = min(los), max(his)
+    scale = math.sqrt(var * n)
+
+    def tv_at(grid):
+        dx = (hi - lo) / grid
+        xs = lo + (np.arange(grid) + 0.5) * dx
+        w = sum(c.weight * _raw_pdf_array(c, xs) for c in spec.components) * dx
+        w = w / np.sum(w)
+        out_len = n * (grid - 1) + 1
+        fft_len = 1 << (out_len - 1).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(w, fft_len) ** n, fft_len)[:out_len]
+        np.maximum(conv, 0.0, out=conv)
+        zs = (n * (lo + 0.5 * dx) + np.arange(out_len) * dx - n * m) / scale
+        dz = dx / scale
+        phi = np.exp(-0.5 * zs * zs) / math.sqrt(2 * math.pi)
+        tv = 0.5 * float(np.trapezoid(np.abs(conv / dz - phi), zs))
+        return tv + 0.5 * float(ndtr(zs[0] - 0.5 * dz) + ndtr(-(zs[-1] + 0.5 * dz)))
+
+    tv = tv_at(grid_size)
+    return tv, abs(tv - tv_at(grid_size // 2))
+
+
 def recover_density_reference(kernel, m, grid_size, config=DEFAULT_CONFIG, anchor=None):
     """(grid, values) of the density recovered from a positive kernel by
     one scalar adaptive quadrature per grid cell, swept outward from the

@@ -1,6 +1,9 @@
 import json
+import math
 import subprocess
 import sys
+
+import pytest
 
 CLI = [sys.executable, "-m", "steinkit"]
 
@@ -71,6 +74,19 @@ def test_parse_error_exits_one(tmp_path):
     cp = run_cli("check", str(bad))
     assert cp.returncode == 1
     assert "error" in cp.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"components": [{"kind": "normal", "mean": math.inf, "sd": 1.0, "weight": 1.0}]},
+    {"components": [{"kind": "atom", "location": math.nan, "mass": 0.5},
+                    {"kind": "uniform", "lo": 0.0, "hi": 1.0, "weight": 0.5}]},
+    {"components": [{"kind": "exponential", "rate": 1e-300, "weight": 1.0}]},
+], ids=["normal_infinite_mean", "atom_nan_location", "exponential_rate_1e-300"])
+def test_non_finite_spec_exits_one(tmp_path, doc):
+    cp = run_cli("check", write_spec(tmp_path, "nonfinite.json", doc))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:")
+    assert "Traceback" not in cp.stderr
 
 
 def test_missing_file_exits_one():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,14 +7,18 @@ import pytest
 from steinkit import (
     CltCurve,
     DistributionSpec,
+    Exponential,
     SpecError,
+    Tabulated,
     Uniform,
     clt_bound,
     clt_curve,
     convolution_tv,
     convolution_tv_result,
+    parse_spec,
     rate_fit,
     stein_kernel,
+    tv_to_normal,
 )
 from steinkit.corpus import KERNEL_SPECS
 
@@ -22,6 +27,12 @@ import oracle_utils as oracle
 E1 = KERNEL_SPECS["exponential1"]
 U01 = KERNEL_SPECS["uniform01"]
 N01 = KERNEL_SPECS["normal_std"]
+# a piecewise-linear density that jumps at both ends
+TAB_JUMPS = DistributionSpec((Tabulated(np.array([0.0, 0.5, 1.0, 1.5, 2.0]),
+                                        np.array([1.0, 0.5, 1.2, 0.8, 0.3]), 1.0),))
+EXP_PAIR = DistributionSpec((Exponential(0.7, 0.4), Exponential(2.5, 0.6)))
+# a spike 1e-6 wide on top of a uniform
+SPIKE = DistributionSpec((Uniform(0.0, 1e-6, 0.5), Uniform(0.0, 1.0, 0.5)))
 
 
 def test_bound_exponential_n4():
@@ -119,6 +130,51 @@ def test_convolution_detects_unresolved_density():
     spike = DistributionSpec((Uniform(0.0, 1e-6, 0.5), Uniform(0.0, 1.0, 0.5)))
     with pytest.raises(NumericsError):
         convolution_tv(spike, 2, 1024)
+
+
+def test_fft_route_gives_jump_cells_their_exact_mass():
+    # midpoint samples put the mass 3.7e-3 off 1 at grid 1024 here; at n = 1
+    # the distance is tv_to_normal's, by affine invariance
+    spec = parse_spec('{"components":[{"kind":"normal","mean":0.1,"sd":1,"weight":0.5},'
+                      '{"kind":"uniform","lo":0,"hi":1,"weight":0.5}]}')
+    curve = clt_curve(spec, (1, 2, 4, 8), grid_size=1024)
+    assert curve.empirical[0] == pytest.approx(tv_to_normal(spec), abs=5e-3)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024, 4096])
+def test_cf_route_matches_gamma_oracle(n):
+    res = convolution_tv_result(E1, n)
+    err = abs(res.tv - oracle.gamma_standardized_tv_oracle(n))
+    assert res.route == "cf"
+    assert err <= 1e-9
+    assert err <= res.error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("spec", [U01, TAB_JUMPS, EXP_PAIR],
+                         ids=["uniform", "tabulated_jumps", "exponential_pair"])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_cf_route_matches_fine_fft_reference(spec, n):
+    ref, ref_err = oracle.fft_convolution_tv_reference(spec, n, 1 << 16)
+    res = convolution_tv_result(spec, n)
+    assert res.route == "cf"
+    assert abs(res.tv - ref) <= ref_err
+    assert res.error_estimate <= 1e-8
+
+
+def test_route_falls_back_to_fft_where_psi_decays_slowly():
+    assert convolution_tv_result(U01, 2).route == "fft"
+    # from grid 2^20 on, the spike's two breaks sit in separate cells
+    assert convolution_tv_result(SPIKE, 2, 1 << 20, error_estimate=False).route == "fft"
+
+
+def test_cf_route_reaches_a_million_summands():
+    n = 10 ** 6
+    t0 = time.perf_counter()
+    res = convolution_tv_result(E1, n)
+    elapsed = time.perf_counter() - t0
+    assert res.route == "cf"
+    assert elapsed < 1.0
+    assert res.tv == pytest.approx(oracle.gamma_standardized_tv_oracle(n), abs=1e-9)
 
 
 def test_convolution_result_reports_error_estimate():

@@ -87,6 +87,18 @@ def test_parse_rejects_nonincreasing_grid():
                    '"values":[1,1],"weight":1.0}]}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"components":[{"kind":"normal","mean":Infinity,"sd":1,"weight":1}]}',
+    '{"components":[{"kind":"atom","location":NaN,"mass":0.5},'
+    '{"kind":"uniform","lo":0,"hi":1,"weight":0.5}]}',
+    # finite, but its closed-form second moment 2/rate^2 is not
+    '{"components":[{"kind":"exponential","rate":1e-300,"weight":1}]}',
+], ids=["normal_infinite_mean", "atom_nan_location", "exponential_rate_1e-300"])
+def test_parse_rejects_non_finite_parameters(text):
+    with pytest.raises(SpecError):
+        parse_spec(text)
+
+
 def test_tabulated_renormalizes_at_load():
     piece = Tabulated(np.array([0.0, 1.0]), np.array([3.0, 3.0]), 1.0)
     assert np.trapezoid(piece.values, piece.grid) == pytest.approx(1.0, abs=1e-14)
