@@ -39,7 +39,6 @@ from .distributions import (
     _piece_cf_centered,
     _piece_cf_envelope,
     _piece_mean,
-    _piece_support,
     ac_density,
     moments,
     truncated_support,
@@ -143,13 +142,8 @@ def _cell_masses(spec: DistributionSpec, lo: float, hi: float, grid_size: int):
     dx = (hi - lo) / grid_size
     xs = lo + (np.arange(grid_size) + 0.5) * dx
     w = ac_density(spec, xs) * dx
-    breaks = set()
-    for c in spec.ac_pieces:
-        breaks.update(b for b in _piece_support(c) if math.isfinite(b))
-        if isinstance(c, Tabulated):
-            breaks.update(float(g) for g in c.grid)
     held = {}
-    for b in breaks:
+    for b in spec.density_breaks:
         if lo <= b <= hi:
             pos = (b - lo) / dx
             cells = {min(max(i, 0), grid_size - 1) for i in (math.floor(pos), math.ceil(pos) - 1)}

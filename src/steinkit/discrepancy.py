@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 from .distributions import (
@@ -29,18 +29,14 @@ from .distributions import (
     DEFAULT_CONFIG,
     DistributionSpec,
     QuadratureConfig,
-    Tabulated,
-    _piece_pdf,
-    _piece_quantile_range,
-    _piece_support,
     ac_density,
-    ac_segments,
-    integrate_ac,
+    expect,
+    integrate,
     moments,
     truncated_support,
 )
 from .errors import DegenerateError
-from .kernels import COMPOSITE_POINTS, KernelFn, kernel_stats
+from .kernels import KernelFn, kernel_stats
 
 BRACKETS_PER_PANEL = 64
 
@@ -99,21 +95,14 @@ def _panel_points(edges, crossings, width):
     return sorted(keep)
 
 
-def _component_edges(c):
-    if isinstance(c, Tabulated):
-        return [float(g) for g in c.grid]
-    plo, phi = _piece_support(c)
-    return [b for b in (plo, phi) if math.isfinite(b)]
-
-
 def tv_to_normal(spec: DistributionSpec,
                  config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Exact total-variation distance from the spec to N(m, sigma^2) with the
     spec's own mean and variance.
 
     Half the L1 distance of the AC density to the normal density (panels are
-    split at density crossing points found by bisection so each quadrature
-    panel has a one-signed integrand), plus half the singular mass.
+    split at density crossing points found by bisection, so |p - phi| is
+    smooth on every quadrature panel), plus half the singular mass.
     """
     mom = moments(spec)
     if mom.variance <= 0.0:
@@ -125,12 +114,7 @@ def tv_to_normal(spec: DistributionSpec,
     lo = min(slo, m - z * sd)
     hi = max(shi, m + z * sd)
 
-    edges = {lo, hi}
-    for c in spec.ac_pieces:
-        for b in _component_edges(c):
-            if lo < b < hi:
-                edges.add(float(b))
-    edges = sorted(edges)
+    edges = sorted({lo, hi, *(b for b in spec.density_breaks if lo < b < hi)})
 
     def diff(t):
         return ac_density(spec, t) - _normal_pdf(t, m, sd)
@@ -139,15 +123,7 @@ def tv_to_normal(spec: DistributionSpec,
     for a, b in zip(edges[:-1], edges[1:]):
         splits.extend(_find_crossings(diff, diff, a, b))
     pts = _panel_points(edges, splits, hi - lo)
-
-    # each panel is one-signed between crossings, so |integral of the signed
-    # difference| equals the integral of |difference| without abs() kinks
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = integrate.quad(diff, a, b,
-                                epsabs=config.abs_tol, epsrel=config.rel_tol,
-                                limit=config.max_subdivisions)
-        total += abs(val)
+    total, _ = integrate(lambda t: np.abs(diff(t)), pts, config)
     # mass the matched normal carries outside the integration window, where
     # the spec itself has at most tail_quantile-level mass
     total += float(ndtr((lo - m) / sd)) + float(ndtr(-(hi - m) / sd))
@@ -158,13 +134,12 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
                        config: QuadratureConfig = DEFAULT_CONFIG) -> DiscrepancyReport:
     """Both Stein discrepancy bounds together with the exact distance.
 
-    bound_l1 = 2 E|tau(X) - sigma^2| splits the quadrature at the points
-    where tau crosses sigma^2; atoms and the Cantor support contribute
-    sigma^2 times their mass since the canonical kernel vanishes there.
-    bound_sd = 2 sqrt(Var tau(X)).
+    bound_l1 = 2 E|tau(X) - sigma^2| is one `expect` over the truncated
+    support, split at the points where tau crosses sigma^2; atoms and the
+    Cantor support contribute sigma^2 times their mass since the canonical
+    kernel vanishes there.  bound_sd = 2 sqrt(Var tau(X)).
     """
-    mom = moments(spec)
-    var = mom.variance
+    var = moments(spec).variance
 
     def gap(t):
         return kernel.evaluate(t) - var
@@ -172,40 +147,15 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
     def gap_vec(ts):
         return kernel.values(ts) - var
 
-    if spec.cantor_parts:
-        # |tau - sigma^2| on uniform grids; the abs kinks cost only O(h^2)
-        # locally and the rough Cantor modulus averages out
-        l1_ac = 0.0
-        for c, sa, sb in ac_segments(spec):
-            qa, qb = _piece_quantile_range(c, config.tail_quantile)
-            sa, sb = max(sa, qa), min(sb, qb)
-            if not sa < sb:
-                continue
-            ts = np.linspace(sa, sb, COMPOSITE_POINTS + 1)
-            vals = np.abs(kernel.values_ae(ts) - var)
-            l1_ac += c.weight * float(np.trapezoid(vals * _piece_pdf(c, ts), ts))
-    else:
-        slo, shi = truncated_support(spec, config.tail_quantile)
-        edges = {slo, shi}
-        for c in spec.ac_pieces:
-            for b in _component_edges(c):
-                if slo < b < shi:
-                    edges.add(float(b))
-        for a in spec.atoms:
-            if slo < a.location < shi:
-                edges.add(a.location)
-        edges = sorted(edges)
-        crossings = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            crossings.extend(_find_crossings(gap, gap_vec, a, b))
-
-        # per-panel signed integrals; tau - sigma^2 keeps one sign between
-        # consecutive crossings, so the absolute values sum to E|tau - sigma^2|
-        pts = _panel_points(edges, crossings, shi - slo)
-        l1_ac = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            l1_ac += abs(integrate_ac(spec, gap, lo=a, hi=b, config=config))
-    bound_l1 = 2.0 * (l1_ac + var * spec.singular_mass)
+    slo, shi = truncated_support(spec, config.tail_quantile)
+    edges = sorted({slo, shi, *(b for b in spec.density_breaks if slo < b < shi),
+                    *(a.location for a in spec.atoms if slo < a.location < shi)})
+    crossings = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        crossings.extend(_find_crossings(gap, gap_vec, a, b))
+    l1 = expect(spec, lambda x, tau: np.abs(tau - var), slo, shi,
+                _panel_points(edges, crossings, shi - slo), kernel=kernel, config=config)
+    bound_l1 = 2.0 * float(l1)
 
     _, var_tau = kernel_stats(spec, kernel, config=config)
     bound_sd = 2.0 * math.sqrt(var_tau)

@@ -1,4 +1,4 @@
-"""Mixed univariate distributions and the quadrature engine built on them.
+"""Mixed univariate distributions and the expectation engine built on them.
 
 A distribution is specified as a finite mixture whose components realize the
 three parts of its Lebesgue decomposition: absolutely continuous pieces
@@ -6,8 +6,14 @@ three parts of its Lebesgue decomposition: absolutely continuous pieces
 optional Cantor-type singular-continuous part.  Every component contributes
 closed-form moments, survival functions, and upper partial means, so that
 mixture-level quantities (mean, variance, density, partial expectations)
-are exact up to floating point wherever a closed form exists; adaptive
-quadrature is reserved for integrals of genuinely transcendental integrands.
+are exact up to floating point wherever a closed form exists.
+
+Every other expectation against the mixture goes through `expect`: the AC
+pieces through `integrate`, a vectorized globally adaptive Gauss-Kronrod
+7-15 rule, over segments split at the spec's density breaks (computed once
+per spec), or through a fine composite trapezoid on a spec with a Cantor
+part; atoms through their masses; the Cantor part through its equal-mass
+construction cells.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import SpecError
 
@@ -188,53 +194,40 @@ def cantor_survival_upper_mean(u, depth: int = 64):
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
-    u = np.atleast_1d(u).copy()
-
-    # M(u) = cmm*M(u') + cms*S(u') + cm1 ; S(u) = css*S(u') + cs1
-    cmm = np.ones_like(u)
-    cms = np.zeros_like(u)
-    cm1 = np.zeros_like(u)
-    css = np.ones_like(u)
-    cs1 = np.zeros_like(u)
-
+    u = np.atleast_1d(u)
     below = u <= 0.0
-    above = u >= 1.0
-    active = ~(below | above)
+    s = below.astype(float)
+    m = 0.5 * s
 
+    # M(u) = cmm*M(u') + cms*S(u') + cm1 ; S(u) = css*S(u') + cs1, kept for
+    # the points still inside the recursion, which all share cmm and css
+    live = np.flatnonzero(~(below | (u >= 1.0)))
+    v = u[live]
+    cms, cm1, cs1 = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+    cmm = css = 1.0
     for _ in range(depth):
-        left = active & (u <= 1.0 / 3.0)
-        right = active & (u > 2.0 / 3.0)
-        mid = active & ~left & ~right
+        left, right = v <= 1.0 / 3.0, v > 2.0 / 3.0
+        mid = ~(left | right)
         # left: M = M'/6 + 5/12,      S = S'/2 + 1/2,  u' = 3u
         # mid:  M = 5/12,             S = 1/2          (terminal)
         # right: M = M'/6 + S'/3,     S = S'/2,        u' = 3u - 2
-        cm1[left] += cmm[left] * (5.0 / 12.0) + cms[left] * 0.5
-        cms[left] = cmm[left] * 0.0 + cms[left] * 0.5
-        cmm[left] *= 1.0 / 6.0
-        cs1[left] += css[left] * 0.5
-        css[left] *= 0.5
-
-        cm1[mid] += cmm[mid] * (5.0 / 12.0) + cms[mid] * 0.5
-        cs1[mid] += css[mid] * 0.5
-        cmm[mid] = 0.0
-        cms[mid] = 0.0
-        css[mid] = 0.0
-        active[mid] = False
-
-        cms[right] = cmm[right] / 3.0 + cms[right] * 0.5
-        cmm[right] *= 1.0 / 6.0
-        css[right] *= 0.5
-
-        u[left] = 3.0 * u[left]
-        u[right] = 3.0 * u[right] - 2.0
+        cm1[left] += cmm * (5.0 / 12.0) + cms[left] * 0.5
+        cms[left] = cmm * 0.0 + cms[left] * 0.5
+        cs1[left] += css * 0.5
+        cm1[mid] += cmm * (5.0 / 12.0) + cms[mid] * 0.5
+        cs1[mid] += css * 0.5
+        cms[right] = cmm / 3.0 + cms[right] * 0.5
+        cmm *= 1.0 / 6.0
+        css *= 0.5
+        m[live[mid]], s[live[mid]] = cm1[mid], cs1[mid]
+        v = np.where(left, 3.0 * v, 3.0 * v - 2.0)
+        live, v, cms, cm1, cs1 = (x[~mid] for x in (live, v, cms, cm1, cs1))
+        if not len(live):
+            break
 
     # Close the recursion with mid-range values; residual weight is tiny.
-    m = cmm * (5.0 / 12.0) + cms * 0.5 + cm1
-    s = css * 0.5 + cs1
-    m[below] = 0.5
-    s[below] = 1.0
-    m[above] = 0.0
-    s[above] = 0.0
+    m[live] = cmm * (5.0 / 12.0) + cms * 0.5 + cm1
+    s[live] = css * 0.5 + cs1
     if scalar:
         return float(s[0]), float(m[0])
     return s, m
@@ -620,7 +613,9 @@ class DistributionSpec:
 
     Invariants enforced at construction: weights and atom masses sum to one
     within 1e-12, atom locations are pairwise distinct, and every AC piece
-    carries a valid (normalized) density.
+    carries a valid (normalized) density.  `density_breaks` holds, sorted,
+    every point where the AC density may jump or kink: the finite ends of
+    each piece and every tabulated knot.
     """
 
     components: tuple
@@ -639,8 +634,14 @@ class DistributionSpec:
         if len(set(locs)) != len(locs):
             raise SpecError("atom locations must be pairwise distinct")
         object.__setattr__(self, "components", comps)
-        # the spec is frozen, so its closed-form moments are computed once
+        # the spec is frozen, so its closed-form moments and its density
+        # breaks (finite piece ends and tabulated knots) are computed once
         object.__setattr__(self, "_moments", _closed_form_moments(self))
+        breaks = set()
+        for c in self.ac_pieces:
+            ends = c.grid if isinstance(c, Tabulated) else _piece_support(c)
+            breaks.update(float(b) for b in ends if math.isfinite(b))
+        object.__setattr__(self, "density_breaks", tuple(sorted(breaks)))
 
     @property
     def ac_pieces(self) -> tuple:
@@ -691,9 +692,6 @@ class SupportInterval:
     @property
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
-
-    def contains_open(self, t: float) -> bool:
-        return self.lo < t < self.hi
 
 
 @dataclass(frozen=True)
@@ -846,111 +844,190 @@ def affine_transform(spec: DistributionSpec, scale: float, shift: float) -> Dist
 
 
 # ---------------------------------------------------------------------------
-# Quadrature engine
+# Expectation engine
 # ---------------------------------------------------------------------------
 
-def _segment_bounds(lo, hi, interior_points):
-    pts = sorted(p for p in interior_points if lo < p < hi)
-    return [lo, *pts, hi]
+COMPOSITE_POINTS = 1 << 18
+
+# Gauss-Kronrod 7-15, QUADPACK's qk15 (Piessens et al. 1983): the Kronrod
+# abscissae on [0, 1] from the outside in, their weights, and the weights of
+# the embedded 7-point Gauss rule, whose nodes are every second abscissa
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+_GK_X = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_W = np.array(_WGK[:-1] + _WGK[::-1])
+_G7_W = np.array(_WG[:-1] + _WG[::-1])
 
 
-def ac_segments(spec: DistributionSpec, lo: float = -math.inf, hi: float = math.inf,
-                extra_breaks: Sequence[float] = ()):
-    """(piece, a, b) quadrature segments covering the AC part over [lo, hi].
+def _gk15(f, a, b, side=None, anchor=None):
+    """K15 integrals of f over the intervals [a_i, b_i] and their error
+    estimates |K15 - G7|, from one call of f on all nodes.
 
-    Atom locations, Cantor endpoints, every piece's finite support edges,
-    tabulated knots, and caller-supplied breakpoints all split every
-    segment: integrands built from the mixture (the kernel in particular)
-    jump or kink at any of those points, whichever piece is being
-    integrated against.
+    f maps a 1-D array of points to values or to a (k, n) stack.  Where
+    side_i is +1 (-1), [a_i, b_i] lies in (0, 1] and stands for
+    [anchor_i, inf) ((-inf, anchor_i]) under QUADPACK's qagi substitution
+    x = anchor_i +- (1 - t)/t.
     """
-    breaks = set(extra_breaks)
-    breaks.update(a.location for a in spec.atoms)
+    half = 0.5 * (b - a)
+    t = (0.5 * (a + b))[:, None] + half[:, None] * _GK_X
+    x, jac = t, 1.0
+    if side is not None and side.any():
+        tail = side != 0.0
+        u = t[tail]
+        x, jac = t.copy(), np.ones_like(t)
+        x[tail] = anchor[tail, None] + side[tail, None] * (1.0 - u) / u
+        jac[tail] = 1.0 / (u * u)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + t.shape) * jac
+    kronrod = half * (fx @ _GK_W)
+    return kronrod, np.abs(kronrod - half * (fx @ _G7_W))
+
+
+def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
+    """(value, abserr) of the integral of f from edges[0] to edges[-1].
+
+    Globally adaptive Gauss-Kronrod 7-15: every interval between sorted
+    edges gets K15 in one array call of f, and all intervals needed to
+    bring the summed |K15 - G7| within max(abs_tol, rel_tol |value|) are
+    bisected together, pass after pass.  Infinite ends take QUADPACK's qagi
+    substitution.  f maps a 1-D array of points to values, or to a (k, n)
+    stack of k integrands, which then share every node and are refined
+    until the hardest meets its tolerance; value and abserr then have
+    shape (k,).  Once the intervals number max_subdivisions per starting
+    interval, the best value is returned with an IntegrationWarning.
+    """
+    cells = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo == -math.inf:
+            cells.append((0.0, 1.0, -1.0, hi if hi < math.inf else 0.0))
+        if hi == math.inf:
+            cells.append((0.0, 1.0, 1.0, lo if lo > -math.inf else 0.0))
+        if -math.inf < lo and hi < math.inf:
+            cells.append((lo, hi, 0.0, 0.0))
+    a, b, side, anchor = (np.array(col) for col in zip(*cells))
+    value, error = _gk15(f, a, b, side, anchor)
+    single = value.ndim == 1
+    value, error = np.atleast_2d(value), np.atleast_2d(error)
+    cap = config.max_subdivisions * len(a)
+    while True:
+        total, abserr = value.sum(axis=1), error.sum(axis=1)
+        tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
+        failing = ~(abserr <= tol)
+        if not failing.any():
+            break
+        # per failing row, the largest errors down to half its tolerance
+        rows = error[failing]
+        order = np.argsort(-rows, axis=1)
+        ranked = np.take_along_axis(rows, order, axis=1)
+        left = abserr[failing, None] - np.cumsum(ranked, axis=1) + ranked
+        split = np.zeros(len(a), dtype=bool)
+        split[order[~(left <= 0.5 * tol[failing, None])]] = True
+        mid = 0.5 * (a + b)
+        split &= (a < mid) & (mid < b)
+        todo = np.flatnonzero(split)
+        room = max(cap - len(a), 0)
+        if len(todo) > room:
+            worst = (error[:, todo] / tol[:, None]).max(axis=0)
+            todo = todo[np.argsort(-worst)[:room]]
+        if not len(todo):
+            import warnings
+            from scipy.integrate import IntegrationWarning
+            warnings.warn(f"integration tolerance not met: error estimate {abserr.max():.3g} "
+                          f"with {len(a)} intervals", IntegrationWarning, stacklevel=2)
+            break
+        keep = np.ones(len(a), dtype=bool)
+        keep[todo] = False
+        na = np.concatenate([a[todo], mid[todo]])
+        nb = np.concatenate([mid[todo], b[todo]])
+        nside, nanchor = np.tile(side[todo], 2), np.tile(anchor[todo], 2)
+        nv, ne = _gk15(f, na, nb, nside, nanchor)
+        a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
+        side, anchor = np.concatenate([side[keep], nside]), np.concatenate([anchor[keep], nanchor])
+        value = np.concatenate([value[:, keep], np.atleast_2d(nv)], axis=1)
+        error = np.concatenate([error[:, keep], np.atleast_2d(ne)], axis=1)
+    if single:
+        return float(total[0]), float(abserr[0])
+    return total, abserr
+
+
+def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.inf,
+           extra_breaks: Sequence[float] = (), kernel=None,
+           config: QuadratureConfig = DEFAULT_CONFIG):
+    """E[g(X) 1{lo <= X <= hi}] against the full mixture measure.
+
+    g maps a 1-D array of points to values or to a (k, n) stack, whose rows
+    are then integrated together (the result has shape (k,)).  Given a
+    kernel, g is called as g(x, tau) with the kernel's values at x: the
+    Lebesgue-a.e. version at AC nodes, the pointwise version at atoms and
+    Cantor points (zero at atoms and on a registered Cantor support).
+
+    The AC part is summed piece by piece over segments split at the spec's
+    density breaks, atoms, Cantor ends and extra_breaks.  Specs without a
+    Cantor part integrate them by `integrate`; specs with one use a
+    COMPOSITE_POINTS composite trapezoid per segment, truncated at the
+    piece's tail quantiles, because their kernels inherit the
+    devil's-staircase modulus, which defeats adaptive error estimates but
+    averages out on uniform grids.  Atoms add their mass times g.  A Cantor
+    part adds the mean of g over its equal-mass construction cells: at cell
+    midpoints, second order by the symmetry of every cell, hence half the
+    depth; an unregistered kernel is sampled at the cells' left endpoints,
+    points of the Cantor set itself, at full depth.
+    """
+    def at(x, tau):
+        return np.asarray(g(x) if kernel is None else g(x, tau), dtype=float)
+
+    def ac(x):
+        return at(x, None if kernel is None else kernel.values_ae(x))
+
+    breaks = {*spec.density_breaks, *extra_breaks, *(a.location for a in spec.atoms)}
     for c in spec.cantor_parts:
         breaks.update((c.lo, c.hi))
-    for c in spec.ac_pieces:
-        breaks.update(b for b in _piece_support(c) if math.isfinite(b))
-        if isinstance(c, Tabulated):
-            breaks.update(float(g) for g in c.grid)
-    out = []
+    total = 0.0
     for c in spec.ac_pieces:
         plo, phi = _piece_support(c)
         a, b = max(plo, lo), min(phi, hi)
         if not a < b:
             continue
-        seams = _segment_bounds(a, b, breaks)
-        out.extend((c, sa, sb) for sa, sb in zip(seams[:-1], seams[1:]))
-    return out
-
-
-def integrate_ac(spec: DistributionSpec, fn: Callable[[float], float],
-                 lo: float = -math.inf, hi: float = math.inf,
-                 extra_breaks: Sequence[float] = (),
-                 config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Integral of fn(t) * p(t) dt over [lo, hi], p the weighted AC density.
-
-    Adaptive quadrature piece by piece, so every panel sees one smooth
-    density.
-    """
-    total = 0.0
-    for c, sa, sb in ac_segments(spec, lo, hi, extra_breaks):
-
-        def integrand(t, piece=c):
-            return fn(t) * float(_piece_pdf(piece, np.float64(t)))
-
-        val, _ = integrate.quad(
-            integrand, sa, sb,
-            epsabs=config.abs_tol, epsrel=config.rel_tol,
-            limit=config.max_subdivisions)
-        total += c.weight * val
-    return total
-
-
-def expect_cantor(spec: DistributionSpec, g: Callable[[np.ndarray], np.ndarray],
-                  lo: float = -math.inf, hi: float = math.inf,
-                  config: QuadratureConfig = DEFAULT_CONFIG,
-                  endpoint: str = "mid") -> float:
-    """Sum over Cantor parts of weight * E[g(X) 1{lo <= X <= hi}].
-
-    Approximates each Cantor expectation by equal-mass construction cells;
-    with midpoint sampling the error is second order in the cell width for
-    smooth g (the measure is symmetric within every cell).  g must accept
-    numpy arrays.
-    """
-    total = 0.0
+        seams = [a, *sorted(x for x in breaks if a < x < b), b]
+        if not spec.cantor_parts:
+            val, _ = integrate(lambda x: ac(x) * _piece_pdf(c, x), seams, config)
+            total = total + c.weight * val
+            continue
+        qa, qb = _piece_quantile_range(c, config.tail_quantile)
+        for sa, sb in zip(seams[:-1], seams[1:]):
+            sa, sb = max(sa, qa), min(sb, qb)
+            if sa < sb:
+                ts = np.linspace(sa, sb, COMPOSITE_POINTS + 1)
+                # blocks bound the working memory of the kernel's evaluation
+                vals = np.concatenate([ac(x) * _piece_pdf(c, x) for x in np.array_split(ts, 8)],
+                                      axis=-1)
+                total = total + c.weight * np.trapezoid(vals, ts)
+    atoms = [a for a in spec.atoms if lo <= a.location <= hi]
+    if atoms:
+        xs = np.array([a.location for a in atoms])
+        vals = at(xs, None if kernel is None else kernel.values(xs))
+        total = total + vals @ np.array([a.mass for a in atoms])
     for c in spec.cantor_parts:
         span = c.hi - c.lo
         depth = config.cantor_depth(span)
-        if endpoint == "mid":
-            # cell symmetry makes midpoint sampling second order: half depth
-            depth = max(2, depth // 2 + 2)
-        depth = min(depth, 22)
-        pts = c.lo + span * cantor_points(depth, endpoint=endpoint)
+        if kernel is None or (c.lo, c.hi) in kernel.cantor_intervals:
+            pts = c.lo + span * cantor_points(min(max(2, depth // 2 + 2), 22))
+            tau = None if kernel is None else np.zeros_like(pts)
+        else:
+            pts = c.lo + span * cantor_points(min(depth, 22), endpoint="left")
+            tau = kernel.values(pts)
         sel = (pts >= lo) & (pts <= hi)
-        if not np.any(sel):
-            continue
-        vals = np.asarray(g(pts[sel]), dtype=float)
-        total += c.weight * float(np.sum(vals)) / len(pts)
-    return total
-
-
-def expect_measure(spec: DistributionSpec, fn: Callable, f_vec: Callable = None,
-                   lo: float = -math.inf, hi: float = math.inf,
-                   extra_breaks: Sequence[float] = (),
-                   config: QuadratureConfig = DEFAULT_CONFIG,
-                   cantor_endpoint: str = "mid") -> float:
-    """E[fn(X) 1{lo <= X <= hi}] against the full mixture measure.
-
-    fn is evaluated pointwise for the quadrature over the AC part and at
-    atom locations; f_vec (defaults to fn) must accept arrays and is used
-    for the Cantor cells.
-    """
-    total = integrate_ac(spec, fn, lo, hi, extra_breaks=extra_breaks, config=config)
-    for a in spec.atoms:
-        if lo <= a.location <= hi:
-            total += a.mass * fn(a.location)
-    total += expect_cantor(spec, f_vec or fn, lo, hi, config=config,
-                           endpoint=cantor_endpoint)
+        if sel.any():
+            vals = at(pts[sel], None if tau is None else tau[sel])
+            total = total + c.weight * vals.sum(axis=-1) / len(pts)
     return total
 
 
@@ -1029,5 +1106,11 @@ def parse_spec(text: str) -> DistributionSpec:
 
 
 def load_spec(path) -> DistributionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    """Read and parse a spec document; a missing file raises
+    FileNotFoundError, one that is a directory or not UTF-8 SpecError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read spec document {path}: {exc}") from exc
+    return parse_spec(text)

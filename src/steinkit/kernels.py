@@ -34,22 +34,15 @@ from .distributions import (
     Normal,
     QuadratureConfig,
     SupportInterval,
-    Tabulated,
     Uniform,
     ac_density,
-    ac_segments,
     cantor_in_support,
     cantor_in_support_vec,
-    cantor_points,
-    expect_cantor,
-    integrate_ac,
+    expect,
     moments,
     partial_expectation,
     support,
     truncated_support,
-    _piece_pdf,
-    _piece_quantile_range,
-    _piece_support,
     _positivity_intervals,
 )
 from .errors import DegenerateError, ExistenceError, NumericsError, SpecError
@@ -344,12 +337,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     lo, hi = truncated_support(spec, config.tail_quantile)
     atom_zeros = tuple(a.location for a in spec.atoms)
     cantor_iv = tuple((c.lo, c.hi) for c in spec.cantor_parts)
-    breaks = set(atom_zeros)
-    for c in spec.ac_pieces:
-        plo, phi = _piece_support(c)
-        breaks.update(b for b in (plo, phi) if math.isfinite(b))
-        if isinstance(c, Tabulated):
-            breaks.update(float(g) for g in c.grid)
+    breaks = set(atom_zeros) | set(spec.density_breaks)
     density_breaks = tuple(sorted(b for b in breaks if lo < b < hi))
 
     if len(spec.components) == 1:
@@ -376,23 +364,19 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
                             atom_zeros=atom_zeros, density_breaks=density_breaks,
                             _fn=fn, _fn_vec=fn_vec)
 
-    h = radon_nikodym_factor(spec)
-
     def fn(t):
-        # sigma^2 * q / p * h with sigma^2 q written as the partial expectation
+        # sigma^2 * q / p with sigma^2 q written as the partial expectation;
+        # `evaluate` has already applied the zeros of h
         pe = partial_expectation(spec, t)
         p = ac_density(spec, t)
         if p < UNDERFLOW_FLOOR or not math.isfinite(p):
             return 0.0
-        return max(pe, 0.0) / p * h(t)
+        return max(pe, 0.0) / p
 
     def fn_vec(ts):
         pe = np.maximum(partial_expectation(spec, ts), 0.0)
         p = ac_density(spec, ts)
-        out = np.zeros_like(pe)
-        ok = p >= UNDERFLOW_FLOOR
-        out[ok] = pe[ok] / p[ok]
-        return out
+        return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
 
     grid_t = _chebyshev_interior(lo, hi, grid_size)
     grid_t = np.array([t for t in grid_t if t not in atom_zeros])
@@ -404,10 +388,8 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
             f"interval at t={grid_t[bad[0]]!r}")
     pe = np.maximum(partial_expectation(spec, grid_t), 0.0)
     grid_tau = pe / dens
-    # the vectorized ratio misses the pointwise h-zeros; restore them
-    for i, t in enumerate(grid_t):
-        if h(float(t)) == 0.0:
-            grid_tau[i] = 0.0
+    for clo, chi in cantor_iv:
+        grid_tau[cantor_in_support_vec(grid_t, clo, chi)] = 0.0
     return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form="grid", params={},
                     grid_t=grid_t, grid_tau=grid_tau, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,
@@ -418,97 +400,18 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
 # Certification and statistics
 # ---------------------------------------------------------------------------
 
-COMPOSITE_POINTS = 1 << 18
-
-
-def integrate_kernel_ac(spec: DistributionSpec, kernel: KernelFn,
-                        weight: Callable = None, weight_vec: Callable = None,
-                        lo: float = -math.inf, hi: float = math.inf,
-                        extra_breaks=(),
-                        config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral of tau(t) * w(t) * p(t) dt over [lo, hi].
-
-    Smooth specs go through the adaptive engine.  Cantor-bearing specs use a
-    fine composite trapezoid per smooth segment instead: there the kernel
-    inherits the Hoelder modulus of the devil's staircase, which defeats
-    adaptive error estimation but averages out on uniform grids.
-    """
-    if not spec.cantor_parts:
-        w = weight if weight is not None else (lambda t: 1.0)
-        return integrate_ac(spec, lambda t: kernel.evaluate(t) * float(w(t)),
-                            lo=lo, hi=hi, extra_breaks=extra_breaks, config=config)
-    total = 0.0
-    for c, sa, sb in ac_segments(spec, lo, hi, extra_breaks):
-        qa, qb = _piece_quantile_range(c, config.tail_quantile)
-        sa, sb = max(sa, qa), min(sb, qb)
-        if not sa < sb:
-            continue
-        ts = np.linspace(sa, sb, COMPOSITE_POINTS + 1)
-        vals = kernel.values_ae(ts)
-        if weight_vec is not None:
-            vals = vals * np.asarray(weight_vec(ts), dtype=float)
-        total += c.weight * float(np.trapezoid(vals * _piece_pdf(c, ts), ts))
-    return total
-
-
-def _kernel_singular_continuous_term(spec: DistributionSpec, kernel: KernelFn,
-                                     weight_vec: Callable = None,
-                                     lo: float = -math.inf, hi: float = math.inf,
-                                     config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Contribution of the Cantor parts to integrals of tau * w against mu.
-
-    A Cantor support registered on the kernel carries value zero by the
-    version convention, so it contributes exactly nothing; an unregistered
-    (caller-built) kernel is sampled at construction-cell left endpoints,
-    which are points of the Cantor set itself.  Numeric set-membership is
-    deliberately not used here: iterated ternary maps amplify float error,
-    so deep cell endpoints would drift off the set.
-    """
-    total = 0.0
-    for c in spec.cantor_parts:
-        if (c.lo, c.hi) in kernel.cantor_intervals:
-            continue
-        span = c.hi - c.lo
-        depth = min(config.cantor_depth(span), 22)
-        pts = c.lo + span * cantor_points(depth, endpoint="left")
-        sel = (pts >= lo) & (pts <= hi)
-        if not sel.any():
-            continue
-        vals = kernel.values_ae(pts[sel])
-        for loc in kernel.atom_zeros:
-            vals = np.where(pts[sel] == loc, 0.0, vals)
-        if weight_vec is not None:
-            vals = vals * np.asarray(weight_vec(pts[sel]), dtype=float)
-        total += c.weight * float(np.sum(vals)) / len(pts)
-    return total
-
-
 def stein_residual(spec: DistributionSpec, kernel: KernelFn, tf: TestFunction,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """E[tau(X) f'(X)] - E[(X - m) f(X)] for the given kernel and test
     function; a valid kernel drives this below the certification tolerance.
 
-    The left side integrates the kernel against the AC density plus atom
-    terms (identically zero for the canonical version) plus the
-    singular-continuous terms.  The right side combines quadrature, atom
-    sums, and the Cantor cell recursion.
+    Both sides form one integrand under `expect`, so the AC part, the atoms
+    (where the canonical kernel vanishes) and the Cantor cells are each
+    evaluated once.
     """
     m = moments(spec).mean
-    lhs = integrate_kernel_ac(spec, kernel,
-                              weight=lambda t: float(tf.f_prime(t)),
-                              weight_vec=tf.f_prime, config=config)
-    for a in spec.atoms:
-        lhs += a.mass * kernel.evaluate(a.location) * float(tf.f_prime(a.location))
-    lhs += _kernel_singular_continuous_term(spec, kernel, weight_vec=tf.f_prime,
-                                            config=config)
-
-    rhs = integrate_ac(spec, lambda t: (t - m) * float(tf.f(t)), config=config)
-    for a in spec.atoms:
-        rhs += a.mass * (a.location - m) * float(tf.f(a.location))
-    if spec.cantor_parts:
-        rhs += expect_cantor(spec, lambda xs: (xs - m) * np.asarray(tf.f(xs), dtype=float),
-                             config=config, endpoint="mid")
-    return lhs - rhs
+    return float(expect(spec, lambda x, tau: tau * tf.f_prime(x) - (x - m) * tf.f(x),
+                        kernel=kernel, config=config))
 
 
 def kernel_stats(spec: DistributionSpec, kernel: KernelFn,
@@ -518,31 +421,9 @@ def kernel_stats(spec: DistributionSpec, kernel: KernelFn,
     Atoms and the singular support carry kernel value zero in the canonical
     version, so they contribute only to the spread around the mean.
     """
-    def moment(weight, weight_vec):
-        val = integrate_kernel_ac(spec, kernel, weight=weight,
-                                  weight_vec=weight_vec, config=config)
-        for a in spec.atoms:
-            w = 1.0 if weight is None else weight(a.location)
-            val += a.mass * kernel.evaluate(a.location) * w
-        val += _kernel_singular_continuous_term(spec, kernel, weight_vec=weight_vec,
-                                                config=config)
-        return val
-
-    mean_tau = moment(None, None)
-    second = moment(lambda t: kernel.evaluate(t), kernel.values_ae)
-    return mean_tau, max(second - mean_tau * mean_tau, 0.0)
-
-
-def kernel_measure_integral(spec: DistributionSpec, kernel: KernelFn,
-                            lo: float, hi: float,
-                            config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral of tau over [lo, hi] against the full mixture measure."""
-    val = integrate_kernel_ac(spec, kernel, lo=lo, hi=hi, config=config)
-    for a in spec.atoms:
-        if lo <= a.location <= hi:
-            val += a.mass * kernel.evaluate(a.location)
-    val += _kernel_singular_continuous_term(spec, kernel, lo=lo, hi=hi, config=config)
-    return val
+    mean_tau, second = expect(spec, lambda x, tau: np.stack([tau, tau * tau]),
+                              kernel=kernel, config=config)
+    return float(mean_tau), max(float(second - mean_tau * mean_tau), 0.0)
 
 
 def nz_mass(spec: DistributionSpec, lo: float, hi: float,
@@ -557,18 +438,9 @@ def nz_mass(spec: DistributionSpec, lo: float, hi: float,
     if mom.variance <= 0.0:
         raise DegenerateError("non-zero-bias density undefined for a point mass")
     m = mom.mean
-
-    def g(x):
-        return (x - m) * (min(max(x, lo), hi) - lo)
-
-    def g_vec(xs):
-        return (xs - m) * (np.clip(xs, lo, hi) - lo)
-
-    total = integrate_ac(spec, g, extra_breaks=(lo, hi), config=config)
-    for a in spec.atoms:
-        total += a.mass * g(a.location)
-    total += expect_cantor(spec, g_vec, config=config, endpoint="mid")
-    return total / mom.variance
+    total = expect(spec, lambda x: (x - m) * (np.clip(x, lo, hi) - lo),
+                   extra_breaks=(lo, hi), config=config)
+    return float(total) / mom.variance
 
 
 # ---------------------------------------------------------------------------

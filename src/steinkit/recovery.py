@@ -19,20 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .distributions import DEFAULT_CONFIG, QuadratureConfig
+from .distributions import DEFAULT_CONFIG, QuadratureConfig, _gk15
 from .errors import NumericsError, SpecError
 from .kernels import KernelFn, TestFunction
 
 EXPONENT_FLOOR = math.log(1e-300)
 _EDGE_INSET = 1e-9
 _BREAK_GAP = 1e-12
-
-# Gauss-Legendre rules per cell: order 10 gives the value, order 5 the error
-# estimate |GL10 - GL5|; both node sets are evaluated in one array call
-_GL_ORDER, _GL_CHECK_ORDER = 10, 5
-_GL_X, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-_GL_CHECK_X, _GL_CHECK_WEIGHTS = np.polynomial.legendre.leggauss(_GL_CHECK_ORDER)
-_GL_NODES = np.concatenate([_GL_X, _GL_CHECK_X])
 
 
 def _segmented_grid(lo, hi, breaks, grid_size):
@@ -59,7 +52,7 @@ class RecoveredDensity:
     """Density values on a strictly increasing grid, trapezoid-normalized to
     unit mass; `normalizer` is the constant C and `anchor` the zero of gamma.
     `error_estimate` is the summed quadrature error estimate of the exponent
-    integral: the two-order differences of the Gauss-Legendre cells plus the
+    integral: the |K15 - G7| differences of the Gauss-Kronrod cells plus the
     `abserr` of every adaptive fallback."""
 
     grid: np.ndarray
@@ -70,17 +63,6 @@ class RecoveredDensity:
 
     def __call__(self, t):
         return np.interp(t, self.grid, self.values, left=0.0, right=0.0)
-
-
-def _gauss_legendre(f, a, b):
-    """GL10 integrals of the vectorized f over the cells [a_i, b_i] and
-    their error estimates |GL10 - GL5|, from one evaluation of f."""
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    fx = f(x.ravel()).reshape(x.shape)
-    high = half * (fx[:, :_GL_ORDER] @ _GL_WEIGHTS)
-    low = half * (fx[:, _GL_ORDER:] @ _GL_CHECK_WEIGHTS)
-    return high, np.abs(high - low)
 
 
 def _outward_exponent(step, k):
@@ -116,10 +98,11 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     The exponent integral of psi(t) = (m - t)/tau(t) is taken cell by cell
     between consecutive grid points, with the anchor x0 inserted as a node
     (by convention the zero of gamma, x0 = m; any other interior anchor
-    yields the same density after normalization).  Every cell gets
-    10-point Gauss-Legendre quadrature, with the 5-point rule's difference
-    as its error estimate, in one array evaluation of the kernel; the grid
-    is split at every density break, so psi is smooth inside each cell.
+    yields the same density after normalization).  Every cell gets the
+    Gauss-Kronrod 7-15 rule, with |K15 - G7| as its error estimate, in one
+    array evaluation of the kernel; the grid is split a hair on each side
+    of every density break, and the cell across a break is integrated as
+    its two sides, so psi is smooth under every rule.
     Cells whose estimate misses `config`'s tolerances (in practice the few
     next to a domain end, where psi ~ 1/(t - lo)) fall back to adaptive
     quadrature.  Cumulative sums outward from x0 give the exponent; once it
@@ -175,7 +158,18 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     k = int(np.searchsorted(grid, x0))
     nodes = np.insert(grid, k, x0)
     a, b = nodes[:-1], nodes[1:]
-    step, error = _gauss_legendre(psi, a, b)
+    # the grid steps over each density break by 2 * _BREAK_GAP; the cell
+    # that straddles one is integrated as its two smooth sides
+    cuts = np.asarray(kernel.density_breaks, dtype=float)
+    cell = np.clip(np.searchsorted(nodes, cuts) - 1, 0, len(a) - 1)
+    inside = (a[cell] < cuts) & (cuts < b[cell])
+    cell, cuts = cell[inside], cuts[inside]
+    ends = b.copy()
+    ends[cell] = cuts
+    values, errors = _gk15(psi, np.concatenate([a, cuts]), np.concatenate([ends, b[cell]]))
+    step, error = values[:len(a)], errors[:len(a)]
+    step[cell] += values[len(a):]
+    error[cell] += errors[len(a):]
     # quad's stopping rule; a NaN estimate is never accepted
     pending = ~(error <= np.maximum(config.abs_tol, config.rel_tol * np.abs(step)))
     # flagged cells go to adaptive quadrature, but only those the result

@@ -3,7 +3,9 @@
 Everything here recomputes library quantities by an independent route:
 plain quadrature against component densities, atom sums, and equal-mass
 Cantor construction cells.  Nothing imports the library's closed forms
-beyond the raw component parameters.
+beyond the raw component parameters and the spec's density breaks.  The
+one exception is `kernel_measure_integral`, a helper only tests use, which
+runs on the library's own expectation engine.
 """
 
 import math
@@ -22,6 +24,7 @@ from steinkit.distributions import (
     Uniform,
     cantor_points,
 )
+from steinkit.distributions import expect as engine_expect
 from steinkit.recovery import EXPONENT_FLOOR, _segmented_grid
 
 CANTOR_DEPTH = 14
@@ -80,6 +83,26 @@ def expect(spec, g):
             v, _ = integrate.quad(lambda t: g(t) * raw_pdf(c, t), lo, hi, limit=300)
             total += c.weight * v
     return total
+
+
+def integrate_ac(spec, fn):
+    """integral of fn(t) p(t) dt, p the weighted AC density, by one scalar
+    adaptive quadrature per piece and per segment between its density
+    breaks."""
+    total = 0.0
+    for c in spec.ac_pieces:
+        lo, hi = {Normal: (-math.inf, math.inf),
+                  Exponential: (0.0, math.inf)}.get(type(c), component_range(c))
+        pts = [lo, *(b for b in spec.density_breaks if lo < b < hi), hi]
+        for a, b in zip(pts[:-1], pts[1:]):
+            v, _ = integrate.quad(lambda t: fn(t) * raw_pdf(c, t), a, b, limit=200)
+            total += c.weight * v
+    return total
+
+
+def kernel_measure_integral(spec, kernel, lo, hi, config=DEFAULT_CONFIG):
+    """integral of tau over [lo, hi] against the full mixture measure."""
+    return float(engine_expect(spec, lambda x, tau: tau, lo, hi, kernel=kernel, config=config))
 
 
 def moments_oracle(spec):
@@ -171,14 +194,38 @@ def tv_to_normal_oracle(spec, lo, hi, singular_mass=0.0):
     return 0.5 * (total + singular_mass)
 
 
+# log n! = n log n - n + log(2 pi n) / 2 + r(n), with r(n) the sum over k of
+# B_2k / (2k (2k - 1) n^(2k - 1)); these are the B_2k / (2k (2k - 1))
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0, 43867.0 / 244188.0)
+
+
+def _stirling_remainder(n):
+    if n < 10:
+        return math.lgamma(n + 1.0) - (n * math.log(n) - n + 0.5 * math.log(2 * math.pi * n))
+    return sum(c / n ** (2 * k + 1) for k, c in enumerate(_STIRLING))
+
+
+def _log1p_minus_identity(u):
+    """log1p(u) - u, from its series -u^2/2 + u^3/3 - ... where |u| < 0.1."""
+    if abs(u) >= 0.1:
+        return math.log1p(u) - u
+    return sum((-1.0) ** (k + 1) * u ** k / k for k in range(18, 1, -1))
+
+
 def gamma_standardized_tv_oracle(n):
     """d_TV of the standardized sum of n unit exponentials against the
-    standard normal, from the closed-form Gamma density."""
+    standard normal, from the closed-form Gamma density in log space:
+    with u = z / sqrt(n), log f(z) = n (log1p(u) - u) - log1p(u)
+    - log(2 pi) / 2 - r(n), r the Stirling remainder, so no lgamma(n)
+    rounding enters."""
     sc = math.sqrt(n)
-    g = stats.gamma(n)
+    shift = 0.5 * math.log(2 * math.pi) + _stirling_remainder(n)
 
     def diff(z):
-        return g.pdf(n + sc * z) * sc - math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        u = z / sc
+        log_f = n * _log1p_minus_identity(u) - math.log1p(u) - shift
+        return math.exp(log_f) - math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
     total = _split_abs_integral(diff, -sc + 1e-12, 40.0)
     total += float(ndtr(-sc))

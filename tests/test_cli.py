@@ -1,11 +1,20 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import steinkit
+
 CLI = [sys.executable, "-m", "steinkit"]
+# the subprocess imports the same steinkit as the tests, from a plain
+# checkout too, where pytest's pythonpath setting does not reach it
+_PYTHONPATH = [str(Path(steinkit.__file__).resolve().parent.parent),
+               os.environ.get("PYTHONPATH", "")]
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in _PYTHONPATH if p)}
 
 MIXED = {"components": [
     {"kind": "atom", "location": 1.0, "mass": 0.25},
@@ -31,7 +40,7 @@ NORMAL_UNIFORM = {"components": [
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV)
 
 
 def write_spec(tmp_path, name, doc):
@@ -92,6 +101,22 @@ def test_non_finite_spec_exits_one(tmp_path, doc):
 def test_missing_file_exits_one():
     cp = run_cli("check", "/nonexistent/spec.json")
     assert cp.returncode == 1
+
+
+def test_directory_spec_exits_one(tmp_path):
+    cp = run_cli("check", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:")
+    assert "Traceback" not in cp.stderr
+
+
+def test_non_utf8_spec_exits_one(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"components": [], "note": "caf\u00e9"}'.encode("latin-1"))
+    cp = run_cli("check", str(path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:")
+    assert "Traceback" not in cp.stderr
 
 
 def test_unknown_verb_exits_one():

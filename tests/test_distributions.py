@@ -27,10 +27,10 @@ from steinkit.distributions import (
     cantor_in_support_vec,
     cantor_points,
     cantor_survival_upper_mean,
-    integrate_ac,
 )
 
 import oracle_utils as oracle
+from oracle_utils import integrate_ac
 
 ALL_SPECS = dict(KERNEL_SPECS)
 ALL_SPECS.update({k: v[0] for k, v in NO_KERNEL_SPECS.items()})
@@ -358,3 +358,81 @@ def test_cantor_depth_scales_with_span():
     assert 3.0 ** -config.cantor_depth(1.0) < 1e-9
     assert config.cantor_depth(1.0) < config.cantor_depth(100.0)
     assert config.cantor_depth(0.0) >= 2
+
+
+# -- expectation engine -------------------------------------------------------
+
+def test_gk15_is_exact_on_polynomials_up_to_degree_22():
+    from steinkit.distributions import _gk15
+    a, b = np.array([-1.0]), np.array([2.0])
+    for k in range(23):
+        value, _ = _gk15(lambda x: x ** k, a, b)
+        exact = (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert value[0] == pytest.approx(exact, rel=1e-13), k
+    # the embedded Gauss rule is exact to degree 13, so |K15 - G7| vanishes
+    _, error = _gk15(lambda x: x ** 13, a, b)
+    assert error[0] < 1e-11
+
+
+def test_integrate_gaussian_over_the_whole_line():
+    from steinkit.distributions import integrate
+    value, abserr = integrate(lambda x: np.exp(-x * x), [-math.inf, math.inf])
+    assert value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    assert abserr <= 1e-9
+    half, _ = integrate(lambda x: np.exp(-x * x), [-math.inf, 0.0])
+    assert half == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(k for k in ALL_SPECS if k != "dirac"))
+def test_expect_recovers_the_closed_form_moments(name):
+    # atoms, Cantor parts and infinite ends all enter through one call; the
+    # Cantor cell sums are second order, so uniform_cantor gets 1e-10
+    from steinkit.distributions import expect
+    spec = ALL_SPECS[name]
+    mom = moments(spec)
+    mass, mean, second = expect(spec, lambda x: np.stack([np.ones_like(x), x, x * x]))
+    tol = 1e-10 if spec.cantor_parts else 1e-12
+    assert mass == pytest.approx(1.0, abs=tol)
+    assert mean == pytest.approx(mom.mean, abs=tol * max(1.0, abs(mom.mean)))
+    want = mom.variance + mom.mean ** 2
+    assert second == pytest.approx(want, abs=tol * max(1.0, want))
+
+
+def test_stacked_rows_match_separate_calls():
+    from steinkit.distributions import integrate
+    rows = [lambda x: np.exp(-x * x), lambda x: np.cos(3.0 * x) * np.exp(-0.5 * x * x),
+            lambda x: x ** 4 * np.exp(-np.abs(x))]
+    edges = [-math.inf, -1.0, 0.0, 2.0, math.inf]
+    stacked, errors = integrate(lambda x: np.stack([r(x) for r in rows]), edges)
+    assert stacked.shape == errors.shape == (3,)
+    for row, value in zip(rows, stacked):
+        alone, _ = integrate(row, edges)
+        assert value == pytest.approx(alone, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("f, edges", [
+    (lambda x: np.sqrt(np.abs(x)), [-1.0, 0.0, 1.0]),
+    (lambda x: np.log(x), [1e-300, 1.0]),
+    (lambda x: 1.0 / (1.0 + x * x), [-math.inf, math.inf]),
+    (lambda x: np.exp(-x) * np.sin(10.0 * x), [0.0, math.inf]),
+], ids=["sqrt", "log", "cauchy", "damped_sine"])
+def test_abserr_meets_the_tolerance_when_the_engine_converges(f, edges):
+    import warnings
+    from steinkit import QuadratureConfig
+    from steinkit.distributions import integrate
+    config = QuadratureConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, abserr = integrate(f, edges, config)
+    assert abserr <= max(config.abs_tol, config.rel_tol * abs(value))
+
+
+def test_integrate_warns_when_the_subdivision_cap_is_hit():
+    from scipy.integrate import IntegrationWarning
+    from steinkit import QuadratureConfig
+    from steinkit.distributions import integrate
+    with pytest.warns(IntegrationWarning):
+        value, abserr = integrate(lambda x: np.abs(x - 0.3), [0.0, 1.0],
+                                  QuadratureConfig(max_subdivisions=1))
+    assert value == pytest.approx(0.29, abs=1e-2)
+    assert abserr > 1e-9

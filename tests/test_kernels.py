@@ -32,7 +32,7 @@ from steinkit import (
     support,
     truncated_support,
 )
-from steinkit.kernels import kernel_measure_integral
+from oracle_utils import kernel_measure_integral
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
 
 import oracle_utils as oracle
@@ -239,6 +239,24 @@ def test_kernel_requires_existence():
         stein_kernel(NO_KERNEL_SPECS["dirac"][0])
     with pytest.raises(SpecError):
         stein_kernel(U01, grid_size=8)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_values_accept_scalars_and_zero_d_arrays(name):
+    # interior points, atoms and points of a Cantor set, as a float, an
+    # np.float64 and a 0-d array: the vector rules agree with `evaluate`
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 64)
+    lo, hi = truncated_support(spec, 1e-9)
+    points = list(np.linspace(lo, hi, 9)[1:-1]) + [a.location for a in spec.atoms]
+    points += [c.lo + (c.hi - c.lo) * u for c in spec.cantor_parts for u in (0.0, 0.25, 2 / 3)]
+    for t in map(float, points):
+        want = kernel.evaluate(t)
+        ae = float(kernel.values_ae(np.array([t]))[0])
+        for arg in (t, np.float64(t), np.array(t)):
+            got = kernel.values(arg)
+            assert np.ndim(got) == 0 and float(got) == want, (name, t, type(arg))
+            assert float(kernel.values_ae(arg)) == ae, (name, t, type(arg))
 
 
 def test_radon_nikodym_factor_values():
