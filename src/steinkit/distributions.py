@@ -963,11 +963,11 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
            config: QuadratureConfig = DEFAULT_CONFIG):
     """E[g(X) 1{lo <= X <= hi}] against the full mixture measure.
 
-    g maps a 1-D array of points to values or to a (k, n) stack, whose rows
-    are then integrated together (the result has shape (k,)).  Given a
-    kernel, g is called as g(x, tau) with the kernel's values at x: the
-    Lebesgue-a.e. version at AC nodes, the pointwise version at atoms and
-    Cantor points (zero at atoms and on a registered Cantor support).
+    g(x, tau) maps a 1-D array of points to values or to a (k, n) stack,
+    whose rows are then integrated together (the result has shape (k,)).
+    tau holds the kernel's values at x, or is None when no kernel is given:
+    the Lebesgue-a.e. version at AC nodes, the pointwise version at atoms
+    and Cantor points (zero at atoms and on a registered Cantor support).
 
     The AC part is summed piece by piece over segments split at the spec's
     density breaks, atoms, Cantor ends and extra_breaks.  Specs without a
@@ -981,11 +981,8 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     depth; an unregistered kernel is sampled at the cells' left endpoints,
     points of the Cantor set itself, at full depth.
     """
-    def at(x, tau):
-        return np.asarray(g(x) if kernel is None else g(x, tau), dtype=float)
-
     def ac(x):
-        return at(x, None if kernel is None else kernel.values_ae(x))
+        return np.asarray(g(x, None if kernel is None else kernel.values_ae(x)), dtype=float)
 
     breaks = {*spec.density_breaks, *extra_breaks, *(a.location for a in spec.atoms)}
     for c in spec.cantor_parts:
@@ -1013,20 +1010,21 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     atoms = [a for a in spec.atoms if lo <= a.location <= hi]
     if atoms:
         xs = np.array([a.location for a in atoms])
-        vals = at(xs, None if kernel is None else kernel.values(xs))
+        vals = np.asarray(g(xs, None if kernel is None else kernel.values(xs)), dtype=float)
         total = total + vals @ np.array([a.mass for a in atoms])
     for c in spec.cantor_parts:
         span = c.hi - c.lo
         depth = config.cantor_depth(span)
-        if kernel is None or (c.lo, c.hi) in kernel.cantor_intervals:
+        registered = kernel is None or (c.lo, c.hi) in kernel.cantor_intervals
+        if registered:
             pts = c.lo + span * cantor_points(min(max(2, depth // 2 + 2), 22))
-            tau = None if kernel is None else np.zeros_like(pts)
         else:
             pts = c.lo + span * cantor_points(min(depth, 22), endpoint="left")
-            tau = kernel.values(pts)
-        sel = (pts >= lo) & (pts <= hi)
-        if sel.any():
-            vals = at(pts[sel], None if tau is None else tau[sel])
+        inside = pts[(pts >= lo) & (pts <= hi)]
+        if inside.size:
+            tau = (None if kernel is None else
+                   np.zeros_like(inside) if registered else kernel.values(inside))
+            vals = np.asarray(g(inside, tau), dtype=float)
             total = total + c.weight * vals.sum(axis=-1) / len(pts)
     return total
 

@@ -438,7 +438,7 @@ def nz_mass(spec: DistributionSpec, lo: float, hi: float,
     if mom.variance <= 0.0:
         raise DegenerateError("non-zero-bias density undefined for a point mass")
     m = mom.mean
-    total = expect(spec, lambda x: (x - m) * (np.clip(x, lo, hi) - lo),
+    total = expect(spec, lambda x, _: (x - m) * (np.clip(x, lo, hi) - lo),
                    extra_breaks=(lo, hi), config=config)
     return float(total) / mom.variance
 

@@ -3,9 +3,9 @@
 Everything here recomputes library quantities by an independent route:
 plain quadrature against component densities, atom sums, and equal-mass
 Cantor construction cells.  Nothing imports the library's closed forms
-beyond the raw component parameters and the spec's density breaks.  The
-one exception is `kernel_measure_integral`, a helper only tests use, which
-runs on the library's own expectation engine.
+beyond the raw component parameters.  The one exception is
+`kernel_measure_integral`, a helper only tests use, which runs on the
+library's own expectation engine.
 """
 
 import math
@@ -81,21 +81,6 @@ def expect(spec, g):
         else:
             lo, hi = component_range(c)
             v, _ = integrate.quad(lambda t: g(t) * raw_pdf(c, t), lo, hi, limit=300)
-            total += c.weight * v
-    return total
-
-
-def integrate_ac(spec, fn):
-    """integral of fn(t) p(t) dt, p the weighted AC density, by one scalar
-    adaptive quadrature per piece and per segment between its density
-    breaks."""
-    total = 0.0
-    for c in spec.ac_pieces:
-        lo, hi = {Normal: (-math.inf, math.inf),
-                  Exponential: (0.0, math.inf)}.get(type(c), component_range(c))
-        pts = [lo, *(b for b in spec.density_breaks if lo < b < hi), hi]
-        for a, b in zip(pts[:-1], pts[1:]):
-            v, _ = integrate.quad(lambda t: fn(t) * raw_pdf(c, t), a, b, limit=200)
             total += c.weight * v
     return total
 
