@@ -25,7 +25,6 @@ from .distributions import QuadratureConfig, load_spec, moments
 from .errors import (
     DegenerateError,
     ExistenceError,
-    NumericsError,
     SpecError,
     SteinKitError,
 )
@@ -215,10 +214,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return _COMMANDS[args.verb](args, stdout)
-    except FileNotFoundError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except SpecError as exc:
+    except (OSError, SpecError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except ExistenceError as exc:
@@ -230,9 +226,6 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     except DegenerateError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE
-    except NumericsError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
     except SteinKitError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC

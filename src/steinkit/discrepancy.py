@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 from .distributions import (
@@ -39,6 +38,8 @@ from .errors import DegenerateError
 from .kernels import KernelFn, kernel_stats
 
 BRACKETS_PER_PANEL = 64
+XTOL, RTOL = 1e-14, 4.0 * np.finfo(float).eps  # brentq's stopping rule
+MAX_PASSES = 100  # so that a NaN or a flat bracket cannot loop forever
 
 
 @dataclass(frozen=True)
@@ -60,39 +61,55 @@ def _normal_pdf(t, m, sd):
     return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
 
 
-def _find_crossings(diff, diff_vec, lo, hi, n_brackets=BRACKETS_PER_PANEL):
-    """Sign changes of diff on [lo, hi], scanned with the vectorized
-    diff_vec and located by bisection per bracket.
+def _find_crossings(f, edges) -> np.ndarray:
+    """The sorted edges plus the sign changes of the array function f in
+    each panel between them: the panel points for integrating |f|.
 
-    diff may jump at the panel edges, where its value already belongs to
-    the neighbouring piece, so the scan and the outer brackets start and end
-    just inside the panel: a crossing next to a jump would otherwise cancel
-    against the jump as a sign change and be missed.
+    One call of f scans every panel on BRACKETS_PER_PANEL brackets, from
+    just inside its edges, where f may jump: a crossing next to a jump would
+    otherwise cancel against it.  The brackets with a sign change (or a
+    zero at their right end) are refined together by Illinois false
+    position (Dowell and Jarratt, BIT 1971), bisecting where a step is NaN,
+    until each is narrower than XTOL + RTOL |x|; as in brentq, the crossing
+    is the end of the final bracket where |f| is smaller.  A crossing within
+    1e-12 of the total width of an edge (where a jump makes the scan report
+    the edge itself) or of the crossing before it is dropped.
     """
-    xs = np.linspace(lo, hi, n_brackets + 1)
-    inset = max(1e-12 * (hi - lo), 1e-13 * max(abs(lo), abs(hi), 1.0))
-    xs[0], xs[-1] = lo + inset, hi - inset
-    vals = diff_vec(xs)
-    roots = []
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0.0:
-            roots.append(float(optimize.brentq(diff, a, b, xtol=1e-14)))
-    return roots
-
-
-def _panel_points(edges, crossings, width):
-    """Edges plus crossings, with crossings discarded when they sit on top of
-    a kept point: a jump discontinuity at a panel edge makes the bracket scan
-    report a root at the edge itself, which would otherwise create sliver
-    panels (and the edge, not the root, is the exact split location)."""
-    tol = 1e-12 * max(width, 1.0)
-    keep = sorted(edges)
-    for r in sorted(crossings):
-        if all(abs(r - p) > tol for p in keep):
-            keep.append(r)
-    return sorted(keep)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    xs = np.linspace(lo, hi, BRACKETS_PER_PANEL + 1, axis=1)
+    inset = np.maximum(1e-12 * (hi - lo),
+                       1e-13 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
+    xs[:, 0], xs[:, -1] = lo + inset, hi - inset
+    vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    sign = (vals[:, :-1] * vals[:, 1:] < 0.0) | (vals[:, 1:] == 0.0)
+    a, b, fa, fb = (v[sign] for v in (xs[:, :-1], xs[:, 1:], vals[:, :-1], vals[:, 1:]))
+    ga = fa.copy()  # f(a) itself; the Illinois rule halves fa
+    live = np.arange(len(b))
+    for _ in range(MAX_PASSES):
+        live = live[~((fb[live] == 0.0)
+                      | (np.abs(b[live] - a[live]) < XTOL + RTOL * np.abs(b[live])))]
+        if not len(live):
+            break
+        la, lb, lfa, lfb = a[live], b[live], fa[live], fb[live]
+        # as in brentq, a step lands at least half the tolerance inside the
+        # bracket, so that a converged end closes it on the next pass
+        step = 0.5 * (XTOL + RTOL * np.abs(lb))
+        c = np.clip(lb - lfb * (lb - la) / (lfb - lfa),
+                    np.minimum(la, lb) + step, np.maximum(la, lb) - step)
+        c = np.where(np.isnan(c), 0.5 * (la + lb), c)
+        fc = np.asarray(f(c), dtype=float)
+        flip = fc * lfb < 0.0
+        a[live] = np.where(flip, lb, la)
+        fa[live] = np.where(flip, lfb, 0.5 * lfa)
+        ga[live] = np.where(flip, lfb, ga[live])
+        b[live], fb[live] = c, fc
+    roots = np.where(np.abs(ga) < np.abs(fb), a, b)
+    tol = 1e-12 * max(edges[-1] - edges[0], 1.0)
+    i = np.searchsorted(edges, roots)
+    near = np.minimum(roots - edges[i - 1], edges[i] - roots) <= tol
+    near |= np.diff(roots, prepend=-math.inf) <= tol
+    return np.sort(np.concatenate([edges, roots[~near]]))
 
 
 def tv_to_normal(spec: DistributionSpec,
@@ -101,8 +118,9 @@ def tv_to_normal(spec: DistributionSpec,
     spec's own mean and variance.
 
     Half the L1 distance of the AC density to the normal density (panels are
-    split at density crossing points found by bisection, so |p - phi| is
-    smooth on every quadrature panel), plus half the singular mass.
+    split at the density crossing points `_find_crossings` locates, so
+    |p - phi| is smooth on every quadrature panel), plus half the singular
+    mass.
     """
     mom = moments(spec)
     if mom.variance <= 0.0:
@@ -119,11 +137,7 @@ def tv_to_normal(spec: DistributionSpec,
     def diff(t):
         return ac_density(spec, t) - _normal_pdf(t, m, sd)
 
-    splits = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        splits.extend(_find_crossings(diff, diff, a, b))
-    pts = _panel_points(edges, splits, hi - lo)
-    total, _ = integrate(lambda t: np.abs(diff(t)), pts, config)
+    total, _ = integrate(lambda t: np.abs(diff(t)), _find_crossings(diff, edges), config)
     # mass the matched normal carries outside the integration window, where
     # the spec itself has at most tail_quantile-level mass
     total += float(ndtr((lo - m) / sd)) + float(ndtr(-(hi - m) / sd))
@@ -134,27 +148,18 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
                        config: QuadratureConfig = DEFAULT_CONFIG) -> DiscrepancyReport:
     """Both Stein discrepancy bounds together with the exact distance.
 
-    bound_l1 = 2 E|tau(X) - sigma^2| is one `expect` over the truncated
-    support, split at the points where tau crosses sigma^2; atoms and the
-    Cantor support contribute sigma^2 times their mass since the canonical
-    kernel vanishes there.  bound_sd = 2 sqrt(Var tau(X)).
+    bound_l1 = 2 E|tau(X) - sigma^2| is one `expect` over the whole line,
+    split at the points of the truncated support where tau crosses sigma^2;
+    atoms and the Cantor support contribute sigma^2 times their mass since
+    the canonical kernel vanishes there.  bound_sd = 2 sqrt(Var tau(X)).
     """
     var = moments(spec).variance
-
-    def gap(t):
-        return kernel.evaluate(t) - var
-
-    def gap_vec(ts):
-        return kernel.values(ts) - var
-
     slo, shi = truncated_support(spec, config.tail_quantile)
     edges = sorted({slo, shi, *(b for b in spec.density_breaks if slo < b < shi),
                     *(a.location for a in spec.atoms if slo < a.location < shi)})
-    crossings = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        crossings.extend(_find_crossings(gap, gap_vec, a, b))
-    l1 = expect(spec, lambda x, tau: np.abs(tau - var), slo, shi,
-                _panel_points(edges, crossings, shi - slo), kernel=kernel, config=config)
+    pts = _find_crossings(lambda t: kernel.values(t) - var, edges)
+    l1 = expect(spec, lambda x, tau: np.abs(tau - var), extra_breaks=pts,
+                kernel=kernel, config=config)
     bound_l1 = 2.0 * float(l1)
 
     _, var_tau = kernel_stats(spec, kernel, config=config)

@@ -254,25 +254,10 @@ def cantor_points(depth: int, endpoint: str = "mid") -> np.ndarray:
     return x
 
 
-def cantor_in_support(t: float, lo: float, hi: float, depth: int = 64) -> bool:
-    """Whether t lies in the rescaled Cantor set on [lo, hi] (up to depth)."""
-    if t < lo or t > hi:
-        return False
-    u = (t - lo) / (hi - lo)
-    for _ in range(depth):
-        if u <= 1.0 / 3.0:
-            u *= 3.0
-        elif u >= 2.0 / 3.0:
-            u = 3.0 * u - 2.0
-        else:
-            return False
-    return True
-
-
-def cantor_in_support_vec(ts: np.ndarray, lo: float, hi: float,
-                          depth: int = 64) -> np.ndarray:
-    """Vectorized membership test for the rescaled Cantor set on [lo, hi]."""
-    ts = np.asarray(ts, dtype=float)
+def cantor_in_support(t, lo: float, hi: float, depth: int = 64):
+    """Whether t lies in the rescaled Cantor set on [lo, hi] (up to depth),
+    elementwise; a scalar t gives a bool."""
+    ts = np.asarray(t, dtype=float)
     member = (ts >= lo) & (ts <= hi)
     u = np.where(member, (ts - lo) / (hi - lo), 0.5)
     for _ in range(depth):
@@ -282,7 +267,7 @@ def cantor_in_support_vec(ts: np.ndarray, lo: float, hi: float,
         if not member.any():
             break
         u = np.where(left, 3.0 * u, np.where(right, 3.0 * u - 2.0, u))
-    return member
+    return bool(member) if ts.ndim == 0 else member
 
 
 # ---------------------------------------------------------------------------

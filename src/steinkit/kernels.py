@@ -37,7 +37,6 @@ from .distributions import (
     Uniform,
     ac_density,
     cantor_in_support,
-    cantor_in_support_vec,
     expect,
     moments,
     partial_expectation,
@@ -102,13 +101,9 @@ class TestFunction:
         rng = np.random.default_rng(seed)
         ts = rng.uniform(lo, hi, size=n)
         h = 1e-6 * max(abs(lo), abs(hi), 1.0)
-        worst = 0.0
-        for t in ts:
-            fd = (self.f(t + h) - self.f(t - h)) / (2.0 * h)
-            exact = self.f_prime(t)
-            scale = max(abs(exact), 1.0)
-            worst = max(worst, abs(fd - exact) / scale)
-        return worst
+        fd = (self.f(ts + h) - self.f(ts - h)) / (2.0 * h)
+        exact = self.f_prime(ts)
+        return float(np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1.0), initial=0.0))
 
 
 def _sech_squared(t):
@@ -132,21 +127,28 @@ def standard_test_functions(lo: float, hi: float) -> tuple:
     )
 
 
+def _canonical_zeros(ts, atoms=(), cantor_intervals=()) -> np.ndarray:
+    """Mask of the points of ts where the canonical version vanishes: the
+    atoms and the registered Cantor supports, the null sets on which h = 0."""
+    ts = np.asarray(ts, dtype=float)
+    zero = np.isin(ts, atoms)
+    for lo, hi in cantor_intervals:
+        zero |= cantor_in_support(ts, lo, hi)
+    return zero
+
+
 @dataclass(frozen=True)
 class RadonNikodymFactor:
     """Pointwise Radon-Nikodym factor h = d(mu_ac)/d(mu) for specs in this
-    universe: 0 at atoms and on Cantor supports, 1 elsewhere."""
+    universe: 0 at atoms and on Cantor supports, 1 elsewhere.  Elementwise
+    on arrays; a scalar gives a float."""
 
     atom_locations: tuple
     cantor_intervals: tuple
 
-    def __call__(self, t: float) -> float:
-        if t in self.atom_locations:
-            return 0.0
-        for lo, hi in self.cantor_intervals:
-            if cantor_in_support(t, lo, hi):
-                return 0.0
-        return 1.0
+    def __call__(self, t):
+        h = np.where(_canonical_zeros(t, self.atom_locations, self.cantor_intervals), 0.0, 1.0)
+        return float(h) if h.ndim == 0 else h
 
 
 def radon_nikodym_factor(spec: DistributionSpec) -> RadonNikodymFactor:
@@ -247,10 +249,16 @@ class KernelFn:
     interval, zero at every atom, zero on the Cantor-type singular support.
 
     `form` is one of constant | polynomial-over-interval | linear (single
-    closed-form pieces) or grid (general mixtures).  Evaluation always goes
-    through the generating rule in `_fn`, so grid kernels are exact at and
-    between their export abscissae; `grid_t`/`grid_tau` are the canonical
-    sampled representation used by the CSV interchange format.
+    closed-form pieces) or grid (general mixtures).  Evaluation goes through
+    the generating rule in the array function `_fn_vec`, so grid kernels
+    are exact at and between their export abscissae; `grid_t`/`grid_tau`
+    are the canonical sampled representation used by the CSV interchange
+    format.  `values` is the one place the version rules are applied.
+    The scalar rule `_fn` has one caller: recovery's adaptive `quad`
+    fallback, ~1,000 calls per domain end cell, where `values` made
+    `recover_density` 15-30% slower.  Those cells lie strictly inside the
+    domain, and interior atoms and Cantor points raise before quadrature,
+    so `_fn` needs no version rule.
     """
 
     domain: SupportInterval
@@ -266,34 +274,22 @@ class KernelFn:
 
     def evaluate(self, t: float) -> float:
         """Kernel value at a point, applying the canonical version rules."""
-        if not self.domain.lo < t < self.domain.hi:
-            return 0.0
-        if t in self.atom_zeros:
-            return 0.0
-        for lo, hi in self.cantor_intervals:
-            if cantor_in_support(t, lo, hi):
-                return 0.0
-        return max(0.0, float(self._fn(t)))
+        return float(self.values(t))
 
     __call__ = evaluate
 
     def values(self, ts) -> np.ndarray:
         """Vectorized pointwise evaluation with all version rules applied."""
         ts = np.asarray(ts, dtype=float)
-        out = self.values_ae(ts)
-        for loc in self.atom_zeros:
-            out = np.where(ts == loc, 0.0, out)
-        for lo, hi in self.cantor_intervals:
-            out = np.where(cantor_in_support_vec(ts, lo, hi), 0.0, out)
-        return out
+        return np.where(_canonical_zeros(ts, self.atom_zeros, self.cantor_intervals),
+                        0.0, self.values_ae(ts))
 
     def values_ae(self, ts) -> np.ndarray:
         """Vectorized evaluation of the Lebesgue-a.e. version: the pointwise
         zeros on atoms and the Cantor set (both null sets) are not applied,
         which is exactly what integrals against Lebesgue measure need."""
         ts = np.asarray(ts, dtype=float)
-        fn = self._fn_vec if self._fn_vec is not None else np.vectorize(self._fn)
-        out = np.maximum(np.asarray(fn(ts), dtype=float), 0.0)
+        out = np.maximum(np.asarray(self._fn_vec(ts), dtype=float), 0.0)
         return np.where((ts <= self.domain.lo) | (ts >= self.domain.hi), 0.0, out)
 
     def descriptor(self) -> dict | None:
@@ -366,7 +362,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
 
     def fn(t):
         # sigma^2 * q / p with sigma^2 q written as the partial expectation;
-        # `evaluate` has already applied the zeros of h
+        # the zeros of h are left to `values`
         pe = partial_expectation(spec, t)
         p = ac_density(spec, t)
         if p < UNDERFLOW_FLOOR or not math.isfinite(p):
@@ -379,7 +375,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
         return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
 
     grid_t = _chebyshev_interior(lo, hi, grid_size)
-    grid_t = np.array([t for t in grid_t if t not in atom_zeros])
+    grid_t = grid_t[~_canonical_zeros(grid_t, atom_zeros)]
     dens = ac_density(spec, grid_t)
     bad = np.nonzero(dens < UNDERFLOW_FLOOR)[0]
     if len(bad):
@@ -387,9 +383,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
             f"AC density underflows below {UNDERFLOW_FLOOR} inside the support "
             f"interval at t={grid_t[bad[0]]!r}")
     pe = np.maximum(partial_expectation(spec, grid_t), 0.0)
-    grid_tau = pe / dens
-    for clo, chi in cantor_iv:
-        grid_tau[cantor_in_support_vec(grid_t, clo, chi)] = 0.0
+    grid_tau = np.where(_canonical_zeros(grid_t, cantor_intervals=cantor_iv), 0.0, pe / dens)
     return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form="grid", params={},
                     grid_t=grid_t, grid_tau=grid_tau, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,

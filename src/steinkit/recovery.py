@@ -151,9 +151,6 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
         with np.errstate(divide="ignore", invalid="ignore"):
             return (m - t) / kernel.values(t)
 
-    def psi_scalar(t):
-        return (m - t) / kernel.evaluate(t)
-
     # cell j runs between nodes j and j+1; cell k starts at the anchor
     k = int(np.searchsorted(grid, x0))
     nodes = np.insert(grid, k, x0)
@@ -181,7 +178,7 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
         if not len(todo):
             break
         for i in todo:
-            step[i], error[i] = integrate.quad(psi_scalar, a[i], b[i],
+            step[i], error[i] = integrate.quad(lambda t: (m - t) / kernel._fn(t), a[i], b[i],
                                                epsabs=config.abs_tol, epsrel=config.rel_tol,
                                                limit=config.max_subdivisions)
         pending[todo] = False
@@ -195,9 +192,11 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
                             error_estimate=float(np.sum(error[live])))
 
 
-def stein_operator(kernel: KernelFn, m: float, g: TestFunction, x: float) -> float:
-    """(Lg)(x) = tau(x) g'(x) + (m - x) g(x)."""
-    return kernel.evaluate(x) * float(g.f_prime(x)) + (m - x) * float(g.f(x))
+def stein_operator(kernel: KernelFn, m: float, g: TestFunction, x):
+    """(Lg)(x) = tau(x) g'(x) + (m - x) g(x), elementwise on arrays."""
+    x = np.asarray(x, dtype=float)
+    out = kernel.values(x) * g.f_prime(x) + (m - x) * g.f(x)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def density_to_csv(density: RecoveredDensity) -> str:

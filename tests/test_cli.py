@@ -119,6 +119,16 @@ def test_non_utf8_spec_exits_one(tmp_path):
     assert "Traceback" not in cp.stderr
 
 
+@pytest.mark.parametrize("verb", ["kernel", "bound", "recover"])
+def test_output_path_directory_exits_one(tmp_path, verb):
+    spec = write_spec(tmp_path, "u.json", {"components": [
+        {"kind": "uniform", "lo": 0.0, "hi": 1.0, "weight": 1.0}]})
+    cp = run_cli(verb, spec, "--grid", "64", "--out", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:")
+    assert "Traceback" not in cp.stderr
+
+
 def test_unknown_verb_exits_one():
     cp = run_cli("frobnicate")
     assert cp.returncode == 1

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from steinkit import (
     DegenerateError,
@@ -15,6 +18,7 @@ from steinkit import (
     tv_to_normal,
 )
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
+from steinkit.discrepancy import MAX_PASSES, _find_crossings
 
 import oracle_utils as oracle
 
@@ -79,6 +83,16 @@ def test_tv_affine_invariance():
             assert tv_to_normal(mapped) == pytest.approx(base, abs=1e-7), name
 
 
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_exponential_bound_l1_covers_whole_line(lam):
+    # tau(x) = x / lam and sigma^2 = 1 / lam^2, so 2 E|tau - sigma^2| =
+    # (2 / lam) E|X - 1/lam| = 4 / (lam^2 e); the tails beyond the tail
+    # quantiles carry ~3e-8 of it
+    spec = spec_from_dict({"components": [{"kind": "exponential", "rate": lam, "weight": 1.0}]})
+    rep = discrepancy_bounds(spec, stein_kernel(spec, 256))
+    assert rep.bound_l1 == pytest.approx(4.0 / (lam * lam * math.e), rel=1e-12)
+
+
 def test_report_normal_is_all_zero():
     spec = KERNEL_SPECS["normal_std"]
     rep = discrepancy_bounds(spec, stein_kernel(spec, 64))
@@ -140,3 +154,88 @@ def test_report_to_dict_keys():
     spec = KERNEL_SPECS["uniform01"]
     rep = discrepancy_bounds(spec, stein_kernel(spec, 64))
     assert set(rep.to_dict()) == {"tv", "bound_l1", "bound_sd"}
+
+
+# -- crossing search ---------------------------------------------------------
+
+def _crossings(pts, edges):
+    return [float(x) for x in pts if x not in edges]
+
+
+def test_crossing_search_finds_roots_over_several_panels():
+    edges = [0.5, 4.0, 7.0, 10.0]
+    pts = _find_crossings(np.sin, edges)
+    assert list(pts) == sorted(pts) and set(edges) <= set(pts)
+    got = _crossings(pts, edges)
+    want = [math.pi, 2.0 * math.pi, 3.0 * math.pi]
+    assert np.max(np.abs(np.array(got) - want)) < 2e-14
+    oracle = [optimize.brentq(np.sin, r - 0.03, r + 0.02, xtol=1e-14) for r in want]
+    assert np.max(np.abs(np.array(got) - oracle)) < 2e-14
+
+
+def test_crossing_search_root_next_to_panel_edge():
+    root = 1.0 + 1e-9
+    f = lambda x: np.exp(x) - math.exp(root)  # noqa: E731
+    got = _crossings(_find_crossings(f, [0.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+    assert len(got) == 1 and abs(got[0] - root) < 2e-14
+    assert abs(got[0] - optimize.brentq(f, 1.0, 1.5, xtol=1e-14)) < 2e-14
+
+
+def test_crossing_search_crossing_next_to_jump():
+    # f jumps from +1 to -1e-6 at the edge 1 and crosses zero 1e-6 later;
+    # the edge itself is no crossing
+    root = 1.0 + 1e-6
+    f = lambda x: np.where(x < 1.0, 1.0, x - root)  # noqa: E731
+    got = _crossings(_find_crossings(f, [0.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+    assert len(got) == 1 and abs(got[0] - root) < 2e-14
+    assert abs(got[0] - optimize.brentq(f, 1.0 + 1e-12, 1.5, xtol=1e-14)) < 2e-14
+
+
+def test_crossing_search_stops_on_nan():
+    # finite on the scan, NaN at every refinement point
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x - 0.3 if len(calls) == 1 else np.full_like(x, np.nan)
+
+    pts = _find_crossings(f, [0.0, 1.0])
+    assert len(calls) <= 1 + MAX_PASSES
+    got = _crossings(pts, [0.0, 1.0])
+    assert len(got) == 1 and 19 / 64 <= got[0] <= 20 / 64
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 999), st.integers(-8, 8).filter(bool),
+                          st.integers(-8, 8).filter(bool)),
+                min_size=1, max_size=40, unique_by=lambda k: k[0]))
+def test_crossing_search_finds_each_bracketed_sign_change_once(pieces):
+    # piecewise linear on [0, 1] from L_i to R_i between knots k_i / 1000,
+    # with a jump at a knot wherever R_i differs from L_{i+1}; no value is
+    # zero at a knot, so crossings lie >= 1/16000 apart
+    pieces = sorted(pieces)
+    knots = np.array([0.0] + [k / 1000 for k, _, _ in pieces] + [1.0])
+    left = np.array([1.0] + [lv / 8 for _, lv, _ in pieces])
+    right = np.array([-1.0] + [rv / 8 for _, _, rv in pieces])
+
+    def f(x):
+        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(left) - 1)
+        t = (x - knots[i]) / (knots[i + 1] - knots[i])
+        return left[i] + (right[i] - left[i]) * t
+
+    scans = []
+
+    def traced(x):
+        scans.append(np.array(x))
+        return f(x)
+
+    got = np.array(_crossings(_find_crossings(traced, [0.0, 1.0]), [0.0, 1.0]))
+    xs, vals = scans[0], f(scans[0])
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    exact = xs[1:][vals[1:] == 0.0]
+    assert len(got) == len(brackets) + len(exact)
+    for j in brackets:
+        inside = got[(xs[j] <= got) & (got <= xs[j + 1])]
+        assert len(inside) == 1
+        r = inside[0]
+        assert f(r) == 0.0 or f(r - 2e-14) * f(r + 2e-14) <= 0.0

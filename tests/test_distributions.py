@@ -24,7 +24,6 @@ from steinkit import (
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
 from steinkit.distributions import (
     cantor_in_support,
-    cantor_in_support_vec,
     cantor_points,
     cantor_survival_upper_mean,
     integrate,
@@ -307,7 +306,7 @@ def test_cantor_membership():
     assert not cantor_in_support(0.5, 0.0, 1.0)
     assert not cantor_in_support(1.5, 0.0, 1.0)
     ts = np.array([0.0, 0.25, 0.5, 1.0 / 3.0, 2.0])
-    assert list(cantor_in_support_vec(ts, 0.0, 1.0)) == [True, True, False, True, False]
+    assert list(cantor_in_support(ts, 0.0, 1.0)) == [True, True, False, True, False]
 
 
 # -- affine maps -------------------------------------------------------------

@@ -268,6 +268,18 @@ def test_radon_nikodym_factor_values():
     assert uniform_h(0.7) == 1.0
 
 
+@pytest.mark.parametrize("name", ["uniform_cantor", "atom_inside_uniform"])
+def test_radon_nikodym_factor_array_matches_scalar_calls(name):
+    h = radon_nikodym_factor(KERNEL_SPECS[name])
+    ts = np.array([-0.5, 0.0, 0.25, 1.0 / 3.0, 0.4, 0.5, 2.0 / 3.0, 0.7, 1.0, 1.5])
+    got = h(ts)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    want = [h(float(t)) for t in ts]
+    assert all(type(v) is float for v in want)
+    assert got.tolist() == want
+    assert 0.0 in want and 1.0 in want
+
+
 # -- certification -----------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))

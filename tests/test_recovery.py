@@ -169,6 +169,14 @@ def test_stein_operator_values():
     assert stein_operator(km, 0.0, tf_x, 0.0) == pytest.approx(1.5, abs=1e-12)
 
 
+def test_stein_operator_array_matches_scalar_calls():
+    km = stein_kernel(KERNEL_SPECS["mixed_atoms_uniform"], 64)
+    tf = TestFunction("sin", np.sin, np.cos, 1.0)
+    xs = np.array([-1.5, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0])
+    got = stein_operator(km, 0.0, tf, xs)
+    assert got.tolist() == [stein_operator(km, 0.0, tf, float(x)) for x in xs]
+
+
 @pytest.mark.parametrize("name", ["uniform01", "mixed_atoms_uniform",
                                   "exponential1", "uniform_cantor"])
 def test_operator_expectation_vanishes(name):
