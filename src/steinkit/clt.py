@@ -47,6 +47,9 @@ from .errors import NumericsError, SpecError
 from .kernels import KernelFn, kernel_stats, stein_kernel
 
 MASS_DEFECT_LIMIT = 1e-3
+# The FFT route's longest transform: at 2^24 points its working arrays take
+# about 1 GB; a longer one is refused before anything is allocated
+FFT_MAX_LEN = 1 << 24
 
 # Characteristic-function route.  The window Z is the first of CF_WINDOWS
 # whose Chernoff bound on P(|S_n^*| > Z) is below CF_TOL; M is the first
@@ -396,6 +399,7 @@ def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
     impossible; the sum grid is standardized and |density - phi| integrated
     by trapezoid, adding the normal mass beyond the grid.  The error
     estimate is the difference against a half-resolution recomputation.
+    A transform longer than FFT_MAX_LEN points raises NumericsError.
     """
     if spec.atoms or spec.cantor_parts:
         raise SpecError("exact convolution distance requires a purely "
@@ -408,6 +412,11 @@ def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
     cf = _cf_result(spec, n, grid_size)
     if cf is not None:
         return cf
+    fft_len = _fft_len(n, grid_size)
+    if fft_len > FFT_MAX_LEN:
+        raise NumericsError(f"n={n} is out of reach: the characteristic-function route "
+                            f"declines it and the FFT route would need {fft_len} points, "
+                            f"above its limit of {FFT_MAX_LEN}")
     tv, defect = _fft_tv(spec, n, grid_size, config)
     err = None
     if error_estimate and grid_size >= 2048:

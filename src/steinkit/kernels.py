@@ -254,11 +254,6 @@ class KernelFn:
     are exact at and between their export abscissae; `grid_t`/`grid_tau`
     are the canonical sampled representation used by the CSV interchange
     format.  `values` is the one place the version rules are applied.
-    The scalar rule `_fn` has one caller: recovery's adaptive `quad`
-    fallback, ~1,000 calls per domain end cell, where `values` made
-    `recover_density` 15-30% slower.  Those cells lie strictly inside the
-    domain, and interior atoms and Cantor points raise before quadrature,
-    so `_fn` needs no version rule.
     """
 
     domain: SupportInterval
@@ -269,7 +264,6 @@ class KernelFn:
     atom_zeros: tuple
     cantor_intervals: tuple = ()
     density_breaks: tuple = ()
-    _fn: Callable = field(default=None, repr=False)
     _fn_vec: Callable = field(default=None, repr=False)
 
     def evaluate(self, t: float) -> float:
@@ -338,38 +332,30 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
 
     if len(spec.components) == 1:
         c = spec.components[0]
-        fn = fn_vec = None
+        fn_vec = None
         if isinstance(c, Uniform):
             a, b = c.lo, c.hi
-            fn = fn_vec = lambda t: 0.5 * (t - a) * (b - t)
+            fn_vec = lambda ts: 0.5 * (ts - a) * (b - ts)
             form, params = "polynomial-over-interval", {"lo": a, "hi": b}
         elif isinstance(c, Normal):
             v = c.sd * c.sd
-            fn = lambda t: v
             fn_vec = lambda ts: np.full_like(ts, v)
             form, params = "constant", {"value": v}
         elif isinstance(c, Exponential):
             r = c.rate
-            fn = fn_vec = lambda t: t / r
+            fn_vec = lambda ts: ts / r
             form, params = "linear", {"slope": 1.0 / r, "origin": 0.0}
-        if fn is not None:
+        if fn_vec is not None:
             grid_t = _chebyshev_interior(lo, hi, grid_size)
             grid_tau = np.maximum(fn_vec(grid_t), 0.0)
             return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form=form,
                             params=params, grid_t=grid_t, grid_tau=grid_tau,
                             atom_zeros=atom_zeros, density_breaks=density_breaks,
-                            _fn=fn, _fn_vec=fn_vec)
-
-    def fn(t):
-        # sigma^2 * q / p with sigma^2 q written as the partial expectation;
-        # the zeros of h are left to `values`
-        pe = partial_expectation(spec, t)
-        p = ac_density(spec, t)
-        if p < UNDERFLOW_FLOOR or not math.isfinite(p):
-            return 0.0
-        return max(pe, 0.0) / p
+                            _fn_vec=fn_vec)
 
     def fn_vec(ts):
+        # sigma^2 * q / p with sigma^2 q written as the partial expectation;
+        # the zeros of h are left to `values`
         pe = np.maximum(partial_expectation(spec, ts), 0.0)
         p = ac_density(spec, ts)
         return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
@@ -387,7 +373,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form="grid", params={},
                     grid_t=grid_t, grid_tau=grid_tau, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,
-                    _fn=fn, _fn_vec=fn_vec)
+                    _fn_vec=fn_vec)
 
 
 # ---------------------------------------------------------------------------

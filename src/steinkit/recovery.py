@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
-from .distributions import DEFAULT_CONFIG, QuadratureConfig, _gk15
+from .distributions import DEFAULT_CONFIG, QuadratureConfig, _gk15, integrate
 from .errors import NumericsError, SpecError
 from .kernels import KernelFn, TestFunction
 
@@ -51,9 +50,10 @@ def _segmented_grid(lo, hi, breaks, grid_size):
 class RecoveredDensity:
     """Density values on a strictly increasing grid, trapezoid-normalized to
     unit mass; `normalizer` is the constant C and `anchor` the zero of gamma.
-    `error_estimate` is the summed quadrature error estimate of the exponent
-    integral: the |K15 - G7| differences of the Gauss-Kronrod cells plus the
-    `abserr` of every adaptive fallback."""
+    `error_estimate` is the summed error estimate of the exponent integral
+    over the cells the result reaches, each cell's final |K15 - G7| sum.  It
+    leaves out a rounding floor of ~1e-8 on the last cell, where the rule's
+    nodes within 1e-9 of the span from the domain end are rounded in t."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -102,11 +102,13 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     Gauss-Kronrod 7-15 rule, with |K15 - G7| as its error estimate, in one
     array evaluation of the kernel; the grid is split a hair on each side
     of every density break, and the cell across a break is integrated as
-    its two sides, so psi is smooth under every rule.
-    Cells whose estimate misses `config`'s tolerances (in practice the few
-    next to a domain end, where psi ~ 1/(t - lo)) fall back to adaptive
-    quadrature.  Cumulative sums outward from x0 give the exponent; once it
-    falls below the underflow floor the density is pinned to zero beyond.
+    its two sides, so psi is smooth under every rule.  An absolute error in
+    the exponent is the density's relative error, so every cell is held to
+    `config.abs_tol` alone; the cells that miss it (in practice the two next
+    to a domain end, where psi ~ 1/(t - lo)) are refined by the adaptive
+    engine `integrate` under the same rule.  Cumulative sums outward from
+    x0 give the exponent; once it falls below the underflow floor the
+    density is pinned to zero beyond.
     The grid spans the kernel's domain, falling back to the kernel's sampled
     range when the domain is unbounded, with a hair of inset so tau stays
     positive at the first and last points.  Kernels with an interior zero
@@ -167,9 +169,11 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     step, error = values[:len(a)], errors[:len(a)]
     step[cell] += values[len(a):]
     error[cell] += errors[len(a):]
-    # quad's stopping rule; a NaN estimate is never accepted
-    pending = ~(error <= np.maximum(config.abs_tol, config.rel_tol * np.abs(step)))
-    # flagged cells go to adaptive quadrature, but only those the result
+    # an absolute error in the exponent is the density's relative error, so
+    # every cell is held to abs_tol alone; a NaN estimate is never accepted
+    cell_config = replace(config, rel_tol=np.finfo(float).tiny)
+    pending = ~(error <= config.abs_tol)
+    # flagged cells go to the adaptive engine, but only those the result
     # reaches: a cell beyond the underflow floor is never needed
     while True:
         expo = _outward_exponent(step, k)
@@ -178,9 +182,7 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
         if not len(todo):
             break
         for i in todo:
-            step[i], error[i] = integrate.quad(lambda t: (m - t) / kernel._fn(t), a[i], b[i],
-                                               epsabs=config.abs_tol, epsrel=config.rel_tol,
-                                               limit=config.max_subdivisions)
+            step[i], error[i] = integrate(psi, [a[i], b[i]], cell_config)
         pending[todo] = False
 
     raw = np.exp(expo) / tau

@@ -202,6 +202,14 @@ def test_clt_rejects_bad_n(tmp_path):
     assert cp.returncode == 1
 
 
+def test_clt_oversized_transform_exits_two(tmp_path):
+    uniform = {"components": [{"kind": "uniform", "lo": 0.0, "hi": 1.0, "weight": 1.0}]}
+    cp = run_cli("clt", write_spec(tmp_path, "u.json", uniform), "--n", "1000000000")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error:") and len(cp.stderr.strip().split("\n")) == 1
+    assert cp.stdout == ""
+
+
 def test_recover_density_csv(tmp_path):
     out = tmp_path / "density.csv"
     cp = run_cli("recover", write_spec(tmp_path, "normal.json", NORMAL),
@@ -254,3 +262,18 @@ def test_floats_render_17_significant_digits(tmp_path):
                  "--n", "4,16,64,256", "--grid", "1024")
     doc = json.loads(cp.stdout)
     assert doc["bounds"][1] == 0.5 or abs(doc["bounds"][1] - 0.5) < 1e-15
+
+
+def test_import_and_recovery_leave_scipy_integrate_and_optimize_unloaded():
+    # the runtime's scipy use is scipy.special; a fresh interpreter shows
+    # what importing steinkit and recovering a grid kernel's density load
+    code = ("import sys\n"
+            "from steinkit import moments, recover_density, stein_kernel\n"
+            "from steinkit.corpus import KERNEL_SPECS\n"
+            "spec = KERNEL_SPECS['overlap_uniforms']\n"
+            "recover_density(stein_kernel(spec, 64), moments(spec).mean, 512)\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                        env=CLI_ENV)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[]"

@@ -132,6 +132,15 @@ def test_convolution_detects_unresolved_density():
         convolution_tv(spike, 2, 1024)
 
 
+def test_convolution_refuses_an_oversized_transform():
+    from steinkit import NumericsError
+    from steinkit.clt import FFT_MAX_LEN
+    # at n = 10^9 the characteristic-function route finds no frequency count
+    # and the FFT route would need 2^42 points
+    with pytest.raises(NumericsError, match=str(FFT_MAX_LEN)):
+        convolution_tv_result(U01, 10 ** 9)
+
+
 def test_fft_route_gives_jump_cells_their_exact_mass():
     # midpoint samples put the mass 3.7e-3 off 1 at grid 1024 here; at n = 1
     # the distance is tv_to_normal's, by affine invariance

@@ -298,7 +298,7 @@ def test_residual_examples():
     const = KernelFn(domain=SupportInterval(-math.inf, math.inf), form="constant",
                      params={"value": 1.0}, grid_t=np.array([0.0]),
                      grid_tau=np.array([1.0]), atom_zeros=(),
-                     _fn=lambda t: 1.0, _fn_vec=lambda ts: np.ones_like(ts))
+                     _fn_vec=lambda ts: np.ones_like(ts))
     tf_sin = next(tf for tf in standard_test_functions(-8, 8) if tf.id == "sin")
     assert abs(stein_residual(N01, const, tf_sin)) < 1e-9
     ku = stein_kernel(U01, 64)
@@ -310,7 +310,7 @@ def test_residual_detects_wrong_kernel():
     wrong = KernelFn(domain=SupportInterval(0.0, 1.0), form="constant",
                      params={"value": 0.3}, grid_t=np.array([0.5]),
                      grid_tau=np.array([0.3]), atom_zeros=(),
-                     _fn=lambda t: 0.3, _fn_vec=lambda ts: np.full_like(ts, 0.3))
+                     _fn_vec=lambda ts: np.full_like(ts, 0.3))
     tf_x = standard_test_functions(0, 1)[0]
     assert abs(stein_residual(U01, wrong, tf_x)) > 0.1
 
@@ -326,7 +326,7 @@ def test_foreign_kernel_is_integrated_over_the_singular_support():
     const = KernelFn(domain=SupportInterval(0.0, 1.0), form="constant",
                      params={"value": var}, grid_t=np.array([0.5]),
                      grid_tau=np.array([var]), atom_zeros=(),
-                     _fn=lambda t: var, _fn_vec=lambda ts: np.full_like(ts, var))
+                     _fn_vec=lambda ts: np.full_like(ts, var))
     by_id = {tf.id: tf for tf in standard_test_functions(0.0, 1.0)}
     assert abs(stein_residual(spec, const, by_id["x"])) < 1e-6
     assert abs(stein_residual(spec, const, by_id["x^3"])) > 1e-3
