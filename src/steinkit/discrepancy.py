@@ -157,7 +157,7 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
     slo, shi = truncated_support(spec, config.tail_quantile)
     edges = sorted({slo, shi, *(b for b in spec.density_breaks if slo < b < shi),
                     *(a.location for a in spec.atoms if slo < a.location < shi)})
-    pts = _find_crossings(lambda t: kernel.values(t) - var, edges)
+    pts = _find_crossings(lambda t: kernel.values_ae(t) - var, edges)
     l1 = expect(spec, lambda x, tau: np.abs(tau - var), extra_breaks=pts,
                 kernel=kernel, config=config)
     bound_l1 = 2.0 * float(l1)

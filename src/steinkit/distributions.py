@@ -11,9 +11,9 @@ are exact up to floating point wherever a closed form exists.
 Every other expectation against the mixture goes through `expect`: the AC
 pieces through `integrate`, a vectorized globally adaptive Gauss-Kronrod
 7-15 rule, over segments split at the spec's density breaks (computed once
-per spec), or through a fine composite trapezoid on a spec with a Cantor
-part; atoms through their masses; the Cantor part through its equal-mass
-construction cells.
+per spec) and at the edges of each Cantor part's construction cells; atoms
+through their masses; the Cantor part through the midpoints of the same
+equal-mass cells.
 """
 
 from __future__ import annotations
@@ -681,7 +681,10 @@ class SupportInterval:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the adaptive quadrature engine and tail truncation."""
+    """Tolerances for the adaptive quadrature engine and tail truncation.
+
+    Both tolerances must be positive and finite.  max_subdivisions caps the
+    intervals one `integrate` call adds to its starting ones, in total."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -689,8 +692,8 @@ class QuadratureConfig:
     tail_quantile: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise SpecError("quadrature tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise SpecError("quadrature tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise SpecError("max_subdivisions must be >= 1")
         if not (0.0 < self.tail_quantile <= 1e-6):
@@ -832,7 +835,7 @@ def affine_transform(spec: DistributionSpec, scale: float, shift: float) -> Dist
 # Expectation engine
 # ---------------------------------------------------------------------------
 
-COMPOSITE_POINTS = 1 << 18
+MAX_CELL_DEPTH = 14
 
 # Gauss-Kronrod 7-15, QUADPACK's qk15 (Piessens et al. 1983): the Kronrod
 # abscissae on [0, 1] from the outside in, their weights, and the weights of
@@ -886,8 +889,9 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
     substitution.  f maps a 1-D array of points to values, or to a (k, n)
     stack of k integrands, which then share every node and are refined
     until the hardest meets its tolerance; value and abserr then have
-    shape (k,).  Once the intervals number max_subdivisions per starting
-    interval, the best value is returned with an IntegrationWarning.
+    shape (k,).  Once bisection has added max_subdivisions intervals in
+    all (QUADPACK's limit, less the starting intervals), the best value is
+    returned with an IntegrationWarning.
     """
     cells = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -901,7 +905,7 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
     value, error = _gk15(f, a, b, side, anchor)
     single = value.ndim == 1
     value, error = np.atleast_2d(value), np.atleast_2d(error)
-    cap = config.max_subdivisions * len(a)
+    cap = config.max_subdivisions + len(a)
     while True:
         total, abserr = value.sum(axis=1), error.sum(axis=1)
         tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
@@ -954,24 +958,29 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     the Lebesgue-a.e. version at AC nodes, the pointwise version at atoms
     and Cantor points (zero at atoms and on a registered Cantor support).
 
-    The AC part is summed piece by piece over segments split at the spec's
-    density breaks, atoms, Cantor ends and extra_breaks.  Specs without a
-    Cantor part integrate them by `integrate`; specs with one use a
-    COMPOSITE_POINTS composite trapezoid per segment, truncated at the
-    piece's tail quantiles, because their kernels inherit the
-    devil's-staircase modulus, which defeats adaptive error estimates but
-    averages out on uniform grids.  Atoms add their mass times g.  A Cantor
-    part adds the mean of g over its equal-mass construction cells: at cell
-    midpoints, second order by the symmetry of every cell, hence half the
-    depth; an unregistered kernel is sampled at the cells' left endpoints,
-    points of the Cantor set itself, at full depth.
+    The AC part is integrated piece by piece by `integrate` over segments
+    split at the spec's density breaks, atoms, extra_breaks, and the edges
+    of each Cantor part's 2^D construction cells (its exact ends included).
+    On the gaps between those cells the Cantor CDF and partial mean are
+    constant, so a kernel there is as smooth as the AC density; D is
+    cantor_depth(1.0) // 2 + 2, at most MAX_CELL_DEPTH, and set by the
+    tolerance alone, since the problem is affine-invariant.  Atoms add
+    their mass times g.  A Cantor part adds the mean of g over its cells:
+    at the midpoints of the same 2^D cells, second order by the symmetry
+    of every cell; an unregistered kernel is sampled at the cells' left
+    endpoints, points of the Cantor set itself, at the full depth
+    cantor_depth(span).
     """
     def ac(x):
         return np.asarray(g(x, None if kernel is None else kernel.values_ae(x)), dtype=float)
 
+    depth = min(config.cantor_depth(1.0) // 2 + 2, MAX_CELL_DEPTH)
+    left = cantor_points(depth, endpoint="left") if spec.cantor_parts else None
     breaks = {*spec.density_breaks, *extra_breaks, *(a.location for a in spec.atoms)}
     for c in spec.cantor_parts:
-        breaks.update((c.lo, c.hi))
+        span = c.hi - c.lo
+        breaks.update((c.lo + span * left[1:]).tolist(), (c.lo, c.hi),
+                      (c.lo + span * (left[:-1] + 3.0 ** -depth)).tolist())
     total = 0.0
     for c in spec.ac_pieces:
         plo, phi = _piece_support(c)
@@ -979,19 +988,8 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
         if not a < b:
             continue
         seams = [a, *sorted(x for x in breaks if a < x < b), b]
-        if not spec.cantor_parts:
-            val, _ = integrate(lambda x: ac(x) * _piece_pdf(c, x), seams, config)
-            total = total + c.weight * val
-            continue
-        qa, qb = _piece_quantile_range(c, config.tail_quantile)
-        for sa, sb in zip(seams[:-1], seams[1:]):
-            sa, sb = max(sa, qa), min(sb, qb)
-            if sa < sb:
-                ts = np.linspace(sa, sb, COMPOSITE_POINTS + 1)
-                # blocks bound the working memory of the kernel's evaluation
-                vals = np.concatenate([ac(x) * _piece_pdf(c, x) for x in np.array_split(ts, 8)],
-                                      axis=-1)
-                total = total + c.weight * np.trapezoid(vals, ts)
+        val, _ = integrate(lambda x: ac(x) * _piece_pdf(c, x), seams, config)
+        total = total + c.weight * val
     atoms = [a for a in spec.atoms if lo <= a.location <= hi]
     if atoms:
         xs = np.array([a.location for a in atoms])
@@ -999,12 +997,11 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
         total = total + vals @ np.array([a.mass for a in atoms])
     for c in spec.cantor_parts:
         span = c.hi - c.lo
-        depth = config.cantor_depth(span)
         registered = kernel is None or (c.lo, c.hi) in kernel.cantor_intervals
         if registered:
-            pts = c.lo + span * cantor_points(min(max(2, depth // 2 + 2), 22))
+            pts = c.lo + span * (left + 0.5 / 3.0 ** depth)
         else:
-            pts = c.lo + span * cantor_points(min(depth, 22), endpoint="left")
+            pts = c.lo + span * cantor_points(min(config.cantor_depth(span), 22), endpoint="left")
         inside = pts[(pts >= lo) & (pts <= hi)]
         if inside.size:
             tau = (None if kernel is None else

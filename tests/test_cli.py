@@ -230,6 +230,14 @@ def test_recover_cantor_spec_exits_two(tmp_path):
     assert cp.stdout == ""
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_exits_one(tmp_path, tol):
+    cp = run_cli("bound", write_spec(tmp_path, "cantor.json", UNIFORM_CANTOR),
+                 "--grid", "64", "--tol", tol)
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:") and "Traceback" not in cp.stderr
+
+
 def test_corpus_verb_passes():
     cp = run_cli("corpus", "--grid", "256")
     assert cp.returncode == 0, cp.stdout + cp.stderr

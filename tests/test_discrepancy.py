@@ -150,6 +150,27 @@ def test_bound_sd_matches_kernel_stats():
         assert rep.bound_sd == pytest.approx(2.0 * math.sqrt(var_tau), abs=1e-12)
 
 
+def test_crossing_scan_skips_the_cantor_set(monkeypatch):
+    # tau - sigma^2 crosses zero at 0.0771... and 0.9229...; on the Cantor set
+    # the pointwise kernel reads -sigma^2, which is no crossing of the a.e. one
+    import steinkit.discrepancy as disc
+    from steinkit.distributions import cantor_in_support
+    seen = []
+
+    def recording_expect(*args, **kwargs):
+        seen.append(np.asarray(kwargs["extra_breaks"]))
+        return expect(*args, **kwargs)
+
+    expect = disc.expect
+    monkeypatch.setattr(disc, "expect", recording_expect)
+    spec = KERNEL_SPECS["uniform_cantor"]
+    discrepancy_bounds(spec, stein_kernel(spec, 1024))
+    (pts,) = seen
+    interior = pts[(pts > 0.0) & (pts < 1.0)]
+    assert len(interior) == 2
+    assert not cantor_in_support(interior, 0.0, 1.0).any()
+
+
 def test_report_to_dict_keys():
     spec = KERNEL_SPECS["uniform01"]
     rep = discrepancy_bounds(spec, stein_kernel(spec, 64))

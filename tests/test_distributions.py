@@ -349,6 +349,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(tail_quantile=0.0)
     with pytest.raises(SpecError):
         QuadratureConfig(max_subdivisions=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SpecError):
+            QuadratureConfig(abs_tol=bad)
+        with pytest.raises(SpecError):
+            QuadratureConfig(rel_tol=bad)
 
 
 def test_cantor_depth_scales_with_span():
@@ -435,3 +440,14 @@ def test_integrate_warns_when_the_subdivision_cap_is_hit():
                                   QuadratureConfig(max_subdivisions=1))
     assert value == pytest.approx(0.29, abs=1e-2)
     assert abserr > 1e-9
+
+
+def test_subdivision_cap_counts_the_intervals_added_in_total():
+    # a square-root cusp inside one of 1000 starting cells needs more than
+    # two bisections, however many starting cells there are
+    from scipy.integrate import IntegrationWarning
+    from steinkit import QuadratureConfig
+    from steinkit.distributions import integrate
+    with pytest.warns(IntegrationWarning, match="1002 intervals"):
+        integrate(lambda x: np.sqrt(np.abs(x - 0.3001)), np.linspace(0.0, 1.0, 1001),
+                  QuadratureConfig(max_subdivisions=2))

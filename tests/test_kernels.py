@@ -6,6 +6,7 @@ from scipy.special import log_ndtr
 
 from steinkit import (
     Atom,
+    CantorPart,
     DegenerateError,
     DistributionSpec,
     ExistenceError,
@@ -288,6 +289,50 @@ def test_stein_residuals_below_certification_tolerance(name):
     kernel = stein_kernel(spec, 256)
     for tf in _tfs(spec):
         assert abs(stein_residual(spec, kernel, tf)) < 1e-6, (name, tf.id)
+
+
+def _certify(spec, grid=1024):
+    """(|E tau - sigma^2|, largest of the 7 standard residuals)."""
+    kernel = stein_kernel(spec, grid)
+    mean_tau, _ = kernel_stats(spec, kernel)
+    residuals = [abs(stein_residual(spec, kernel, tf)) for tf in _tfs(spec)]
+    return abs(mean_tau - moments(spec).variance), max(residuals)
+
+
+def test_uniform_cantor_certifies_to_1e_10():
+    gap, worst = _certify(KERNEL_SPECS["uniform_cantor"])
+    assert gap <= 1e-10
+    assert worst <= 1e-10
+
+
+def test_normal_cantor_mixture_residuals_cover_the_normal_tails():
+    spec = DistributionSpec((Normal(0.3, 1.0, 0.6), CantorPart(0.0, 1.0, 0.4)))
+    _, worst = _certify(spec)
+    assert worst <= 1e-9
+
+
+def test_cantor_mean_tau_does_not_depend_on_the_span():
+    import time
+    spec = DistributionSpec((Uniform(0.0, 1e6, 0.5), CantorPart(0.0, 1e6, 0.5)))
+    kernel = stein_kernel(spec, 1024)
+    start = time.perf_counter()
+    mean_tau, _ = kernel_stats(spec, kernel)
+    assert time.perf_counter() - start < 1.0
+    var = moments(spec).variance
+    assert abs(mean_tau - var) <= 1e-9 * var
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_cantor_kernel_stats_at_a_tiny_tolerance_returns_promptly():
+    import time
+    from steinkit import QuadratureConfig
+    spec = KERNEL_SPECS["uniform_cantor"]
+    config = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+    kernel = stein_kernel(spec, 1024, config)
+    start = time.perf_counter()
+    mean_tau, _ = kernel_stats(spec, kernel, config)
+    assert time.perf_counter() - start < 5.0
+    assert mean_tau == pytest.approx(moments(spec).variance, abs=1e-9)
 
 
 def test_residual_examples():
