@@ -34,6 +34,7 @@ from .distributions import (
 from .errors import (
     DegenerateError,
     ExistenceError,
+    IntegrationWarning,
     NumericsError,
     SpecError,
     SteinKitError,

@@ -25,6 +25,7 @@ from .distributions import QuadratureConfig, load_spec, moments
 from .errors import (
     DegenerateError,
     ExistenceError,
+    NumericsError,
     SpecError,
     SteinKitError,
 )
@@ -51,7 +52,7 @@ def _fmt_json(obj) -> str:
         return "false"
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {obj} in JSON output")
+            raise NumericsError(f"non-finite value {obj} in JSON output")
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)
@@ -226,7 +227,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     except DegenerateError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE
-    except SteinKitError as exc:
+    except (SteinKitError, ArithmeticError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
 

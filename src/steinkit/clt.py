@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .distributions import (
     _SQRT2PI,
@@ -35,6 +34,7 @@ from .distributions import (
     QuadratureConfig,
     Tabulated,
     _expi_minus_one,
+    _ndtr,
     _piece_cdf_centered_lower,
     _piece_cf_centered,
     _piece_cf_envelope,
@@ -196,7 +196,7 @@ def _fft_tv(spec: DistributionSpec, n: int, grid_size: int,
     dens = conv / dz
     phi = np.exp(-0.5 * zs * zs) / _SQRT2PI
     tv = 0.5 * float(np.trapezoid(np.abs(dens - phi), zs))
-    tv += 0.5 * float(ndtr(zs[0] - 0.5 * dz) + ndtr(-(zs[-1] + 0.5 * dz)))
+    tv += 0.5 * (_ndtr(zs[0] - 0.5 * dz) + _ndtr(-(zs[-1] + 0.5 * dz)))
     return min(1.0, tv), defect
 
 
@@ -298,7 +298,7 @@ def _fourier_sums(phases: np.ndarray, weights: np.ndarray, x: np.ndarray,
     phi = np.exp(-0.5 * x * x) / _SQRT2PI
     f = (1.0 + 2.0 * re) / (2.0 * zwin)
     cdf = (x + zwin) / (2.0 * zwin) - (im_down - edge) / zwin
-    return f - phi, im_up / zwin + x * phi, cdf - (ndtr(x) - ndtr(-zwin))
+    return f - phi, im_up / zwin + x * phi, cdf - (_ndtr(x) - _ndtr(-zwin))
 
 
 def _inverted_tv(psi: np.ndarray, zwin: float) -> tuple:
@@ -337,7 +337,7 @@ def _inverted_tv(psi: np.ndarray, zwin: float) -> tuple:
     pts = np.concatenate([[-zwin], x, [zwin]])
     phases = _phases(pts, count, zwin)
     gaps = [_fourier_sums(phases, w, pts, zwin)[2] for w in (weights, weights[:count // 2])]
-    tail = float(ndtr(-zwin))
+    tail = _ndtr(-zwin)
     tv, tv_half = (min(1.0, 0.5 * float(np.sum(np.abs(np.diff(g)))) + tail) for g in gaps)
     mass = float(np.sum(dens)) * (2.0 * zwin / count)
     return tv, tv_half, mass

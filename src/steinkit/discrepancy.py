@@ -21,13 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .distributions import (
     _SQRT2PI,
     DEFAULT_CONFIG,
     DistributionSpec,
     QuadratureConfig,
+    _ndtri,
     ac_density,
     expect,
     integrate,
@@ -117,10 +117,10 @@ def tv_to_normal(spec: DistributionSpec,
     """Exact total-variation distance from the spec to N(m, sigma^2) with the
     spec's own mean and variance.
 
-    Half the L1 distance of the AC density to the normal density (panels are
-    split at the density crossing points `_find_crossings` locates, so
-    |p - phi| is smooth on every quadrature panel), plus half the singular
-    mass.
+    Half the L1 distance of the AC density to the normal density over the
+    whole line (split at the density crossings `_find_crossings` locates in
+    the tail_quantile window of both laws, so |p - phi| is smooth on every
+    quadrature panel), plus half the singular mass.
     """
     mom = moments(spec)
     if mom.variance <= 0.0:
@@ -128,7 +128,7 @@ def tv_to_normal(spec: DistributionSpec,
     m, sd = mom.mean, math.sqrt(mom.variance)
 
     slo, shi = truncated_support(spec, config.tail_quantile)
-    z = abs(float(ndtri(config.tail_quantile)))
+    z = abs(_ndtri(config.tail_quantile))
     lo = min(slo, m - z * sd)
     hi = max(shi, m + z * sd)
 
@@ -137,10 +137,8 @@ def tv_to_normal(spec: DistributionSpec,
     def diff(t):
         return ac_density(spec, t) - _normal_pdf(t, m, sd)
 
-    total, _ = integrate(lambda t: np.abs(diff(t)), _find_crossings(diff, edges), config)
-    # mass the matched normal carries outside the integration window, where
-    # the spec itself has at most tail_quantile-level mass
-    total += float(ndtr((lo - m) / sd)) + float(ndtr(-(hi - m) / sd))
+    pts = [-math.inf, *_find_crossings(diff, edges), math.inf]
+    total, _ = integrate(lambda t: np.abs(diff(t)), pts, config)
     return min(1.0, 0.5 * (total + spec.singular_mass))
 
 

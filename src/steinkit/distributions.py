@@ -20,17 +20,33 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
-from .errors import SpecError
+from .errors import IntegrationWarning, SpecError
 
 WEIGHT_SUM_TOL = 1e-12
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(z):
+    """Standard normal CDF 0.5 erfc(-z / sqrt 2), by libm's erfc per element."""
+    x = -z / _SQRT2
+    return 0.5 * (math.erfc(x) if np.ndim(x) == 0 else _ERFC(x).astype(float))
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile (Wichura's AS 241); -inf at 0, inf at 1."""
+    if p in (0.0, 1.0):
+        return math.inf if p else -math.inf
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def _check_weight(w, what):
@@ -341,7 +357,7 @@ def _piece_survival_centered_upper(c, t: np.ndarray):
             return s, centered
         case Normal():
             z = (t - c.mean) / c.sd
-            s = special.ndtr(-z)
+            s = _ndtr(-z)
             centered = c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
             return s, centered
         case Exponential():
@@ -400,7 +416,7 @@ def _piece_cdf_centered_lower(c, t: np.ndarray):
             return f, centered
         case Normal():
             z = (t - c.mean) / c.sd
-            return special.ndtr(z), -c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
+            return _ndtr(z), -c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
         case Exponential():
             tc = np.maximum(t, 0.0)
             return -np.expm1(-c.rate * tc), -tc * np.exp(-c.rate * tc)
@@ -552,7 +568,7 @@ def _piece_quantile_range(c, q: float):
     """Interval containing all but at most q of the component's mass per tail."""
     match c:
         case Normal():
-            z = float(special.ndtri(q))
+            z = _ndtri(q)
             return (c.mean + c.sd * z, c.mean - c.sd * z)
         case Exponential():
             return (0.0, -math.log(q) / c.rate)
@@ -927,8 +943,6 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
             worst = (error[:, todo] / tol[:, None]).max(axis=0)
             todo = todo[np.argsort(-worst)[:room]]
         if not len(todo):
-            import warnings
-            from scipy.integrate import IntegrationWarning
             warnings.warn(f"integration tolerance not met: error estimate {abserr.max():.3g} "
                           f"with {len(a)} intervals", IntegrationWarning, stacklevel=2)
             break

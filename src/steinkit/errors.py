@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class SteinKitError(Exception):
@@ -27,3 +27,8 @@ class DegenerateError(SteinKitError):
 
 class NumericsError(SteinKitError):
     """A numerical routine could not meet its accuracy contract."""
+
+
+class IntegrationWarning(UserWarning):
+    """An adaptive quadrature stopped at its subdivision limit before its
+    error estimate met the tolerance; the best value is still returned."""

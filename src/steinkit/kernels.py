@@ -48,6 +48,7 @@ from .errors import DegenerateError, ExistenceError, NumericsError, SpecError
 
 UNDERFLOW_FLOOR = 1e-300
 FEASIBILITY_TOL = 1e-9
+MAX_GRID = 1 << 20  # grid sizes are refused above this, before any allocation
 
 
 class Verdict(enum.Enum):
@@ -312,8 +313,8 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     sigma^2 q h / p evaluated exactly, and sampled on `grid_size`
     Chebyshev-clustered points spanning the (tail-truncated) support.
     """
-    if grid_size < 16:
-        raise SpecError(f"grid_size must be >= 16, got {grid_size}")
+    if not 16 <= grid_size <= MAX_GRID:
+        raise SpecError(f"grid_size must lie in [16, {MAX_GRID}], got {grid_size}")
     report = existence_check(spec, config)
     if report.verdict is Verdict.DEGENERATE:
         raise DegenerateError("a point mass admits the trivial kernel only; "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import DEFAULT_CONFIG, QuadratureConfig, _gk15, integrate
 from .errors import NumericsError, SpecError
-from .kernels import KernelFn, TestFunction
+from .kernels import MAX_GRID, KernelFn, TestFunction
 
 EXPONENT_FLOOR = math.log(1e-300)
 _EDGE_INSET = 1e-9
@@ -122,8 +122,8 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     x0 = m if anchor is None else anchor
     if not lo < x0 < hi:
         raise SpecError(f"anchor x0={x0} lies outside the kernel domain ({lo}, {hi})")
-    if grid_size < 16:
-        raise SpecError(f"grid_size must be >= 16, got {grid_size}")
+    if not 16 <= grid_size <= MAX_GRID:
+        raise SpecError(f"grid_size must lie in [16, {MAX_GRID}], got {grid_size}")
 
     for loc in kernel.atom_zeros:
         if lo < loc < hi:

@@ -272,16 +272,55 @@ def test_floats_render_17_significant_digits(tmp_path):
     assert doc["bounds"][1] == 0.5 or abs(doc["bounds"][1] - 0.5) < 1e-15
 
 
-def test_import_and_recovery_leave_scipy_integrate_and_optimize_unloaded():
-    # the runtime's scipy use is scipy.special; a fresh interpreter shows
-    # what importing steinkit and recovering a grid kernel's density load
-    code = ("import sys\n"
-            "from steinkit import moments, recover_density, stein_kernel\n"
-            "from steinkit.corpus import KERNEL_SPECS\n"
-            "spec = KERNEL_SPECS['overlap_uniforms']\n"
-            "recover_density(stein_kernel(spec, 64), moments(spec).mean, 512)\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n")
+def test_runtime_loads_no_scipy_module(tmp_path):
+    # scipy is a test oracle only: a fresh interpreter that imports steinkit,
+    # runs every verb and hits the quadrature's subdivision cap loads none of it
+    spec = write_spec(tmp_path, "mix.json", NORMAL_UNIFORM)
+    code = ("import io, sys, warnings\n"
+            "import numpy as np\n"
+            "from steinkit import IntegrationWarning, QuadratureConfig\n"
+            "from steinkit.cli import dispatch\n"
+            "from steinkit.distributions import integrate\n"
+            f"spec = {spec!r}\n"
+            "for argv in (['check', spec], ['kernel', spec], ['bound', spec],\n"
+            "             ['clt', spec, '--n', '1,4,64'], ['recover', spec], ['corpus']):\n"
+            "    code = dispatch(argv + ['--grid', '1024'], io.StringIO(), io.StringIO())\n"
+            "    assert code == 0, (argv, code)\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    integrate(lambda x: np.abs(x - 0.3), [0.0, 1.0], QuadratureConfig(max_subdivisions=1))\n"
+            "assert [w.category for w in caught] == [IntegrationWarning], caught\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                         env=CLI_ENV)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("verb, doc", [
+    # sigma^2 underflows to 0
+    ("clt", {"components": [{"kind": "normal", "mean": 0.0, "sd": 1e-200, "weight": 1.0}]}),
+    # E[X^2] - m^2 cancels to 0 far from the origin
+    ("clt", {"components": [
+        {"kind": "normal", "mean": 1e8 + 0.1, "sd": 1.0, "weight": 0.5},
+        {"kind": "uniform", "lo": 1e8, "hi": 1e8 + 1.0, "weight": 0.5}]}),
+    # Var tau ~ s^4 overflows to a NaN bound_sd
+    ("bound", {"components": [
+        {"kind": "uniform", "lo": 0.0, "hi": 1e100, "weight": 0.5},
+        {"kind": "uniform", "lo": 5e99, "hi": 2e100, "weight": 0.5}]}),
+])
+def test_arithmetic_failures_exit_two(tmp_path, verb, doc):
+    extra = ["--n", "1,4"] if verb == "clt" else []
+    cp = run_cli(verb, write_spec(tmp_path, "spec.json", doc), *extra)
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr
+    errors = [line for line in cp.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and cp.stderr.rstrip().endswith(errors[0])
+
+
+@pytest.mark.parametrize("verb, grid", [("kernel", "1048577"), ("recover", "1099511627776")])
+def test_oversized_grid_exits_one(tmp_path, verb, grid):
+    cp = run_cli(verb, write_spec(tmp_path, "exp1.json", EXP1), "--grid", grid)
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error:") and len(cp.stderr.strip().split("\n")) == 1
+    assert cp.stdout == ""

@@ -28,6 +28,18 @@ def test_tv_normal_spec_is_zero():
     assert tv_to_normal(KERNEL_SPECS["normal_shifted"]) < 1e-8
 
 
+@pytest.mark.parametrize("name, want", [
+    # mpmath references: |p - phi| integrated over the whole line between
+    # its crossings at 30 digits
+    ("exponential1", 0.31921501557227006),
+    ("normal_uniform_mix", 0.09114517961345926),
+    ("normal_std", 0.0),
+    ("normal_shifted", 0.0),
+])
+def test_tv_integrates_both_tails(name, want):
+    assert tv_to_normal(KERNEL_SPECS[name]) == pytest.approx(want, abs=1e-13)
+
+
 def test_tv_rademacher_is_one():
     assert tv_to_normal(NO_KERNEL_SPECS["rademacher"][0]) == pytest.approx(1.0, abs=1e-12)
 

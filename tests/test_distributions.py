@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
@@ -23,6 +24,8 @@ from steinkit import (
 )
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
 from steinkit.distributions import (
+    _ndtr,
+    _ndtri,
     cantor_in_support,
     cantor_points,
     cantor_survival_upper_mean,
@@ -174,6 +177,34 @@ def test_ac_density_vectorized_matches_scalar():
     assert vec.shape == ts.shape
     for t, v in zip(ts, vec):
         assert ac_density(spec, float(t)) == pytest.approx(float(v), abs=0)
+
+
+# -- normal CDF and quantile -------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def test_ndtr_is_within_its_condition_number_of_mpmath():
+    # Phi's relative condition number is ~z^2, so (z^2 + 8) eps is what
+    # libm's erfc of the once-rounded argument -z / sqrt 2 can promise
+    z = np.linspace(-37.5, 8.3, 2001)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.ncdf(v)) for v in z])
+    bound = (z * z + 8.0) * EPS * want
+    assert np.all(np.abs(_ndtr(z) - want) <= bound)
+    scalar = np.array([_ndtr(float(v)) for v in z])
+    assert np.all(np.abs(scalar - want) <= bound)
+
+
+def test_ndtri_is_within_4_eps_of_the_mpmath_root():
+    ps = np.concatenate([np.logspace(-300, math.log10(0.5), 300),
+                         1.0 - np.logspace(-15.9, math.log10(0.5), 100), [1.0 - 2.0 ** -53]])
+    with mpmath.workdps(40):
+        for p in map(float, ps):
+            x = _ndtri(p)
+            root = mpmath.findroot(lambda t: mpmath.ncdf(t) - p, x)
+            assert abs(x - root) <= 4.0 * EPS * abs(root), p
+    assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
 
 
 # -- partial expectations ----------------------------------------------------
@@ -432,8 +463,7 @@ def test_abserr_meets_the_tolerance_when_the_engine_converges(f, edges):
 
 
 def test_integrate_warns_when_the_subdivision_cap_is_hit():
-    from scipy.integrate import IntegrationWarning
-    from steinkit import QuadratureConfig
+    from steinkit import IntegrationWarning, QuadratureConfig
     from steinkit.distributions import integrate
     with pytest.warns(IntegrationWarning):
         value, abserr = integrate(lambda x: np.abs(x - 0.3), [0.0, 1.0],
@@ -445,8 +475,7 @@ def test_integrate_warns_when_the_subdivision_cap_is_hit():
 def test_subdivision_cap_counts_the_intervals_added_in_total():
     # a square-root cusp inside one of 1000 starting cells needs more than
     # two bisections, however many starting cells there are
-    from scipy.integrate import IntegrationWarning
-    from steinkit import QuadratureConfig
+    from steinkit import IntegrationWarning, QuadratureConfig
     from steinkit.distributions import integrate
     with pytest.warns(IntegrationWarning, match="1002 intervals"):
         integrate(lambda x: np.sqrt(np.abs(x - 0.3001)), np.linspace(0.0, 1.0, 1001),

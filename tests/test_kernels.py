@@ -35,6 +35,7 @@ from steinkit import (
 )
 from oracle_utils import kernel_measure_integral
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
+from steinkit.kernels import MAX_GRID
 
 import oracle_utils as oracle
 
@@ -240,6 +241,8 @@ def test_kernel_requires_existence():
         stein_kernel(NO_KERNEL_SPECS["dirac"][0])
     with pytest.raises(SpecError):
         stein_kernel(U01, grid_size=8)
+    with pytest.raises(SpecError):
+        stein_kernel(U01, grid_size=MAX_GRID + 1)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -322,7 +325,7 @@ def test_cantor_mean_tau_does_not_depend_on_the_span():
     assert abs(mean_tau - var) <= 1e-9 * var
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("ignore::steinkit.errors.IntegrationWarning")
 def test_cantor_kernel_stats_at_a_tiny_tolerance_returns_promptly():
     import time
     from steinkit import QuadratureConfig

@@ -18,6 +18,7 @@ from steinkit import (
     truncated_support,
 )
 from steinkit.corpus import KERNEL_SPECS
+from steinkit.kernels import MAX_GRID
 from steinkit.recovery import density_to_csv
 
 import oracle_utils as oracle
@@ -197,6 +198,12 @@ def test_anchor_outside_domain_raises():
         recover_density(kernel, 1.5, 256)
     with pytest.raises(SpecError):
         recover_density(kernel, 0.5, 256, anchor=-0.2)
+
+
+@pytest.mark.parametrize("grid_size", [8, MAX_GRID + 1])
+def test_grid_size_outside_its_range_raises(grid_size):
+    with pytest.raises(SpecError, match="grid_size"):
+        recover_density(stein_kernel(U01, 64), 0.5, grid_size)
 
 
 def test_stein_operator_values():
