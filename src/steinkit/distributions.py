@@ -249,24 +249,15 @@ def cantor_survival_upper_mean(u, depth: int = 64):
     return s, m
 
 
-def cantor_points(depth: int, endpoint: str = "mid") -> np.ndarray:
-    """Representative points of the 2^depth construction cells of the
-    standard Cantor set, each carrying equal mass 2^-depth.
-
-    endpoint='mid' gives cell midpoints (second-order accurate for smooth
-    integrands, by symmetry of the measure in every cell); endpoint='left'
-    gives cell left endpoints, which lie in the Cantor set itself.
-    """
+def cantor_points(depth: int) -> np.ndarray:
+    """Left endpoints of the 2^depth construction cells of the standard
+    Cantor set, points of the set itself, each cell carrying mass 2^-depth."""
     n = 1 << depth
     idx = np.arange(n, dtype=np.int64)
     x = np.zeros(n)
     for i in range(depth):
         bit = (idx >> (depth - 1 - i)) & 1
         x += bit * (2.0 / 3.0 ** (i + 1))
-    if endpoint == "mid":
-        x += 0.5 / 3.0 ** depth
-    elif endpoint != "left":
-        raise ValueError("endpoint must be 'mid' or 'left'")
     return x
 
 
@@ -895,20 +886,10 @@ def _gk15(f, a, b, side=None, anchor=None):
     return kronrod, np.abs(kronrod - half * (fx @ _G7_W))
 
 
-def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
-    """(value, abserr) of the integral of f from edges[0] to edges[-1].
-
-    Globally adaptive Gauss-Kronrod 7-15: every interval between sorted
-    edges gets K15 in one array call of f, and all intervals needed to
-    bring the summed |K15 - G7| within max(abs_tol, rel_tol |value|) are
-    bisected together, pass after pass.  Infinite ends take QUADPACK's qagi
-    substitution.  f maps a 1-D array of points to values, or to a (k, n)
-    stack of k integrands, which then share every node and are refined
-    until the hardest meets its tolerance; value and abserr then have
-    shape (k,).  Once bisection has added max_subdivisions intervals in
-    all (QUADPACK's limit, less the starting intervals), the best value is
-    returned with an IntegrationWarning.
-    """
+def _qagi_cells(edges):
+    """(a, b, side, anchor) of the starting intervals between sorted edges,
+    in `_gk15`'s form: an infinite end becomes (0, 1] under QUADPACK's qagi
+    substitution about the finite edge next to it (0 for the whole line)."""
     cells = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if lo == -math.inf:
@@ -917,7 +898,24 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
             cells.append((0.0, 1.0, 1.0, lo if lo > -math.inf else 0.0))
         if -math.inf < lo and hi < math.inf:
             cells.append((lo, hi, 0.0, 0.0))
-    a, b, side, anchor = (np.array(col) for col in zip(*cells))
+    return (np.array(col) for col in zip(*cells))
+
+
+def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None):
+    """Globally adaptive Gauss-Kronrod 7-15 over the starting intervals
+    [a_i, b_i] (with `_gk15`'s side and anchor), under one error budget.
+
+    Returns (value, error, origin): the K15 integral and |K15 - G7| of
+    every final interval, shaped like f's output per node, and the index
+    of the starting interval each final interval lies in.  All intervals
+    needed to bring the summed error within max(abs_tol, rel_tol |total|)
+    are bisected together, pass after pass; once bisection has added
+    max_subdivisions intervals in all (QUADPACK's limit, less the starting
+    intervals), the values so far are returned with an IntegrationWarning.
+    """
+    if side is None:
+        side = anchor = np.zeros_like(a)
+    origin = np.arange(len(a))
     value, error = _gk15(f, a, b, side, anchor)
     single = value.ndim == 1
     value, error = np.atleast_2d(value), np.atleast_2d(error)
@@ -944,7 +942,7 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
             todo = todo[np.argsort(-worst)[:room]]
         if not len(todo):
             warnings.warn(f"integration tolerance not met: error estimate {abserr.max():.3g} "
-                          f"with {len(a)} intervals", IntegrationWarning, stacklevel=2)
+                          f"with {len(a)} intervals", IntegrationWarning, stacklevel=3)
             break
         keep = np.ones(len(a), dtype=bool)
         keep[todo] = False
@@ -954,10 +952,29 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
         nv, ne = _gk15(f, na, nb, nside, nanchor)
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         side, anchor = np.concatenate([side[keep], nside]), np.concatenate([anchor[keep], nanchor])
+        origin = np.concatenate([origin[keep], np.tile(origin[todo], 2)])
         value = np.concatenate([value[:, keep], np.atleast_2d(nv)], axis=1)
         error = np.concatenate([error[:, keep], np.atleast_2d(ne)], axis=1)
     if single:
-        return float(total[0]), float(abserr[0])
+        return value[0], error[0], origin
+    return value, error, origin
+
+
+def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
+    """(value, abserr) of the integral of f from edges[0] to edges[-1].
+
+    The intervals between sorted edges start `_adapt`'s globally adaptive
+    Gauss-Kronrod 7-15 (infinite ends under QUADPACK's qagi substitution),
+    and value and abserr are the sums over its final intervals.  f maps a
+    1-D array of points to values, or to a (k, n) stack of k integrands,
+    which then share every node and are refined until the hardest meets
+    max(abs_tol, rel_tol |value|); value and abserr then have shape (k,).
+    Past the subdivision cap the best value comes with an IntegrationWarning.
+    """
+    value, error, _ = _adapt(f, config, *_qagi_cells(edges))
+    total, abserr = value.sum(axis=-1), error.sum(axis=-1)
+    if value.ndim == 1:
+        return float(total), float(abserr)
     return total, abserr
 
 
@@ -972,9 +989,11 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     the Lebesgue-a.e. version at AC nodes, the pointwise version at atoms
     and Cantor points (zero at atoms and on a registered Cantor support).
 
-    The AC part is integrated piece by piece by `integrate` over segments
-    split at the spec's density breaks, atoms, extra_breaks, and the edges
-    of each Cantor part's 2^D construction cells (its exact ends included).
+    The AC part is one `integrate` call of g times the mixture's AC density,
+    over the union of the pieces' supports, so its tolerance holds for the
+    whole AC integral.  Its segments are split at the spec's density
+    breaks, atoms, extra_breaks, and the edges of each Cantor part's 2^D
+    construction cells (its exact ends included), so every panel is smooth.
     On the gaps between those cells the Cantor CDF and partial mean are
     constant, so a kernel there is as smooth as the AC density; D is
     cantor_depth(1.0) // 2 + 2, at most MAX_CELL_DEPTH, and set by the
@@ -989,21 +1008,19 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
         return np.asarray(g(x, None if kernel is None else kernel.values_ae(x)), dtype=float)
 
     depth = min(config.cantor_depth(1.0) // 2 + 2, MAX_CELL_DEPTH)
-    left = cantor_points(depth, endpoint="left") if spec.cantor_parts else None
+    left = cantor_points(depth) if spec.cantor_parts else None
     breaks = {*spec.density_breaks, *extra_breaks, *(a.location for a in spec.atoms)}
     for c in spec.cantor_parts:
         span = c.hi - c.lo
         breaks.update((c.lo + span * left[1:]).tolist(), (c.lo, c.hi),
                       (c.lo + span * (left[:-1] + 3.0 ** -depth)).tolist())
     total = 0.0
-    for c in spec.ac_pieces:
-        plo, phi = _piece_support(c)
-        a, b = max(plo, lo), min(phi, hi)
-        if not a < b:
-            continue
-        seams = [a, *sorted(x for x in breaks if a < x < b), b]
-        val, _ = integrate(lambda x: ac(x) * _piece_pdf(c, x), seams, config)
-        total = total + c.weight * val
+    if spec.ac_pieces:
+        los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
+        a, b = max(min(los), lo), min(max(his), hi)
+        if a < b:
+            seams = [a, *sorted(x for x in breaks if a < x < b), b]
+            total, _ = integrate(lambda x: ac(x) * ac_density(spec, x), seams, config)
     atoms = [a for a in spec.atoms if lo <= a.location <= hi]
     if atoms:
         xs = np.array([a.location for a in atoms])
@@ -1015,7 +1032,7 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
         if registered:
             pts = c.lo + span * (left + 0.5 / 3.0 ** depth)
         else:
-            pts = c.lo + span * cantor_points(min(config.cantor_depth(span), 22), endpoint="left")
+            pts = c.lo + span * cantor_points(min(config.cantor_depth(span), 22))
         inside = pts[(pts >= lo) & (pts <= hi)]
         if inside.size:
             tau = (None if kernel is None else

@@ -331,9 +331,9 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     breaks = set(atom_zeros) | set(spec.density_breaks)
     density_breaks = tuple(sorted(b for b in breaks if lo < b < hi))
 
+    fn_vec = None
     if len(spec.components) == 1:
         c = spec.components[0]
-        fn_vec = None
         if isinstance(c, Uniform):
             a, b = c.lo, c.hi
             fn_vec = lambda ts: 0.5 * (ts - a) * (b - ts)
@@ -346,32 +346,26 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
             r = c.rate
             fn_vec = lambda ts: ts / r
             form, params = "linear", {"slope": 1.0 / r, "origin": 0.0}
-        if fn_vec is not None:
-            grid_t = _chebyshev_interior(lo, hi, grid_size)
-            grid_tau = np.maximum(fn_vec(grid_t), 0.0)
-            return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form=form,
-                            params=params, grid_t=grid_t, grid_tau=grid_tau,
-                            atom_zeros=atom_zeros, density_breaks=density_breaks,
-                            _fn_vec=fn_vec)
-
-    def fn_vec(ts):
-        # sigma^2 * q / p with sigma^2 q written as the partial expectation;
-        # the zeros of h are left to `values`
-        pe = np.maximum(partial_expectation(spec, ts), 0.0)
-        p = ac_density(spec, ts)
-        return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
 
     grid_t = _chebyshev_interior(lo, hi, grid_size)
-    grid_t = grid_t[~_canonical_zeros(grid_t, atom_zeros)]
-    dens = ac_density(spec, grid_t)
-    bad = np.nonzero(dens < UNDERFLOW_FLOOR)[0]
-    if len(bad):
-        raise NumericsError(
-            f"AC density underflows below {UNDERFLOW_FLOOR} inside the support "
-            f"interval at t={grid_t[bad[0]]!r}")
-    pe = np.maximum(partial_expectation(spec, grid_t), 0.0)
-    grid_tau = np.where(_canonical_zeros(grid_t, cantor_intervals=cantor_iv), 0.0, pe / dens)
-    return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form="grid", params={},
+    if fn_vec is None:
+        def fn_vec(ts):
+            # sigma^2 * q / p with sigma^2 q written as the partial expectation;
+            # the zeros of h are left to `values`
+            pe = np.maximum(partial_expectation(spec, ts), 0.0)
+            p = ac_density(spec, ts)
+            return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
+
+        form, params = "grid", {}
+        grid_t = grid_t[~_canonical_zeros(grid_t, atom_zeros)]
+        bad = np.nonzero(ac_density(spec, grid_t) < UNDERFLOW_FLOOR)[0]
+        if len(bad):
+            raise NumericsError(
+                f"AC density underflows below {UNDERFLOW_FLOOR} inside the support "
+                f"interval at t={grid_t[bad[0]]!r}")
+    grid_tau = np.where(_canonical_zeros(grid_t, atom_zeros, cantor_iv), 0.0,
+                        np.maximum(fn_vec(grid_t), 0.0))
+    return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form=form, params=params,
                     grid_t=grid_t, grid_tau=grid_tau, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,
                     _fn_vec=fn_vec)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DEFAULT_CONFIG, QuadratureConfig, _gk15, integrate
+from .distributions import DEFAULT_CONFIG, QuadratureConfig, _adapt
 from .errors import NumericsError, SpecError
 from .kernels import MAX_GRID, KernelFn, TestFunction
 
@@ -50,10 +50,11 @@ def _segmented_grid(lo, hi, breaks, grid_size):
 class RecoveredDensity:
     """Density values on a strictly increasing grid, trapezoid-normalized to
     unit mass; `normalizer` is the constant C and `anchor` the zero of gamma.
-    `error_estimate` is the summed error estimate of the exponent integral
-    over the cells the result reaches, each cell's final |K15 - G7| sum.  It
-    leaves out a rounding floor of ~1e-8 on the last cell, where the rule's
-    nodes within 1e-9 of the span from the domain end are rounded in t."""
+    `error_estimate` is the total |K15 - G7| of the one adaptive integral
+    over all cells, so it bounds the estimated error of the accumulated
+    exponent at every grid point.  It leaves out a rounding floor of ~1e-8
+    on the last cell, where the rule's nodes within 1e-9 of the span from
+    the domain end are rounded in t."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -80,16 +81,6 @@ def _outward_exponent(step, k):
     return expo
 
 
-def _live_cells(expo, k):
-    """Cells whose integral reaches the result: every cell out to and
-    including the one where the exponent first falls below the floor."""
-    live = np.empty(len(expo), dtype=bool)
-    for out, side in ((live[k:], expo[k:]), (live[:k][::-1], expo[:k][::-1])):
-        out[:1] = True
-        out[1:] = ~np.isneginf(side[:-1])
-    return live
-
-
 def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
                     config: QuadratureConfig = DEFAULT_CONFIG,
                     anchor: float = None) -> RecoveredDensity:
@@ -98,17 +89,17 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     The exponent integral of psi(t) = (m - t)/tau(t) is taken cell by cell
     between consecutive grid points, with the anchor x0 inserted as a node
     (by convention the zero of gamma, x0 = m; any other interior anchor
-    yields the same density after normalization).  Every cell gets the
-    Gauss-Kronrod 7-15 rule, with |K15 - G7| as its error estimate, in one
-    array evaluation of the kernel; the grid is split a hair on each side
-    of every density break, and the cell across a break is integrated as
-    its two sides, so psi is smooth under every rule.  An absolute error in
-    the exponent is the density's relative error, so every cell is held to
-    `config.abs_tol` alone; the cells that miss it (in practice the two next
-    to a domain end, where psi ~ 1/(t - lo)) are refined by the adaptive
-    engine `integrate` under the same rule.  Cumulative sums outward from
-    x0 give the exponent; once it falls below the underflow floor the
-    density is pinned to zero beyond.
+    yields the same density after normalization).  All cells go to one
+    globally adaptive Gauss-Kronrod 7-15 call, each pass evaluating the
+    kernel once on every node, and the final intervals are summed back per
+    cell.  The grid is split a hair on each side of every density break,
+    and the cell across a break starts as its two sides, so psi is smooth
+    under every rule; a cell next to a finite domain end, where
+    psi ~ 1/(t - lo), starts on edges graded geometrically toward it.  An
+    absolute error in the exponent is the density's relative error, so the
+    whole integral is held to `config.abs_tol` alone.  Cumulative sums
+    outward from x0 give the exponent; once it falls below the underflow
+    floor the density is pinned to zero beyond.
     The grid spans the kernel's domain, falling back to the kernel's sampled
     range when the domain is unbounded, with a hair of inset so tau stays
     positive at the first and last points.  Kernels with an interior zero
@@ -156,34 +147,25 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     # cell j runs between nodes j and j+1; cell k starts at the anchor
     k = int(np.searchsorted(grid, x0))
     nodes = np.insert(grid, k, x0)
-    a, b = nodes[:-1], nodes[1:]
-    # the grid steps over each density break by 2 * _BREAK_GAP; the cell
-    # that straddles one is integrated as its two smooth sides
-    cuts = np.asarray(kernel.density_breaks, dtype=float)
-    cell = np.clip(np.searchsorted(nodes, cuts) - 1, 0, len(a) - 1)
-    inside = (a[cell] < cuts) & (cuts < b[cell])
-    cell, cuts = cell[inside], cuts[inside]
-    ends = b.copy()
-    ends[cell] = cuts
-    values, errors = _gk15(psi, np.concatenate([a, cuts]), np.concatenate([ends, b[cell]]))
-    step, error = values[:len(a)], errors[:len(a)]
-    step[cell] += values[len(a):]
-    error[cell] += errors[len(a):]
+    # the grid steps over each density break by 2 * _BREAK_GAP, so the cell
+    # that straddles one starts as its two smooth sides; an end cell at a
+    # finite domain end, where psi ~ 1/(t - lo), starts on edges graded by
+    # about 2 toward that end
+    cuts = [np.asarray(kernel.density_breaks, dtype=float)]
+    for end, near, far in ((kernel.domain.lo, nodes[0], nodes[1]),
+                           (kernel.domain.hi, nodes[-1], nodes[-2])):
+        if math.isfinite(end):
+            ratio = (far - end) / (near - end)
+            steps = math.ceil(math.log2(ratio))
+            cuts.append(end + (near - end) * ratio ** (np.arange(1, steps) / steps))
+    cuts = np.concatenate(cuts)
+    edges = np.union1d(nodes, cuts[(nodes[0] < cuts) & (cuts < nodes[-1])])
+    cell = np.searchsorted(nodes, edges[:-1], side="right") - 1
     # an absolute error in the exponent is the density's relative error, so
-    # every cell is held to abs_tol alone; a NaN estimate is never accepted
-    cell_config = replace(config, rel_tol=np.finfo(float).tiny)
-    pending = ~(error <= config.abs_tol)
-    # flagged cells go to the adaptive engine, but only those the result
-    # reaches: a cell beyond the underflow floor is never needed
-    while True:
-        expo = _outward_exponent(step, k)
-        live = _live_cells(expo, k)
-        todo = np.nonzero(pending & live)[0]
-        if not len(todo):
-            break
-        for i in todo:
-            step[i], error[i] = integrate(psi, [a[i], b[i]], cell_config)
-        pending[todo] = False
+    # the whole integral is held to abs_tol alone
+    value, error, origin = _adapt(psi, replace(config, rel_tol=np.finfo(float).tiny),
+                                  edges[:-1], edges[1:])
+    expo = _outward_exponent(np.bincount(cell[origin], value, len(nodes) - 1), k)
 
     raw = np.exp(expo) / tau
     total = float(np.trapezoid(raw, grid))
@@ -191,7 +173,7 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
         raise NumericsError("recovered density could not be normalized")
     c = 1.0 / total
     return RecoveredDensity(grid=grid, values=raw * c, normalizer=c, anchor=x0,
-                            error_estimate=float(np.sum(error[live])))
+                            error_estimate=float(np.sum(error)))
 
 
 def stein_operator(kernel: KernelFn, m: float, g: TestFunction, x):

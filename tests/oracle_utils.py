@@ -69,7 +69,7 @@ def expect(spec, g):
         if isinstance(c, Atom):
             total += c.mass * g(c.location)
         elif isinstance(c, CantorPart):
-            pts = c.lo + (c.hi - c.lo) * cantor_points(CANTOR_DEPTH)
+            pts = c.lo + (c.hi - c.lo) * (cantor_points(CANTOR_DEPTH) + 0.5 / 3.0 ** CANTOR_DEPTH)
             total += c.weight * float(np.mean([g(float(x)) for x in pts]))
         elif isinstance(c, Tabulated):
             val = 0.0
@@ -107,7 +107,7 @@ def partial_expectation_oracle(spec, t, cantor_depth=20):
             if c.location >= t:
                 total += c.mass * (c.location - m)
         elif isinstance(c, CantorPart):
-            pts = c.lo + (c.hi - c.lo) * cantor_points(cantor_depth)
+            pts = c.lo + (c.hi - c.lo) * (cantor_points(cantor_depth) + 0.5 / 3.0 ** cantor_depth)
             total += c.weight * float(np.mean((pts - m) * (pts >= t)))
         elif isinstance(c, Tabulated):
             val = 0.0

@@ -9,6 +9,7 @@ from scipy.special import log_ndtr
 from steinkit import (
     CantorPart,
     DistributionSpec,
+    Exponential,
     Normal,
     SpecError,
     Tabulated,
@@ -322,7 +323,7 @@ def test_cantor_survival_and_upper_mean_values():
 
 
 def test_cantor_against_cell_oracle():
-    pts = cantor_points(16)
+    pts = cantor_points(16) + 0.5 / 3.0 ** 16  # cell midpoints
     for u in [0.1, 1.0 / 3.0, 0.44, 0.7, 0.95]:
         s, m = cantor_survival_upper_mean(u)
         assert s == pytest.approx(float(np.mean(pts >= u)), abs=1e-4)
@@ -418,12 +419,22 @@ def test_integrate_gaussian_over_the_whole_line():
     assert half == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
 
 
-@pytest.mark.parametrize("name", sorted(k for k in ALL_SPECS if k != "dirac"))
+# several AC pieces over the same seams, which `expect` integrates as one
+# mixture density
+MULTI_PIECE_SPECS = {
+    "exponential_triple": DistributionSpec(
+        (Exponential(0.7, 0.3), Exponential(1.5, 0.3), Exponential(2.5, 0.4))),
+    "normal_pair": DistributionSpec((Normal(0.0, 1.0, 0.5), Normal(0.0, 2.0, 0.5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(k for k in ALL_SPECS if k != "dirac")
+                         + sorted(MULTI_PIECE_SPECS))
 def test_expect_recovers_the_closed_form_moments(name):
     # atoms, Cantor parts and infinite ends all enter through one call; the
     # Cantor cell sums are second order, so uniform_cantor gets 1e-10
     from steinkit.distributions import expect
-    spec = ALL_SPECS[name]
+    spec = {**ALL_SPECS, **MULTI_PIECE_SPECS}[name]
     mom = moments(spec)
     mass, mean, second = expect(spec, lambda x, _: np.stack([np.ones_like(x), x, x * x]))
     tol = 1e-10 if spec.cantor_parts else 1e-12
@@ -431,6 +442,17 @@ def test_expect_recovers_the_closed_form_moments(name):
     assert mean == pytest.approx(mom.mean, abs=tol * max(1.0, abs(mom.mean)))
     want = mom.variance + mom.mean ** 2
     assert second == pytest.approx(want, abs=tol * max(1.0, want))
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_PIECE_SPECS))
+def test_multi_piece_kernel_certifies(name):
+    from steinkit import kernel_stats, standard_test_functions, stein_kernel, stein_residual
+    spec = MULTI_PIECE_SPECS[name]
+    kernel = stein_kernel(spec, 1024)
+    mean_tau, _ = kernel_stats(spec, kernel)
+    assert mean_tau == pytest.approx(moments(spec).variance, rel=1e-12)
+    for tf in standard_test_functions(*truncated_support(spec, 1e-9)):
+        assert abs(stein_residual(spec, kernel, tf)) < 1e-9, tf.id
 
 
 def test_stacked_rows_match_separate_calls():

@@ -18,6 +18,7 @@ from steinkit import (
     truncated_support,
 )
 from steinkit.corpus import KERNEL_SPECS
+from steinkit.distributions import DEFAULT_CONFIG
 from steinkit.kernels import MAX_GRID
 from steinkit.recovery import density_to_csv
 
@@ -148,7 +149,25 @@ def test_error_estimate_is_small(name, grid_size):
     spec = KERNEL_SPECS[name]
     den = recover_density(stein_kernel(spec, 64), moments(spec).mean, grid_size)
     assert math.isfinite(den.error_estimate)
-    assert 0.0 <= den.error_estimate <= 1e-8
+    assert 0.0 <= den.error_estimate <= DEFAULT_CONFIG.abs_tol
+
+
+@pytest.mark.parametrize("grid_size", [16, 512, 2048])
+def test_recovery_evaluates_the_kernel_a_few_times(grid_size):
+    # every cell, end cells included, shares each adaptive pass, so the
+    # number of array evaluations does not grow with the grid
+    calls = []
+
+    def fn_vec(ts):
+        calls.append(len(ts))
+        return 0.5 * ts * (1.0 - ts)
+
+    grid_t = np.linspace(0.01, 0.99, 16)
+    kernel = KernelFn(domain=SupportInterval(0.0, 1.0), form="polynomial-over-interval",
+                      params={"lo": 0.0, "hi": 1.0}, grid_t=grid_t,
+                      grid_tau=0.5 * grid_t * (1.0 - grid_t), atom_zeros=(), _fn_vec=fn_vec)
+    recover_density(kernel, 0.5, grid_size)
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("grid_size", [64, 4096])
