@@ -18,6 +18,7 @@ equal-mass cells.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -200,53 +201,62 @@ AC_FAMILIES = (Uniform, Normal, Exponential, Tabulated)
 # Standard Cantor measure helpers (on [0, 1])
 # ---------------------------------------------------------------------------
 
+CANTOR_TABLE_DEPTH = 12
+_CELLS = 3.0 ** CANTOR_TABLE_DEPTH
+
+
+@functools.cache
+def _cantor_table():
+    """3^T l_k for the left ends l_k of the standard Cantor set's 2^T cells (T =
+    CANTOR_TABLE_DEPTH), in int64; the last cell k starting at or below each
+    integer 0..3^T; and the law's mass and first moment above each cell."""
+    ends = np.rint(cantor_points(CANTOR_TABLE_DEPTH) * _CELLS).astype(np.int64)
+    cell = np.repeat(np.arange(len(ends), dtype=np.int16), np.diff(ends, append=int(_CELLS) + 1))
+    above = np.append(np.cumsum((2 * ends + 1)[::-1])[::-1], 0)
+    return ends, cell, np.arange(len(ends), -1, -1) / len(ends), above / (2.0 * _CELLS * len(ends))
+
+
+def _cantor_cell(x):
+    """(k, w, 0 < w < 1) for x = 3^T u: the last cell from x down and x's offset
+    from its left end, after an x within rounding of an integer becomes it."""
+    ends, cell = _cantor_table()[:2]
+    x = np.where(np.abs(x - np.rint(x)) <= x * 2.0 ** -51, np.rint(x), x)
+    k = cell[x.astype(np.intp)].astype(np.intp)
+    w = x - ends[k]
+    return k, w, (w > 0.0) & (w < 1.0)
+
+
 def cantor_survival_upper_mean(u, depth: int = 64):
     """Survival P(Y >= u) and upper partial mean E[Y 1{Y >= u}] of the
     standard Cantor distribution, evaluated elementwise.
 
-    Uses the self-similarity of the Cantor measure: both quantities satisfy
-    affine recursions under the ternary map, which are accumulated as affine
-    coefficients for `depth` steps.  The truncation error decays like 2^-depth.
+    A walk over `_cantor_table`, T levels a pass: a point in a gap reads
+    both from the table; a point inside a cell goes on from its offset, by
+    the self-similarity of the measure, at most `depth` levels deep.
     """
+    ends, _, s_tab, m_tab = _cantor_table()
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    below = u <= 0.0
-    s = below.astype(float)
-    m = 0.5 * s
-
-    # M(u) = cmm*M(u') + cms*S(u') + cm1 ; S(u) = css*S(u') + cs1, kept for
-    # the points still inside the recursion, which all share cmm and css
-    live = np.flatnonzero(~(below | (u >= 1.0)))
-    v = u[live]
-    cms, cm1, cs1 = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+    x = np.fmin(np.fmax(np.atleast_1d(u), 0.0), 1.0) * _CELLS  # a NaN reads as 0
+    s, m = np.empty_like(x), np.empty_like(x)
+    # M(u) = cmm*M(v) + cms*S(v) + cm1, S(u) = css*S(v) + cs1 at v = x / 3^T in
+    # a cell k: S(v) = S_k+1 + S(w)/2^T, M(v) = M_k+1 + (l_k S(w) + M(w)/3^T)/2^T
+    live = np.arange(len(x))
+    cms = cm1 = cs1 = 0.0
     cmm = css = 1.0
-    for _ in range(depth):
-        left, right = v <= 1.0 / 3.0, v > 2.0 / 3.0
-        mid = ~(left | right)
-        # left: M = M'/6 + 5/12,      S = S'/2 + 1/2,  u' = 3u
-        # mid:  M = 5/12,             S = 1/2          (terminal)
-        # right: M = M'/6 + S'/3,     S = S'/2,        u' = 3u - 2
-        cm1[left] += cmm * (5.0 / 12.0) + cms[left] * 0.5
-        cms[left] = cmm * 0.0 + cms[left] * 0.5
-        cs1[left] += css * 0.5
-        cm1[mid] += cmm * (5.0 / 12.0) + cms[mid] * 0.5
-        cs1[mid] += css * 0.5
-        cms[right] = cmm / 3.0 + cms[right] * 0.5
-        cmm *= 1.0 / 6.0
-        css *= 0.5
-        m[live[mid]], s[live[mid]] = cm1[mid], cs1[mid]
-        v = np.where(left, 3.0 * v, 3.0 * v - 2.0)
-        live, v, cms, cm1, cs1 = (x[~mid] for x in (live, v, cms, cm1, cs1))
+    for _ in range(-(-depth // CANTOR_TABLE_DEPTH)):
+        k, w, inside = _cantor_cell(x)
+        above = k + (w > 0.0)
+        cm1 = cm1 + cmm * m_tab[above] + cms * s_tab[above]
+        cs1 = cs1 + css * s_tab[above]
+        s[live], m[live] = cs1, cm1
+        cms = (cmm * ends[k] / _CELLS + cms) / len(ends)
+        live, x, cms, cm1, cs1 = (a[inside] for a in (live, w * _CELLS, cms, cm1, cs1))
+        cmm, css = cmm / (_CELLS * len(ends)), css / len(ends)
         if not len(live):
             break
-
-    # Close the recursion with mid-range values; residual weight is tiny.
     m[live] = cmm * (5.0 / 12.0) + cms * 0.5 + cm1
     s[live] = css * 0.5 + cs1
-    if scalar:
-        return float(s[0]), float(m[0])
-    return s, m
+    return (float(s[0]), float(m[0])) if u.ndim == 0 else (s, m)
 
 
 def cantor_points(depth: int) -> np.ndarray:
@@ -262,19 +272,19 @@ def cantor_points(depth: int) -> np.ndarray:
 
 
 def cantor_in_support(t, lo: float, hi: float, depth: int = 64):
-    """Whether t lies in the rescaled Cantor set on [lo, hi] (up to depth),
-    elementwise; a scalar t gives a bool."""
+    """Whether t stays in a cell of the rescaled Cantor set on [lo, hi] on every
+    pass (up to depth), elementwise; a scalar t gives a bool."""
     ts = np.asarray(t, dtype=float)
-    member = (ts >= lo) & (ts <= hi)
-    u = np.where(member, (ts - lo) / (hi - lo), 0.5)
-    for _ in range(depth):
-        left = u <= 1.0 / 3.0
-        right = u >= 2.0 / 3.0
-        member &= left | right
-        if not member.any():
+    member = ((ts >= lo) & (ts <= hi)).ravel()
+    live = np.flatnonzero(member)
+    x = (ts.ravel()[live] - lo) / (hi - lo) * _CELLS
+    for _ in range(-(-depth // CANTOR_TABLE_DEPTH)):
+        _, w, inside = _cantor_cell(x)
+        member[live[w > 1.0]] = False
+        live, x = live[inside], w[inside] * _CELLS
+        if not len(live):
             break
-        u = np.where(left, 3.0 * u, np.where(right, 3.0 * u - 2.0, u))
-    return bool(member) if ts.ndim == 0 else member
+    return bool(member[0]) if ts.ndim == 0 else member.reshape(ts.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +778,8 @@ def partial_expectation(spec: DistributionSpec, t):
     For t >= m, per component this is (mean_c - m) * P(X >= t) plus the
     component's centered upper partial mean: closed forms for uniform,
     normal and exponential pieces, exact piecewise-polynomial integrals for
-    tabulated pieces, atom indicator sums, and the Cantor self-similarity
-    recursion.  For t < m the equal lower form
+    tabulated pieces, atom indicator sums, and the Cantor cell-table
+    walk.  For t < m the equal lower form
     -sum_c w_c [(mean_c - m) * P(X < t) + E[(X - mean_c) 1{X < t}]] is used
     instead: in a deep lower tail the upper form sums order-one terms that
     cancel down to the tiny true value, while every lower term is itself
@@ -890,15 +900,17 @@ def _qagi_cells(edges):
     """(a, b, side, anchor) of the starting intervals between sorted edges,
     in `_gk15`'s form: an infinite end becomes (0, 1] under QUADPACK's qagi
     substitution about the finite edge next to it (0 for the whole line)."""
-    cells = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if lo == -math.inf:
-            cells.append((0.0, 1.0, -1.0, hi if hi < math.inf else 0.0))
-        if hi == math.inf:
-            cells.append((0.0, 1.0, 1.0, lo if lo > -math.inf else 0.0))
-        if -math.inf < lo and hi < math.inf:
-            cells.append((lo, hi, 0.0, 0.0))
-    return (np.array(col) for col in zip(*cells))
+    e = np.asarray(edges, dtype=float)
+    i, j = (1 if e[0] == -math.inf else 0), (len(e) - 1 if e[-1] == math.inf else len(e))
+    if j - i == len(e):
+        return e[:-1], e[1:], *(np.zeros(len(e) - 1),) * 2
+    cells = np.zeros((4, max(j - 1, i) + len(e) - j))
+    cells[0, i:j - 1], cells[1, i:j - 1] = e[i:j - 1], e[i + 1:j]
+    if i:
+        cells[:, 0] = 0.0, 1.0, -1.0, e[1] if e[1] < math.inf else 0.0
+    if j < len(e):
+        cells[:, -1] = 0.0, 1.0, 1.0, e[-2] if e[-2] > -math.inf else 0.0
+    return cells
 
 
 def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None):
@@ -1010,16 +1022,17 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     depth = min(config.cantor_depth(1.0) // 2 + 2, MAX_CELL_DEPTH)
     left = cantor_points(depth) if spec.cantor_parts else None
     breaks = {*spec.density_breaks, *extra_breaks, *(a.location for a in spec.atoms)}
-    for c in spec.cantor_parts:
-        span = c.hi - c.lo
-        breaks.update((c.lo + span * left[1:]).tolist(), (c.lo, c.hi),
-                      (c.lo + span * (left[:-1] + 3.0 ** -depth)).tolist())
+    if spec.cantor_parts:
+        ends = np.concatenate((left[1:], left[:-1] + 3.0 ** -depth))
+        breaks = np.unique(np.concatenate([list(breaks)] + [np.concatenate((
+            (c.lo, c.hi), c.lo + (c.hi - c.lo) * ends)) for c in spec.cantor_parts]))
     total = 0.0
     if spec.ac_pieces:
         los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
         a, b = max(min(los), lo), min(max(his), hi)
         if a < b:
-            seams = [a, *sorted(x for x in breaks if a < x < b), b]
+            seams = (np.concatenate(([a], breaks[(a < breaks) & (breaks < b)], [b]))
+                     if spec.cantor_parts else [a, *sorted(x for x in breaks if a < x < b), b])
             total, _ = integrate(lambda x: ac(x) * ac_density(spec, x), seams, config)
     atoms = [a for a in spec.atoms if lo <= a.location <= hi]
     if atoms:

@@ -348,23 +348,25 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
             form, params = "linear", {"slope": 1.0 / r, "origin": 0.0}
 
     grid_t = _chebyshev_interior(lo, hi, grid_size)
+    grid_p = None
     if fn_vec is None:
-        def fn_vec(ts):
+        def fn_vec(ts, p=None):
             # sigma^2 * q / p with sigma^2 q written as the partial expectation;
-            # the zeros of h are left to `values`
+            # the zeros of h are left to `values`; p is the AC density, if known
             pe = np.maximum(partial_expectation(spec, ts), 0.0)
-            p = ac_density(spec, ts)
+            p = ac_density(spec, ts) if p is None else p
             return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
 
         form, params = "grid", {}
         grid_t = grid_t[~_canonical_zeros(grid_t, atom_zeros)]
-        bad = np.nonzero(ac_density(spec, grid_t) < UNDERFLOW_FLOOR)[0]
+        grid_p = ac_density(spec, grid_t)
+        bad = np.nonzero(grid_p < UNDERFLOW_FLOOR)[0]
         if len(bad):
             raise NumericsError(
                 f"AC density underflows below {UNDERFLOW_FLOOR} inside the support "
                 f"interval at t={grid_t[bad[0]]!r}")
-    grid_tau = np.where(_canonical_zeros(grid_t, atom_zeros, cantor_iv), 0.0,
-                        np.maximum(fn_vec(grid_t), 0.0))
+    grid_tau = np.where(_canonical_zeros(grid_t, atom_zeros, cantor_iv), 0.0, np.maximum(
+        fn_vec(grid_t) if grid_p is None else fn_vec(grid_t, grid_p), 0.0))
     return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form=form, params=params,
                     grid_t=grid_t, grid_tau=grid_tau, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,

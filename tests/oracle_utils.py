@@ -9,6 +9,7 @@ library's own expectation engine.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize, stats
@@ -127,6 +128,41 @@ def partial_expectation_oracle(spec, t, cantor_depth=20):
                                       a, hi, limit=300)
                 total += c.weight * v
     return total
+
+
+def cantor_survival_upper_mean_exact(u, depth=70):
+    """(P(Y >= u), E[Y 1{Y >= u}]) of the standard Cantor law as Fractions,
+    from its self-similarity in exact arithmetic `depth` ternary levels deep,
+    then closed with the middle-third values (an error below 2^-depth).
+
+    Y lies in [0, 1/3] or [2/3, 1] with mass 1/2 each, as Y'/3 or 2/3 + Y'/3
+    with Y' a copy of Y, and the right half has mean 5/6."""
+    if u <= 0:
+        return Fraction(1), Fraction(1, 2)
+    if u >= 1:
+        return Fraction(0), Fraction(0)
+    u = Fraction(u)
+    if depth == 0 or 1 < 3 * u < 2:
+        return Fraction(1, 2), Fraction(5, 12)
+    if 3 * u <= 1:
+        s, m = cantor_survival_upper_mean_exact(3 * u, depth - 1)
+        return Fraction(1, 2) + s / 2, Fraction(5, 12) + m / 6
+    s, m = cantor_survival_upper_mean_exact(3 * u - 2, depth - 1)
+    return s / 2, s / 3 + m / 6
+
+
+def cantor_in_support_by_levels(t, lo, hi, depth=64):
+    """Cantor-set membership by the ternary map, one level at a time in
+    floating point: t is a member while its image stays in [0, 1/3] or
+    [2/3, 1] for `depth` levels."""
+    ts = np.asarray(t, dtype=float)
+    member = (ts >= lo) & (ts <= hi)
+    u = np.where(member, (ts - lo) / (hi - lo), 0.5)
+    for _ in range(depth):
+        left, right = u <= 1.0 / 3.0, u >= 2.0 / 3.0
+        member &= left | right
+        u = np.where(left, 3.0 * u, np.where(right, 3.0 * u - 2.0, u))
+    return member
 
 
 def forward_kernel_oracle(spec, t):

@@ -297,6 +297,20 @@ def test_runtime_loads_no_scipy_module(tmp_path):
     assert cp.stdout.strip() == "[]"
 
 
+def test_import_builds_no_cantor_table():
+    # the Cantor cell table is built on first use, so neither `import
+    # steinkit` nor the CLI's imports pay for it; a Cantor kernel builds it
+    code = ("import steinkit, steinkit.cli\n"
+            "from steinkit.distributions import _cantor_table\n"
+            "print(_cantor_table.cache_info().currsize)\n"
+            "steinkit.stein_kernel(steinkit.corpus.KERNEL_SPECS['uniform_cantor'], 64)\n"
+            "print(_cantor_table.cache_info().currsize)\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                        env=CLI_ENV)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.split() == ["0", "1"]
+
+
 @pytest.mark.parametrize("verb, doc", [
     # sigma^2 underflows to 0
     ("clt", {"components": [{"kind": "normal", "mean": 0.0, "sd": 1e-200, "weight": 1.0}]}),

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from steinkit import (
 )
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
 from steinkit.distributions import (
+    _GK_X,
     _ndtr,
     _ndtri,
     cantor_in_support,
@@ -339,6 +341,73 @@ def test_cantor_membership():
     assert not cantor_in_support(1.5, 0.0, 1.0)
     ts = np.array([0.0, 0.25, 0.5, 1.0 / 3.0, 2.0])
     assert list(cantor_in_support(ts, 0.0, 1.0)) == [True, True, False, True, False]
+
+
+def _cantor_ends(depth, cells):
+    """Exact left ends 3^depth l_k of the standard Cantor set's construction
+    cells numbered `cells` at `depth`, as Python ints."""
+    return [sum(2 * 3 ** i for i in range(depth) if k >> i & 1) for k in cells]
+
+
+def _exact(u):
+    pairs = [oracle.cantor_survival_upper_mean_exact(x) for x in u]
+    return np.array([[float(s) for s, _ in pairs], [float(m) for _, m in pairs]])
+
+
+@pytest.mark.parametrize("depth", [11, 14])
+def test_cantor_walk_in_the_gaps_against_exact_oracle(depth):
+    # the engine's Gauss-Kronrod nodes on the gaps between cells, where the
+    # Cantor CDF and partial mean are constant: within one rounding
+    rng = np.random.default_rng(depth)
+    ks = rng.integers(0, 2 ** depth - 1, 40)
+    a = np.array(_cantor_ends(depth, ks)) + 1.0
+    b = np.array(_cantor_ends(depth, ks + 1), dtype=float)
+    nodes = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GK_X).ravel() / 3.0 ** depth
+    got = np.array(cantor_survival_upper_mean(nodes))
+    assert np.abs(got - _exact(nodes)).max() <= 2e-16
+
+
+def test_cantor_walk_exact_at_cell_ends_and_outside():
+    # cell ends down to the table's depth, computed in floats, read as the
+    # exact end; 0, 1 and points off [0, 1] too, as arrays and as scalars
+    rng = np.random.default_rng(5)
+    ends = [Fraction(e + side, 3 ** d) for d in (1, 2, 5, 8, 12)
+            for e in _cantor_ends(d, rng.integers(0, 2 ** d, 30)) for side in (0, 1)]
+    u = np.array([float(f) for f in ends] + [0.0, 1.0, -0.5, -1e300, 1.5, 3.0, math.inf])
+    want = _exact(ends + list(u[len(ends):]))
+    got = np.array(cantor_survival_upper_mean(u))
+    assert np.array_equal(got, want)
+    for x, s, m in zip(u[::7], *want[:, ::7]):
+        assert cantor_survival_upper_mean(float(x)) == (s, m)
+
+
+def test_cantor_walk_near_the_set_against_exact_oracle():
+    # off the gaps the Cantor function's Hoelder modulus (exponent log 2 /
+    # log 3) magnifies the rounding of the input itself to ~3e-11
+    rng = np.random.default_rng(6)
+    near = cantor_points(20)[rng.integers(0, 2 ** 20, 150)] + rng.uniform(-1e-12, 1e-12, 150)
+    u = np.concatenate([rng.uniform(0.0, 1.0, 150), np.clip(near, 0.0, 1.0)])
+    got = np.array(cantor_survival_upper_mean(u))
+    assert np.abs(got - _exact(u)).max() <= 1e-10
+
+
+def test_cantor_membership_agrees_with_the_level_loop():
+    # 10^4 seeded points: on [-0.5, 1.5] and near the set both walks agree;
+    # at float cell ends the table reads the end itself, where the loop's
+    # per-level rounding mostly drifts off the set (it keeps 0, 1 and few others)
+    rng = np.random.default_rng(7)
+    near = cantor_points(20)[rng.integers(0, 2 ** 20, 3000)]
+    near *= 1.0 + rng.uniform(-1e-9, 1e-9, 3000)
+    ends = [(e + side) / 3.0 ** d for d in range(1, 13)
+            for e in _cantor_ends(d, rng.integers(0, 2 ** d, 167)) for side in (0, 1)]
+    generic = np.concatenate([rng.uniform(-0.5, 1.5, 3000), near, [0.0, 0.25, 0.75, 1.0]])
+    assert len(generic) + len(ends) >= 10 ** 4
+    for lo, hi in ((0.0, 1.0), (-2.0, 5.0)):
+        t = (lo + (hi - lo) * generic).reshape(4, -1)  # elementwise on any shape
+        assert np.array_equal(cantor_in_support(t, lo, hi),
+                              oracle.cantor_in_support_by_levels(t, lo, hi))
+    by_levels = oracle.cantor_in_support_by_levels(np.array(ends), 0.0, 1.0)
+    assert cantor_in_support(np.array(ends), 0.0, 1.0).all() and by_levels.any()
 
 
 # -- affine maps -------------------------------------------------------------

@@ -19,6 +19,7 @@ from steinkit import (
     Uniform,
     Verdict,
     affine_transform,
+    discrepancy_bounds,
     discrete_witness,
     existence_check,
     kernel_stats,
@@ -306,6 +307,18 @@ def test_uniform_cantor_certifies_to_1e_10():
     gap, worst = _certify(KERNEL_SPECS["uniform_cantor"])
     assert gap <= 1e-10
     assert worst <= 1e-10
+
+
+def test_uniform_cantor_certificate_pins_its_reference_values():
+    # bound_l1 against the Fubini reference 0.220567221356900: on [0, 1] the
+    # weighted AC density is 1/2, so the AC part sums |E[(X - m)(clamp(X, a, b)
+    # - a)] - sigma^2 (b - a)/2| over crossing panels (mpmath), and the Cantor
+    # part comes from depth-22 cell midpoints
+    spec = KERNEL_SPECS["uniform_cantor"]
+    kernel = stein_kernel(spec, 1024)
+    mean_tau, _ = kernel_stats(spec, kernel)
+    assert abs(mean_tau - moments(spec).variance) <= 1e-13
+    assert abs(discrepancy_bounds(spec, kernel).bound_l1 - 0.220567221356900) <= 1e-10
 
 
 def test_normal_cantor_mixture_residuals_cover_the_normal_tails():
