@@ -35,7 +35,7 @@ from .distributions import (
     truncated_support,
 )
 from .errors import DegenerateError
-from .kernels import KernelFn, kernel_stats
+from .kernels import KernelFn
 
 BRACKETS_PER_PANEL = 64
 XTOL, RTOL = 1e-14, 4.0 * np.finfo(float).eps  # brentq's stopping rule
@@ -149,22 +149,19 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
     bound_l1 = 2 E|tau(X) - sigma^2| is one `expect` over the whole line,
     split at the points of the truncated support where tau crosses sigma^2;
     atoms and the Cantor support contribute sigma^2 times their mass since
-    the canonical kernel vanishes there.  bound_sd = 2 sqrt(Var tau(X)).
+    the canonical kernel vanishes there.  bound_sd = 2 sqrt(Var tau(X)), with
+    E tau and E tau^2 integrated in the same call.
     """
     var = moments(spec).variance
     slo, shi = truncated_support(spec, config.tail_quantile)
     edges = sorted({slo, shi, *(b for b in spec.density_breaks if slo < b < shi),
                     *(a.location for a in spec.atoms if slo < a.location < shi)})
     pts = _find_crossings(lambda t: kernel.values_ae(t) - var, edges)
-    l1 = expect(spec, lambda x, tau: np.abs(tau - var), extra_breaks=pts,
-                kernel=kernel, config=config)
-    bound_l1 = 2.0 * float(l1)
-
-    _, var_tau = kernel_stats(spec, kernel, config=config)
-    bound_sd = 2.0 * math.sqrt(var_tau)
-
+    l1, mean_tau, second = expect(
+        spec, lambda x, tau: np.stack([np.abs(tau - var), tau, tau * tau]),
+        extra_breaks=pts, kernel=kernel, config=config)
     return DiscrepancyReport(
         tv_exact=tv_to_normal(spec, config=config),
-        bound_l1=bound_l1,
-        bound_sd=bound_sd,
+        bound_l1=2.0 * float(l1),
+        bound_sd=2.0 * math.sqrt(max(float(second - mean_tau * mean_tau), 0.0)),
     )

@@ -232,11 +232,13 @@ def cantor_survival_upper_mean(u, depth: int = 64):
 
     A walk over `_cantor_table`, T levels a pass: a point in a gap reads
     both from the table; a point inside a cell goes on from its offset, by
-    the self-similarity of the measure, at most `depth` levels deep.
+    the self-similarity of the measure, at most `depth` levels deep.  A NaN
+    gives NaN for both.
     """
     ends, _, s_tab, m_tab = _cantor_table()
     u = np.asarray(u, dtype=float)
-    x = np.fmin(np.fmax(np.atleast_1d(u), 0.0), 1.0) * _CELLS  # a NaN reads as 0
+    nan = np.isnan(np.atleast_1d(u))
+    x = np.fmin(np.fmax(np.atleast_1d(u), 0.0), 1.0) * _CELLS  # a NaN walks as 0
     s, m = np.empty_like(x), np.empty_like(x)
     # M(u) = cmm*M(v) + cms*S(v) + cm1, S(u) = css*S(v) + cs1 at v = x / 3^T in
     # a cell k: S(v) = S_k+1 + S(w)/2^T, M(v) = M_k+1 + (l_k S(w) + M(w)/3^T)/2^T
@@ -256,6 +258,7 @@ def cantor_survival_upper_mean(u, depth: int = 64):
             break
     m[live] = cmm * (5.0 / 12.0) + cms * 0.5 + cm1
     s[live] = css * 0.5 + cs1
+    s[nan] = m[nan] = math.nan
     return (float(s[0]), float(m[0])) if u.ndim == 0 else (s, m)
 
 
@@ -701,7 +704,7 @@ class QuadratureConfig:
     """Tolerances for the adaptive quadrature engine and tail truncation.
 
     Both tolerances must be positive and finite.  max_subdivisions caps the
-    intervals one `integrate` call adds to its starting ones, in total."""
+    intervals one `integrate` call adds to its starting panels, in total."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -853,6 +856,9 @@ def affine_transform(spec: DistributionSpec, scale: float, shift: float) -> Dist
 # ---------------------------------------------------------------------------
 
 MAX_CELL_DEPTH = 14
+# `integrate` cuts each of its m intervals into 2^j equal panels, j the largest
+# with m 2^j <= PANELS, so that few-edge integrals close in a pass or two
+PANELS = 64
 
 # Gauss-Kronrod 7-15, QUADPACK's qk15 (Piessens et al. 1983): the Kronrod
 # abscissae on [0, 1] from the outside in, their weights, and the weights of
@@ -975,15 +981,22 @@ def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None):
 def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
     """(value, abserr) of the integral of f from edges[0] to edges[-1].
 
-    The intervals between sorted edges start `_adapt`'s globally adaptive
-    Gauss-Kronrod 7-15 (infinite ends under QUADPACK's qagi substitution),
-    and value and abserr are the sums over its final intervals.  f maps a
-    1-D array of points to values, or to a (k, n) stack of k integrands,
-    which then share every node and are refined until the hardest meets
-    max(abs_tol, rel_tol |value|); value and abserr then have shape (k,).
-    Past the subdivision cap the best value comes with an IntegrationWarning.
+    Each of the m intervals between sorted edges (an infinite end under
+    QUADPACK's qagi substitution, in its variable t in (0, 1]) is cut into
+    2^j equal panels, j the largest with m 2^j <= PANELS (or 0), and the
+    panels start `_adapt`'s globally adaptive Gauss-Kronrod 7-15; value and
+    abserr are the sums over its final intervals.  f maps a 1-D array of
+    points to values, or to a (k, n) stack of k integrands, which then share
+    every node and are refined until the hardest meets max(abs_tol, rel_tol
+    |value|); value and abserr then have shape (k,).  Past the subdivision
+    cap the best value comes with an IntegrationWarning.
     """
-    value, error, _ = _adapt(f, config, *_qagi_cells(edges))
+    a, b, side, anchor = _qagi_cells(edges)
+    k = 1 << max((PANELS // max(len(a), 1)).bit_length() - 1, 0)
+    ends = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, k + 1)
+    ends[:, -1] = b
+    value, error, _ = _adapt(f, config, ends[:, :-1].ravel(), ends[:, 1:].ravel(),
+                             *np.repeat([side, anchor], k, axis=1))
     total, abserr = value.sum(axis=-1), error.sum(axis=-1)
     if value.ndim == 1:
         return float(total), float(abserr)
@@ -1005,7 +1018,8 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     over the union of the pieces' supports, so its tolerance holds for the
     whole AC integral.  Its segments are split at the spec's density
     breaks, atoms, extra_breaks, and the edges of each Cantor part's 2^D
-    construction cells (its exact ends included), so every panel is smooth.
+    construction cells (its exact ends included), so every segment is
+    smooth; `integrate` cuts a few segments into its starting panels.
     On the gaps between those cells the Cantor CDF and partial mean are
     constant, so a kernel there is as smooth as the AC density; D is
     cantor_depth(1.0) // 2 + 2, at most MAX_CELL_DEPTH, and set by the
@@ -1017,7 +1031,9 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     cantor_depth(span).
     """
     def ac(x):
-        return np.asarray(g(x, None if kernel is None else kernel.values_ae(x)), dtype=float)
+        p = ac_density(spec, x)
+        return np.asarray(g(x, None if kernel is None else kernel._values_ae(x, spec, p)),
+                          dtype=float) * p
 
     depth = min(config.cantor_depth(1.0) // 2 + 2, MAX_CELL_DEPTH)
     left = cantor_points(depth) if spec.cantor_parts else None
@@ -1033,7 +1049,7 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
         if a < b:
             seams = (np.concatenate(([a], breaks[(a < breaks) & (breaks < b)], [b]))
                      if spec.cantor_parts else [a, *sorted(x for x in breaks if a < x < b), b])
-            total, _ = integrate(lambda x: ac(x) * ac_density(spec, x), seams, config)
+            total, _ = integrate(ac, seams, config)
     atoms = [a for a in spec.atoms if lo <= a.location <= hi]
     if atoms:
         xs = np.array([a.location for a in atoms])

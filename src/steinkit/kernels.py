@@ -266,6 +266,7 @@ class KernelFn:
     cantor_intervals: tuple = ()
     density_breaks: tuple = ()
     _fn_vec: Callable = field(default=None, repr=False)
+    _spec: DistributionSpec = field(default=None, repr=False)  # a grid kernel's own spec
 
     def evaluate(self, t: float) -> float:
         """Kernel value at a point, applying the canonical version rules."""
@@ -283,8 +284,14 @@ class KernelFn:
         """Vectorized evaluation of the Lebesgue-a.e. version: the pointwise
         zeros on atoms and the Cantor set (both null sets) are not applied,
         which is exactly what integrals against Lebesgue measure need."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.maximum(np.asarray(self._fn_vec(ts), dtype=float), 0.0)
+        return self._values_ae(np.asarray(ts, dtype=float))
+
+    def _values_ae(self, ts, spec=None, p=None) -> np.ndarray:
+        """values_ae at the array ts, where p, if given, is spec's AC density
+        at ts: a grid kernel of that spec then takes it instead of its own."""
+        own = self._spec is not None and spec is self._spec
+        fx = self._fn_vec(ts, p) if own else self._fn_vec(ts)
+        out = np.maximum(np.asarray(fx, dtype=float), 0.0)
         return np.where((ts <= self.domain.lo) | (ts >= self.domain.hi), 0.0, out)
 
     def descriptor(self) -> dict | None:
@@ -370,7 +377,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form=form, params=params,
                     grid_t=grid_t, grid_tau=grid_tau, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,
-                    _fn_vec=fn_vec)
+                    _fn_vec=fn_vec, _spec=spec if grid_p is not None else None)
 
 
 # ---------------------------------------------------------------------------

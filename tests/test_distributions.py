@@ -391,6 +391,19 @@ def test_cantor_walk_near_the_set_against_exact_oracle():
     assert np.abs(got - _exact(u)).max() <= 1e-10
 
 
+def test_cantor_walk_propagates_nan():
+    # as every AC piece's closed form does; the clamp used to walk a NaN as 0
+    s, m = cantor_survival_upper_mean(math.nan)
+    assert math.isnan(s) and math.isnan(m)
+    s, m = cantor_survival_upper_mean(np.array([0.5, math.nan, 2.0 / 3.0]))
+    assert np.isnan(s).tolist() == np.isnan(m).tolist() == [False, True, False]
+    assert (s[0], s[2]) == (0.5, 0.5)
+    cantor_only = NO_KERNEL_SPECS["cantor_only"][0]
+    assert math.isnan(partial_expectation(cantor_only, math.nan))
+    assert np.isnan(partial_expectation(cantor_only, np.array([0.3, math.nan]))).tolist() == [
+        False, True]
+
+
 def test_cantor_membership_agrees_with_the_level_loop():
     # 10^4 seeded points: on [-0.5, 1.5] and near the set both walks agree;
     # at float cell ends the table reads the end itself, where the loop's
@@ -524,6 +537,31 @@ def test_multi_piece_kernel_certifies(name):
         assert abs(stein_residual(spec, kernel, tf)) < 1e-9, tf.id
 
 
+@pytest.mark.parametrize("name", ["normal_std", "exponential1"])
+def test_few_edge_integrals_close_in_a_few_passes(name, monkeypatch):
+    # integrate starts from equal panels rather than the bare edges, so a
+    # certificate integral needs at most a few adaptive passes of _gk15
+    import steinkit.distributions as dist
+    from steinkit import kernel_stats, standard_test_functions, stein_kernel, stein_residual
+    from steinkit.discrepancy import tv_to_normal
+    passes = []
+    gk15 = dist._gk15
+
+    def counting(*args):
+        passes[-1] += 1
+        return gk15(*args)
+
+    monkeypatch.setattr(dist, "_gk15", counting)
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 1024)
+    jobs = [lambda tf=tf: stein_residual(spec, kernel, tf)
+            for tf in standard_test_functions(*truncated_support(spec, 1e-9))]
+    for job in jobs + [lambda: kernel_stats(spec, kernel), lambda: tv_to_normal(spec)]:
+        passes.append(0)
+        job()
+    assert 1 <= max(passes) <= 4, passes
+
+
 def test_stacked_rows_match_separate_calls():
     from steinkit.distributions import integrate
     rows = [lambda x: np.exp(-x * x), lambda x: np.cos(3.0 * x) * np.exp(-0.5 * x * x),
@@ -561,6 +599,22 @@ def test_integrate_warns_when_the_subdivision_cap_is_hit():
                                   QuadratureConfig(max_subdivisions=1))
     assert value == pytest.approx(0.29, abs=1e-2)
     assert abserr > 1e-9
+
+
+def test_subdivision_cap_counts_the_starting_panels_as_starting_intervals():
+    # one edge pair starts as PANELS panels; one more bisection adds two
+    from steinkit import IntegrationWarning, QuadratureConfig
+    from steinkit.distributions import PANELS
+    nodes = []
+
+    def f(x):
+        nodes.append(len(x))
+        return np.abs(x - 0.3)
+
+    with pytest.warns(IntegrationWarning):
+        integrate(f, [0.0, 1.0], QuadratureConfig(max_subdivisions=1))
+    assert nodes[0] == 15 * PANELS
+    assert sum(nodes[1:]) <= 15 * 2
 
 
 def test_subdivision_cap_counts_the_intervals_added_in_total():
