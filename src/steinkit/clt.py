@@ -35,10 +35,10 @@ from .distributions import (
     Tabulated,
     _expi_minus_one,
     _ndtr,
-    _piece_cdf_centered_lower,
     _piece_cf_centered,
     _piece_cf_envelope,
     _piece_mean,
+    _piece_tail,
     ac_density,
     moments,
     truncated_support,
@@ -156,7 +156,7 @@ def _cell_masses(spec: DistributionSpec, lo: float, hi: float, grid_size: int):
     if single:
         edges = np.array([lo + k * dx for k in single]
                          + [min(lo + (k + 1) * dx, hi) for k in single])
-        cdf = sum(c.weight * _piece_cdf_centered_lower(c, edges)[0] for c in spec.ac_pieces)
+        cdf = sum(c.weight * _piece_tail(c, edges, lower=True)[0] for c in spec.ac_pieces)
         w[single] = cdf[len(single):] - cdf[:len(single)]
     return w, dx
 

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _SQRT2PI,
     DEFAULT_CONFIG,
     DistributionSpec,
+    Normal,
     QuadratureConfig,
     _ndtri,
+    _piece_pdf,
     ac_density,
     expect,
     integrate,
@@ -54,11 +55,6 @@ class DiscrepancyReport:
 
     def to_dict(self) -> dict:
         return {"tv": self.tv_exact, "bound_l1": self.bound_l1, "bound_sd": self.bound_sd}
-
-
-def _normal_pdf(t, m, sd):
-    z = (np.asarray(t, dtype=float) - m) / sd
-    return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
 
 
 def _find_crossings(f, edges) -> np.ndarray:
@@ -133,9 +129,10 @@ def tv_to_normal(spec: DistributionSpec,
     hi = max(shi, m + z * sd)
 
     edges = sorted({lo, hi, *(b for b in spec.density_breaks if lo < b < hi)})
+    normal = Normal(m, sd, 1.0)
 
     def diff(t):
-        return ac_density(spec, t) - _normal_pdf(t, m, sd)
+        return ac_density(spec, t) - _piece_pdf(normal, t)
 
     pts = [-math.inf, *_find_crossings(diff, edges), math.inf]
     total, _ = integrate(lambda t: np.abs(diff(t)), pts, config)

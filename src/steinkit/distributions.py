@@ -23,7 +23,7 @@ import json
 import math
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -114,7 +114,9 @@ class Tabulated:
     """Piecewise-linear density over a strictly increasing grid, weighted.
 
     Input values are renormalized at construction so the interpolated
-    density integrates to one; the stored arrays are immutable.
+    density integrates to one, unless it already does within WEIGHT_SUM_TOL,
+    so that a piece written out and read back is bitwise the same; the
+    stored arrays are immutable.
     """
 
     grid: np.ndarray
@@ -134,23 +136,26 @@ class Tabulated:
         total = np.trapezoid(v, g)
         if not total > 0:
             raise SpecError("tabulated density must have positive total mass")
-        v = v / total
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            v = v / total
         g.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
         _check_weight(self.weight, "tabulated")
-        # Per-segment mass and first/second moments, plus suffix and prefix
-        # sums for O(log n) upper and lower partial-mean queries.
+        # Per-segment mass and first moment, second moment about the piece's
+        # mean, plus suffix and prefix sums for O(log n) upper and lower
+        # partial-mean queries.
         a, b = g[:-1], g[1:]
         va, vb = v[:-1], v[1:]
         h = b - a
         seg_mass = 0.5 * (va + vb) * h
         seg_m1 = h / 6.0 * (va * (2 * a + b) + vb * (a + 2 * b))
-        seg_m2 = h / 12.0 * (va * (3 * a * a + 2 * a * b + b * b)
-                             + vb * (a * a + 2 * a * b + 3 * b * b))
         suf_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
         suf_m1 = np.concatenate([np.cumsum(seg_m1[::-1])[::-1], [0.0]])
+        a, b = a - suf_m1[0], b - suf_m1[0]
+        seg_m2 = h / 12.0 * (va * (3 * a * a + 2 * a * b + b * b)
+                             + vb * (a * a + 2 * a * b + 3 * b * b))
         pre_mass = np.concatenate([[0.0], np.cumsum(seg_mass)])
         pre_m1 = np.concatenate([[0.0], np.cumsum(seg_m1)])
         for arr in (seg_mass, seg_m1, seg_m2, suf_mass, suf_m1, pre_mass, pre_m1):
@@ -203,6 +208,9 @@ AC_FAMILIES = (Uniform, Normal, Exponential, Tabulated)
 
 CANTOR_TABLE_DEPTH = 12
 _CELLS = 3.0 ** CANTOR_TABLE_DEPTH
+# passes of the cell-table walks, T levels each: 72 ternary levels, at least
+# the 64 at which a cell's mass 2^-64 lies below the rounding of values near 1
+CANTOR_PASSES = 6
 
 
 @functools.cache
@@ -226,26 +234,26 @@ def _cantor_cell(x):
     return k, w, (w > 0.0) & (w < 1.0)
 
 
-def cantor_survival_upper_mean(u, depth: int = 64):
+def cantor_survival_upper_mean(u):
     """Survival P(Y >= u) and upper partial mean E[Y 1{Y >= u}] of the
     standard Cantor distribution, evaluated elementwise.
 
     A walk over `_cantor_table`, T levels a pass: a point in a gap reads
     both from the table; a point inside a cell goes on from its offset, by
-    the self-similarity of the measure, at most `depth` levels deep.  A NaN
-    gives NaN for both.
+    the self-similarity of the measure, for at most CANTOR_PASSES passes.  A
+    NaN gives NaN for both.
     """
     ends, _, s_tab, m_tab = _cantor_table()
     u = np.asarray(u, dtype=float)
-    nan = np.isnan(np.atleast_1d(u))
-    x = np.fmin(np.fmax(np.atleast_1d(u), 0.0), 1.0) * _CELLS  # a NaN walks as 0
+    nan = np.isnan(u.ravel())
+    x = np.fmin(np.fmax(u.ravel(), 0.0), 1.0) * _CELLS  # a NaN walks as 0
     s, m = np.empty_like(x), np.empty_like(x)
     # M(u) = cmm*M(v) + cms*S(v) + cm1, S(u) = css*S(v) + cs1 at v = x / 3^T in
     # a cell k: S(v) = S_k+1 + S(w)/2^T, M(v) = M_k+1 + (l_k S(w) + M(w)/3^T)/2^T
     live = np.arange(len(x))
     cms = cm1 = cs1 = 0.0
     cmm = css = 1.0
-    for _ in range(-(-depth // CANTOR_TABLE_DEPTH)):
+    for _ in range(CANTOR_PASSES):
         k, w, inside = _cantor_cell(x)
         above = k + (w > 0.0)
         cm1 = cm1 + cmm * m_tab[above] + cms * s_tab[above]
@@ -259,7 +267,9 @@ def cantor_survival_upper_mean(u, depth: int = 64):
     m[live] = cmm * (5.0 / 12.0) + cms * 0.5 + cm1
     s[live] = css * 0.5 + cs1
     s[nan] = m[nan] = math.nan
-    return (float(s[0]), float(m[0])) if u.ndim == 0 else (s, m)
+    if u.ndim == 0:
+        return float(s[0]), float(m[0])
+    return s.reshape(u.shape), m.reshape(u.shape)
 
 
 def cantor_points(depth: int) -> np.ndarray:
@@ -274,14 +284,14 @@ def cantor_points(depth: int) -> np.ndarray:
     return x
 
 
-def cantor_in_support(t, lo: float, hi: float, depth: int = 64):
+def cantor_in_support(t, lo: float, hi: float):
     """Whether t stays in a cell of the rescaled Cantor set on [lo, hi] on every
-    pass (up to depth), elementwise; a scalar t gives a bool."""
+    one of CANTOR_PASSES passes, elementwise; a scalar t gives a bool."""
     ts = np.asarray(t, dtype=float)
     member = ((ts >= lo) & (ts <= hi)).ravel()
     live = np.flatnonzero(member)
     x = (ts.ravel()[live] - lo) / (hi - lo) * _CELLS
-    for _ in range(-(-depth // CANTOR_TABLE_DEPTH)):
+    for _ in range(CANTOR_PASSES):
         _, w, inside = _cantor_cell(x)
         member[live[w > 1.0]] = False
         live, x = live[inside], w[inside] * _CELLS
@@ -311,21 +321,20 @@ def _piece_mean(c) -> float:
     raise TypeError(f"unknown component {c!r}")
 
 
-def _piece_second_moment(c) -> float:
+def _piece_variance(c) -> float:
     match c:
         case Uniform():
-            return (c.lo * c.lo + c.lo * c.hi + c.hi * c.hi) / 3.0
+            return (c.hi - c.lo) * (c.hi - c.lo) / 12.0
         case Normal():
-            return c.mean * c.mean + c.sd * c.sd
+            return c.sd * c.sd
         case Exponential():
-            return 2.0 / (c.rate * c.rate)
+            return 1.0 / (c.rate * c.rate)
         case Tabulated():
-            return float(np.sum(c._seg_m2))
+            return math.fsum(c._seg_m2)
         case Atom():
-            return c.location * c.location
+            return 0.0
         case CantorPart():
-            half = 0.5 * (c.lo + c.hi)
-            return half * half + (c.hi - c.lo) ** 2 / 8.0
+            return (c.hi - c.lo) * (c.hi - c.lo) / 8.0
     raise TypeError(f"unknown component {c!r}")
 
 
@@ -346,95 +355,54 @@ def _piece_pdf(c, t: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown component {c!r}")
 
 
-def _piece_survival_centered_upper(c, t: np.ndarray):
-    """(P(X >= t), E[(X - mean_c) 1{X >= t}]) for one component, elementwise.
-
-    The centered partial mean has a cancellation-free closed form for every
-    family, so deep-tail values scale with the local density instead of
-    losing absolute precision to the subtraction of order-one terms.
-    """
-    match c:
-        case Uniform():
-            tc = np.clip(t, c.lo, c.hi)
-            s = (c.hi - tc) / (c.hi - c.lo)
-            centered = (c.hi - tc) * (tc - c.lo) / (2.0 * (c.hi - c.lo))
-            return s, centered
-        case Normal():
-            z = (t - c.mean) / c.sd
-            s = _ndtr(-z)
-            centered = c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
-            return s, centered
-        case Exponential():
-            tc = np.maximum(t, 0.0)
-            s = np.exp(-c.rate * tc)
-            centered = tc * s
-            return s, centered
-        case Tabulated():
-            return _tabulated_survival_centered_upper(c, t)
-        case Atom():
-            return (t <= c.location).astype(float), np.zeros_like(t)
-        case CantorPart():
-            span = c.hi - c.lo
-            s, m = cantor_survival_upper_mean((t - c.lo) / span)
-            return s, span * (m - 0.5 * s)
-    raise TypeError(f"unknown component {c!r}")
-
-
-def _tabulated_split(c: Tabulated, t: np.ndarray):
-    """Locate t in the tabulated grid: (tc, idx, value at tc), with tc the
-    clamped point and idx its segment."""
-    g, v = c.grid, c.values
-    tc = np.clip(np.asarray(t, dtype=float), g[0], g[-1])
-    idx = np.clip(np.searchsorted(g, tc, side="right") - 1, 0, len(g) - 2)
-    vt = v[idx] + (v[idx + 1] - v[idx]) * (tc - g[idx]) / (g[idx + 1] - g[idx])
-    return tc, idx, vt
-
-
 def _linear_piece_mass_m1(a, b, va, vb):
     """Mass and first moment of a linear density from (a, va) to (b, vb)."""
     w = b - a
     return 0.5 * (va + vb) * w, w / 6.0 * (va * (2 * a + b) + vb * (a + 2 * b))
 
 
-def _tabulated_survival_centered_upper(c: Tabulated, t: np.ndarray):
-    tc, idx, vt = _tabulated_split(c, t)
-    part_mass, part_m1 = _linear_piece_mass_m1(tc, c.grid[idx + 1], vt, c.values[idx + 1])
-    s = part_mass + c._suf_mass[idx + 1]
-    u = part_m1 + c._suf_m1[idx + 1]
-    return s, u - _piece_mean(c) * s
+def _piece_tail(c, t: np.ndarray, lower: bool):
+    """(P, C) for one component, elementwise: P = P(X >= t), or P(X < t) when
+    `lower`, and C = E[(X - mean_c) 1{X >= t}] = -E[(X - mean_c) 1{X < t}].
 
-
-def _piece_cdf_centered_lower(c, t: np.ndarray):
-    """(P(X < t), E[(X - mean_c) 1{X < t}]) for one component, elementwise.
-
-    The lower-tail twin of `_piece_survival_centered_upper`: each CDF is
-    computed directly rather than as one minus a survival function, so
-    both values are exactly zero below the support and keep full relative
-    precision in a deep lower tail.
+    Each probability is computed directly rather than as one minus the
+    other, so a CDF is exactly zero below the support and keeps full
+    relative precision in a deep lower tail.  C has a cancellation-free
+    closed form for every family, so deep-tail values scale with the local
+    density instead of losing absolute precision to the subtraction of
+    order-one terms; a tabulated piece sums its suffix sums on the upper
+    side and its prefix sums on the lower side.
     """
     match c:
         case Uniform():
             tc = np.clip(t, c.lo, c.hi)
-            f = (tc - c.lo) / (c.hi - c.lo)
-            centered = -(c.hi - tc) * (tc - c.lo) / (2.0 * (c.hi - c.lo))
-            return f, centered
+            p = (tc - c.lo if lower else c.hi - tc) / (c.hi - c.lo)
+            return p, (c.hi - tc) * (tc - c.lo) / (2.0 * (c.hi - c.lo))
         case Normal():
             z = (t - c.mean) / c.sd
-            return _ndtr(z), -c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
+            return _ndtr(z if lower else -z), c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
         case Exponential():
             tc = np.maximum(t, 0.0)
-            return -np.expm1(-c.rate * tc), -tc * np.exp(-c.rate * tc)
+            s = np.exp(-c.rate * tc)
+            return (-np.expm1(-c.rate * tc) if lower else s), tc * s
         case Tabulated():
-            tc, idx, vt = _tabulated_split(c, t)
-            part_mass, part_m1 = _linear_piece_mass_m1(c.grid[idx], tc, c.values[idx], vt)
-            f = c._pre_mass[idx] + part_mass
-            return f, c._pre_m1[idx] + part_m1 - _piece_mean(c) * f
+            g, v = c.grid, c.values
+            tc = np.clip(np.asarray(t, dtype=float), g[0], g[-1])
+            i = np.clip(np.searchsorted(g, tc, side="right") - 1, 0, len(g) - 2)
+            vt = v[i] + (v[i + 1] - v[i]) * (tc - g[i]) / (g[i + 1] - g[i])
+            if lower:
+                mass, m1 = _linear_piece_mass_m1(g[i], tc, v[i], vt)
+                p = c._pre_mass[i] + mass
+                return p, _piece_mean(c) * p - (c._pre_m1[i] + m1)
+            mass, m1 = _linear_piece_mass_m1(tc, g[i + 1], vt, v[i + 1])
+            p = mass + c._suf_mass[i + 1]
+            return p, m1 + c._suf_m1[i + 1] - _piece_mean(c) * p
         case Atom():
-            return (t > c.location).astype(float), np.zeros_like(t)
+            return (t > c.location if lower else t <= c.location).astype(float), np.zeros_like(t)
         case CantorPart():
             span = c.hi - c.lo
             s, m = cantor_survival_upper_mean((t - c.lo) / span)
-            return 1.0 - s, -span * (m - 0.5 * s)
+            return (1.0 - s if lower else s), span * (m - 0.5 * s)
     raise TypeError(f"unknown component {c!r}")
 
 
@@ -557,10 +525,8 @@ def _piece_support(c):
         case Exponential():
             return (0.0, math.inf)
         case Tabulated():
-            pos = np.nonzero(c.values > 0)[0]
-            lo = c.grid[pos[0] - 1] if pos[0] > 0 else c.grid[0]
-            hi = c.grid[pos[-1] + 1] if pos[-1] < len(c.grid) - 1 else c.grid[-1]
-            return (float(lo), float(hi))
+            pos = _positivity_intervals(c)
+            return (pos[0][0], pos[-1][1])
         case Atom():
             return (c.location, c.location)
         case CantorPart():
@@ -591,20 +557,11 @@ def _positivity_intervals(c):
         case Exponential():
             return [(0.0, math.inf)]
         case Tabulated():
-            g, v = c.grid, c.values
-            out = []
-            start = None
-            for i in range(len(g) - 1):
-                dead = v[i] == 0.0 and v[i + 1] == 0.0
-                if dead:
-                    if start is not None:
-                        out.append((start, float(g[i])))
-                        start = None
-                elif start is None:
-                    start = float(g[i])
-            if start is not None:
-                out.append((start, float(g[-1])))
-            return out
+            # runs of segments with a positive density at either knot
+            live = ((c.values[:-1] > 0.0) | (c.values[1:] > 0.0)).astype(int)
+            steps = np.diff(np.concatenate(([0], live, [0])))
+            return [(float(c.grid[i]), float(c.grid[j]))
+                    for i, j in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1))]
     raise TypeError(f"{c!r} has no density")
 
 
@@ -736,16 +693,17 @@ def moments(spec: DistributionSpec) -> Moments:
 
 
 def _closed_form_moments(spec: DistributionSpec) -> Moments:
+    """Mean by `math.fsum`, and the variance as the centred sum
+    fsum_c w_c [Var_c + (mean_c - m)^2] (Chan, Golub and LeVeque, Amer.
+    Statist. 1983): E[X^2] - m^2 cancels to nothing where |m| >> sigma."""
     try:
-        mean = sum(_component_weight(c) * _piece_mean(c) for c in spec.components)
-        m2 = sum(_component_weight(c) * _piece_second_moment(c) for c in spec.components)
-        var = max(m2 - mean * mean, 0.0)
-    except (ZeroDivisionError, OverflowError) as exc:
+        mean = math.fsum(_component_weight(c) * _piece_mean(c) for c in spec.components)
+        var = math.fsum(_component_weight(c) * (_piece_variance(c) + (_piece_mean(c) - mean) ** 2)
+                        for c in spec.components)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise SpecError(f"closed-form moments are not finite: {exc}") from exc
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise SpecError(f"closed-form moments are not finite: mean {mean}, variance {var}")
-    if spec.is_single_atom():
-        var = 0.0
     return Moments(mean=mean, variance=var)
 
 
@@ -791,27 +749,22 @@ def partial_expectation(spec: DistributionSpec, t):
     m = moments(spec).mean
     arr = np.asarray(t, dtype=float)
     if arr.ndim == 0:
-        return float(_upper_form(spec, arr, m) if arr >= m else _lower_form(spec, arr, m))
+        return float(_tail_form(spec, arr, m, lower=not arr >= m))
     out = np.empty_like(arr)
     upper = arr >= m
-    out[upper] = _upper_form(spec, arr[upper], m)
-    out[~upper] = _lower_form(spec, arr[~upper], m)
+    out[upper] = _tail_form(spec, arr[upper], m, lower=False)
+    out[~upper] = _tail_form(spec, arr[~upper], m, lower=True)
     return out
 
 
-def _upper_form(spec: DistributionSpec, t: np.ndarray, m: float) -> np.ndarray:
+def _tail_form(spec: DistributionSpec, t: np.ndarray, m: float, lower: bool) -> np.ndarray:
+    """sum_c w_c [(mean_c - m) P(X >= t) + C_c], or, when `lower`, its equal
+    sum_c w_c [(m - mean_c) P(X < t) + C_c], with (P, C) from `_piece_tail`."""
     out = np.zeros_like(t)
     for c in spec.components:
-        s, centered = _piece_survival_centered_upper(c, t)
-        out = out + _component_weight(c) * ((_piece_mean(c) - m) * s + centered)
-    return out
-
-
-def _lower_form(spec: DistributionSpec, t: np.ndarray, m: float) -> np.ndarray:
-    out = np.zeros_like(t)
-    for c in spec.components:
-        f, centered = _piece_cdf_centered_lower(c, t)
-        out = out - _component_weight(c) * ((_piece_mean(c) - m) * f + centered)
+        p, centered = _piece_tail(c, t, lower)
+        shift = m - _piece_mean(c) if lower else _piece_mean(c) - m
+        out = out + _component_weight(c) * (shift * p + centered)
     return out
 
 
@@ -1075,31 +1028,27 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
 # Spec documents (JSON)
 # ---------------------------------------------------------------------------
 
+# the document kind of each component class; its dataclass fields, in order,
+# are the document's keys after "kind", read as float arrays where annotated
+# np.ndarray and as floats elsewhere
+KINDS = {"uniform": Uniform, "normal": Normal, "exponential": Exponential,
+         "tabulated": Tabulated, "atom": Atom, "cantor": CantorPart}
+
+
 def _component_from_dict(d: dict):
     if not isinstance(d, dict) or "kind" not in d:
         raise SpecError(f"component entry must be an object with a 'kind': {d!r}")
     kind = d["kind"]
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SpecError(f"unknown component kind {kind!r}")
     try:
-        match kind:
-            case "uniform":
-                return Uniform(float(d["lo"]), float(d["hi"]), float(d["weight"]))
-            case "normal":
-                return Normal(float(d["mean"]), float(d["sd"]), float(d["weight"]))
-            case "exponential":
-                return Exponential(float(d["rate"]), float(d["weight"]))
-            case "tabulated":
-                return Tabulated(np.asarray(d["grid"], dtype=float),
-                                 np.asarray(d["values"], dtype=float),
-                                 float(d["weight"]))
-            case "atom":
-                return Atom(float(d["location"]), float(d["mass"]))
-            case "cantor":
-                return CantorPart(float(d["lo"]), float(d["hi"]), float(d["weight"]))
+        return cls(*(np.asarray(d[f.name], dtype=float) if f.type == "np.ndarray"
+                     else float(d[f.name]) for f in fields(cls)))
     except KeyError as exc:
         raise SpecError(f"{kind} component missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad {kind} component: {exc}") from exc
-    raise SpecError(f"unknown component kind {kind!r}")
 
 
 def spec_from_dict(doc: dict) -> DistributionSpec:
@@ -1112,22 +1061,14 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
 
 
 def spec_to_dict(spec: DistributionSpec) -> dict:
+    kind_of = {cls: kind for kind, cls in KINDS.items()}
     out = []
     for c in spec.components:
-        match c:
-            case Uniform():
-                out.append({"kind": "uniform", "lo": c.lo, "hi": c.hi, "weight": c.weight})
-            case Normal():
-                out.append({"kind": "normal", "mean": c.mean, "sd": c.sd, "weight": c.weight})
-            case Exponential():
-                out.append({"kind": "exponential", "rate": c.rate, "weight": c.weight})
-            case Tabulated():
-                out.append({"kind": "tabulated", "grid": list(c.grid),
-                            "values": list(c.values), "weight": c.weight})
-            case Atom():
-                out.append({"kind": "atom", "location": c.location, "mass": c.mass})
-            case CantorPart():
-                out.append({"kind": "cantor", "lo": c.lo, "hi": c.hi, "weight": c.weight})
+        doc = {"kind": kind_of[type(c)]}
+        for f in fields(c):
+            value = getattr(c, f.name)
+            doc[f.name] = list(value) if isinstance(value, np.ndarray) else value
+        out.append(doc)
     return {"components": out}
 
 

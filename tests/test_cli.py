@@ -314,14 +314,11 @@ def test_import_builds_no_cantor_table():
 @pytest.mark.parametrize("verb, doc", [
     # sigma^2 underflows to 0
     ("clt", {"components": [{"kind": "normal", "mean": 0.0, "sd": 1e-200, "weight": 1.0}]}),
-    # E[X^2] - m^2 cancels to 0 far from the origin
-    ("clt", {"components": [
-        {"kind": "normal", "mean": 1e8 + 0.1, "sd": 1.0, "weight": 0.5},
-        {"kind": "uniform", "lo": 1e8, "hi": 1e8 + 1.0, "weight": 0.5}]}),
-    # Var tau ~ s^4 overflows to a NaN bound_sd
-    ("bound", {"components": [
+    # Var tau ~ s^4 overflows to a NaN bound_sd (the id it had next to a
+    # case that the centred variance mended)
+    pytest.param("bound", {"components": [
         {"kind": "uniform", "lo": 0.0, "hi": 1e100, "weight": 0.5},
-        {"kind": "uniform", "lo": 5e99, "hi": 2e100, "weight": 0.5}]}),
+        {"kind": "uniform", "lo": 5e99, "hi": 2e100, "weight": 0.5}]}, id="bound-doc2"),
 ])
 def test_arithmetic_failures_exit_two(tmp_path, verb, doc):
     extra = ["--n", "1,4"] if verb == "clt" else []
@@ -330,6 +327,24 @@ def test_arithmetic_failures_exit_two(tmp_path, verb, doc):
     assert "Traceback" not in cp.stderr
     errors = [line for line in cp.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and cp.stderr.rstrip().endswith(errors[0])
+
+
+@pytest.mark.parametrize("verb", ["bound", "clt"])
+def test_far_from_the_origin_matches_the_spec_at_the_origin(tmp_path, verb):
+    # NORMAL_UNIFORM shifted by b = 1e8: E[X^2] - m^2 cancelled to sigma^2 = 0
+    # there, so `bound` exited 4 and `clt` divided by zero; d_TV and the CLT
+    # bound are shift-invariant
+    far = {"components": [
+        {"kind": "normal", "mean": 1e8 + 0.1, "sd": 1.0, "weight": 0.5},
+        {"kind": "uniform", "lo": 1e8, "hi": 1e8 + 1.0, "weight": 0.5}]}
+    extra = ["--n", "1,4"] if verb == "clt" else []
+    got, want = (run_cli(verb, write_spec(tmp_path, f"{i}.json", doc), *extra)
+                 for i, doc in enumerate((far, NORMAL_UNIFORM)))
+    assert got.returncode == want.returncode == 0, got.stderr
+    got, want = json.loads(got.stdout), json.loads(want.stdout)
+    keys = ["tv", "bound_l1", "bound_sd"] if verb == "bound" else ["bounds", "empirical"]
+    for key in keys:
+        assert got[key] == pytest.approx(want[key], rel=1e-7, abs=0.0)
 
 
 @pytest.mark.parametrize("verb, grid", [("kernel", "1048577"), ("recover", "1099511627776")])

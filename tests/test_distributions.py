@@ -1,13 +1,17 @@
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from steinkit import (
+    Atom,
     CantorPart,
     DistributionSpec,
     Exponential,
@@ -27,12 +31,17 @@ from steinkit import (
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
 from steinkit.distributions import (
     _GK_X,
+    KINDS,
     _ndtr,
     _ndtri,
+    _piece_support,
+    _piece_tail,
+    _positivity_intervals,
     cantor_in_support,
     cantor_points,
     cantor_survival_upper_mean,
     integrate,
+    spec_from_dict,
 )
 
 import oracle_utils as oracle
@@ -115,6 +124,64 @@ def test_spec_roundtrip_through_dict():
         assert moments(again) == moments(spec), name
 
 
+def _params(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixtures(draw):
+    """Valid mixtures of one to four components of any of the six kinds."""
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=4))
+    raw = draw(st.lists(_params(0.05, 1.0), min_size=len(kinds), max_size=len(kinds)))
+    comps = []
+    for kind, w in zip(kinds, raw):
+        w = w / math.fsum(raw)
+        lo, width = draw(_params(-10.0, 10.0)), draw(_params(0.01, 10.0))
+        match kind:
+            case "uniform" | "cantor":
+                comps.append(KINDS[kind](lo, lo + width, w))
+            case "normal":
+                comps.append(Normal(lo, width, w))
+            case "exponential":
+                comps.append(Exponential(1.0 / width, w))
+            case "atom":
+                comps.append(Atom(lo, w))
+            case "tabulated":
+                steps = draw(st.lists(_params(0.01, 2.0), min_size=1, max_size=5))
+                values = draw(st.lists(_params(0.0, 5.0), min_size=len(steps) + 1,
+                                       max_size=len(steps) + 1))
+                assume(max(values) > 0.0)
+                comps.append(Tabulated(lo + np.cumsum([0.0, *steps]), np.array(values), w))
+    locations = [c.location for c in comps if isinstance(c, Atom)]
+    assume(len(set(locations)) == len(locations))
+    return DistributionSpec(tuple(comps))
+
+
+def _bits(c):
+    return [np.asarray(getattr(c, f.name), dtype=float).tobytes() for f in fields(c)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mixtures())
+def test_spec_document_reproduces_every_field_bitwise(spec):
+    for again in (spec_from_dict(spec_to_dict(spec)), parse_spec(json.dumps(spec_to_dict(spec)))):
+        assert [type(c) for c in again.components] == [type(c) for c in spec.components]
+        assert [_bits(c) for c in again.components] == [_bits(c) for c in spec.components]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mixtures(), st.lists(_params(-25.0, 35.0), min_size=1, max_size=8))
+def test_piece_tail_forms_agree(spec, ts):
+    # P(X < t) + P(X >= t) = 1 and E[(X - mean_c) 1{X >= t}] read from
+    # either side agree, for every family
+    t = np.array([*ts, *spec.density_breaks])
+    for c in spec.components:
+        p_up, c_up = _piece_tail(c, t, lower=False)
+        p_low, c_low = _piece_tail(c, t, lower=True)
+        assert np.abs(p_low + p_up - 1.0).max() <= 1e-12, c
+        assert np.abs(c_low - c_up).max() <= 1e-12 * max(1.0, np.abs(t).max()), c
+
+
 # -- moments -----------------------------------------------------------------
 
 def test_uniform_moments():
@@ -145,6 +212,28 @@ def test_cantor_moments_closed_form():
 def test_single_atom_variance_zero():
     mom = moments(NO_KERNEL_SPECS["dirac"][0])
     assert mom.variance == 0.0
+
+
+@pytest.mark.parametrize("name, want", [
+    ("uniform01", Fraction(1, 12)), ("tabulated_triangle", Fraction(1, 24)),
+    ("overlap_uniforms", Fraction(7, 12))])
+def test_centred_variance_is_within_an_ulp_on_rational_specs(name, want):
+    # E[X^2] - m^2 loses a few ulps to cancellation even here; the centred
+    # sum rounds each term once and stays within one
+    var = moments(KERNEL_SPECS[name]).variance
+    assert abs(Fraction(var) - want) <= math.ulp(float(want))
+
+
+@pytest.mark.parametrize("k", [-1e4, 1e4, 1e8])
+@pytest.mark.parametrize("name", sorted(n for n, spec in ALL_SPECS.items() if not any(
+    isinstance(c, Exponential) for c in spec.components)))
+def test_variance_is_shift_invariant(name, k):
+    # the family of exponentials has no location parameter; E[X^2] - m^2
+    # is 2.9e-8 off at a shift of 1e4 sigma and loses every digit at 1e8 sigma
+    spec = ALL_SPECS[name]
+    var = moments(spec).variance
+    shifted = moments(affine_transform(spec, 1.0, k * math.sqrt(var))).variance
+    assert shifted == pytest.approx(var, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
@@ -306,6 +395,35 @@ def test_support_strips_tabulated_zero_runs():
     assert s.lo == 1.0 and s.hi == 3.0
 
 
+def _positivity_by_loop(g, v):
+    """Maximal runs of grid segments with a positive density at either knot,
+    segment by segment: the reference for the array version."""
+    out, start = [], None
+    for i in range(len(g) - 1):
+        if v[i] == 0.0 and v[i + 1] == 0.0:
+            if start is not None:
+                out.append((start, float(g[i])))
+                start = None
+        elif start is None:
+            start = float(g[i])
+    if start is not None:
+        out.append((start, float(g[-1])))
+    return out
+
+
+def test_tabulated_positivity_intervals_match_the_segment_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(2, 10))
+        g = np.cumsum(rng.uniform(0.1, 1.0, n))
+        v = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.5)
+        v[rng.integers(n)] = 1.0
+        piece = Tabulated(g, v, 1.0)
+        want = _positivity_by_loop(piece.grid, piece.values)
+        assert _positivity_intervals(piece) == want
+        assert _piece_support(piece) == (want[0][0], want[-1][1])
+
+
 def test_truncated_support_is_finite():
     lo, hi = truncated_support(KERNEL_SPECS["normal_std"], 1e-9)
     assert math.isfinite(lo) and math.isfinite(hi)
@@ -389,6 +507,15 @@ def test_cantor_walk_near_the_set_against_exact_oracle():
     u = np.concatenate([rng.uniform(0.0, 1.0, 150), np.clip(near, 0.0, 1.0)])
     got = np.array(cantor_survival_upper_mean(u))
     assert np.abs(got - _exact(u)).max() <= 1e-10
+
+
+def test_cantor_walk_is_elementwise_on_any_shape():
+    u = np.array([[0.5, math.nan, 0.25], [2.0 / 3.0, 0.0, 1.5]])
+    s, m = cantor_survival_upper_mean(u)
+    flat = cantor_survival_upper_mean(u.ravel())
+    assert s.shape == m.shape == u.shape
+    assert np.array_equal(s.ravel(), flat[0], equal_nan=True)
+    assert np.array_equal(m.ravel(), flat[1], equal_nan=True)
 
 
 def test_cantor_walk_propagates_nan():
