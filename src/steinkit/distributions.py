@@ -114,9 +114,9 @@ class Tabulated:
     """Piecewise-linear density over a strictly increasing grid, weighted.
 
     Input values are renormalized at construction so the interpolated
-    density integrates to one, unless it already does within WEIGHT_SUM_TOL,
-    so that a piece written out and read back is bitwise the same; the
-    stored arrays are immutable.
+    density integrates to one, unless it already does to rounding (within
+    4 n ulps of 1 for n knots), so that a piece written out and read back is
+    bitwise the same; the stored arrays are immutable.
     """
 
     grid: np.ndarray
@@ -136,7 +136,7 @@ class Tabulated:
         total = np.trapezoid(v, g)
         if not total > 0:
             raise SpecError("tabulated density must have positive total mass")
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > 4 * len(g) * math.ulp(1.0):
             v = v / total
         g.flags.writeable = False
         v.flags.writeable = False
@@ -149,8 +149,7 @@ class Tabulated:
         a, b = g[:-1], g[1:]
         va, vb = v[:-1], v[1:]
         h = b - a
-        seg_mass = 0.5 * (va + vb) * h
-        seg_m1 = h / 6.0 * (va * (2 * a + b) + vb * (a + 2 * b))
+        seg_mass, seg_m1 = _linear_piece_mass_m1(a, b, va, vb)
         suf_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
         suf_m1 = np.concatenate([np.cumsum(seg_m1[::-1])[::-1], [0.0]])
         a, b = a - suf_m1[0], b - suf_m1[0]
@@ -517,21 +516,15 @@ def _piece_cf_envelope(c, t):
 
 
 def _piece_support(c):
+    """Essential support [lo, hi] of one component: an AC piece's is the hull
+    of its positivity intervals."""
     match c:
-        case Uniform():
-            return (c.lo, c.hi)
-        case Normal():
-            return (-math.inf, math.inf)
-        case Exponential():
-            return (0.0, math.inf)
-        case Tabulated():
-            pos = _positivity_intervals(c)
-            return (pos[0][0], pos[-1][1])
         case Atom():
             return (c.location, c.location)
         case CantorPart():
             return (c.lo, c.hi)
-    raise TypeError(f"unknown component {c!r}")
+    pos = _positivity_intervals(c)
+    return (pos[0][0], pos[-1][1])
 
 
 def _piece_quantile_range(c, q: float):
@@ -557,11 +550,20 @@ def _positivity_intervals(c):
         case Exponential():
             return [(0.0, math.inf)]
         case Tabulated():
-            # runs of segments with a positive density at either knot
-            live = ((c.values[:-1] > 0.0) | (c.values[1:] > 0.0)).astype(int)
-            steps = np.diff(np.concatenate(([0], live, [0])))
-            return [(float(c.grid[i]), float(c.grid[j]))
-                    for i, j in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1))]
+            g, v = c.grid, c.values
+            out = []
+            start = None
+            for i in range(len(g) - 1):
+                dead = v[i] == 0.0 and v[i + 1] == 0.0
+                if dead:
+                    if start is not None:
+                        out.append((start, float(g[i])))
+                        start = None
+                elif start is None:
+                    start = float(g[i])
+            if start is not None:
+                out.append((start, float(g[-1])))
+            return out
     raise TypeError(f"{c!r} has no density")
 
 
@@ -1043,7 +1045,7 @@ def _component_from_dict(d: dict):
     if cls is None:
         raise SpecError(f"unknown component kind {kind!r}")
     try:
-        return cls(*(np.asarray(d[f.name], dtype=float) if f.type == "np.ndarray"
+        return cls(*(np.asarray(d[f.name], dtype=float) if f.type in ("np.ndarray", np.ndarray)
                      else float(d[f.name]) for f in fields(cls)))
     except KeyError as exc:
         raise SpecError(f"{kind} component missing field {exc}") from exc

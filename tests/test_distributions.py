@@ -34,9 +34,7 @@ from steinkit.distributions import (
     KINDS,
     _ndtr,
     _ndtri,
-    _piece_support,
     _piece_tail,
-    _positivity_intervals,
     cantor_in_support,
     cantor_points,
     cantor_survival_upper_mean,
@@ -116,6 +114,13 @@ def test_parse_rejects_non_finite_parameters(text):
 def test_tabulated_renormalizes_at_load():
     piece = Tabulated(np.array([0.0, 1.0]), np.array([3.0, 3.0]), 1.0)
     assert np.trapezoid(piece.values, piece.grid) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_tabulated_renormalizes_a_total_off_by_more_than_rounding():
+    # trapezoid total 1 + 1e-13: a drift far above the few ulps a normalized
+    # density reads, so the values are divided again
+    piece = Tabulated(np.array([0.0, 1.0]), np.array([1.0 + 1e-13, 1.0 + 1e-13]), 1.0)
+    assert np.all(piece.values == 1.0)
 
 
 def test_spec_roundtrip_through_dict():
@@ -393,35 +398,6 @@ def test_support_strips_tabulated_zero_runs():
                       np.array([0.0, 0.0, 2.0, 0.0, 0.0]), 1.0)
     s = support(DistributionSpec((piece,)))
     assert s.lo == 1.0 and s.hi == 3.0
-
-
-def _positivity_by_loop(g, v):
-    """Maximal runs of grid segments with a positive density at either knot,
-    segment by segment: the reference for the array version."""
-    out, start = [], None
-    for i in range(len(g) - 1):
-        if v[i] == 0.0 and v[i + 1] == 0.0:
-            if start is not None:
-                out.append((start, float(g[i])))
-                start = None
-        elif start is None:
-            start = float(g[i])
-    if start is not None:
-        out.append((start, float(g[-1])))
-    return out
-
-
-def test_tabulated_positivity_intervals_match_the_segment_loop():
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        n = int(rng.integers(2, 10))
-        g = np.cumsum(rng.uniform(0.1, 1.0, n))
-        v = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.5)
-        v[rng.integers(n)] = 1.0
-        piece = Tabulated(g, v, 1.0)
-        want = _positivity_by_loop(piece.grid, piece.values)
-        assert _positivity_intervals(piece) == want
-        assert _piece_support(piece) == (want[0][0], want[-1][1])
 
 
 def test_truncated_support_is_finite():

@@ -23,6 +23,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import shutil
@@ -31,6 +32,27 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+
+@contextlib.contextmanager
+def parent_worktree(root: Path, rev: str):
+    """Check the git revision `rev` of the repository at `root` out with
+    `git worktree add` into a temporary directory, yield that checkout's
+    path, and remove the worktree on exit."""
+    tmp = Path(tempfile.mkdtemp(prefix="parent-tree-"))
+    parent = tmp / "parent"
+    try:
+        subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(parent), rev],
+                       check=True, capture_output=True, text=True)
+        short = subprocess.run(["git", "-C", str(parent), "rev-parse", "--short", "HEAD"],
+                               check=True, capture_output=True, text=True).stdout.strip()
+        print(f"parent {rev} = {short} in a worktree; change = {root}", flush=True)
+        yield parent
+    finally:
+        subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(parent)],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "-C", str(root), "worktree", "prune"], capture_output=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -92,14 +114,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    tmp = Path(tempfile.mkdtemp(prefix="ab-bench-"))
-    parent = tmp / "parent"
-    try:
-        subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(parent),
-                        args.parent], check=True, capture_output=True, text=True)
-        rev = subprocess.run(["git", "-C", str(parent), "rev-parse", "--short", "HEAD"],
-                             check=True, capture_output=True, text=True).stdout.strip()
-        print(f"parent {args.parent} = {rev} in a worktree; change = {root}", flush=True)
+    with parent_worktree(root, args.parent) as parent:
         for workload in args.workload:
             seeds = list(range(args.first_seed, args.first_seed + args.pairs))
             runs = {"parent": [], "change": []}
@@ -113,11 +128,6 @@ def main(argv=None) -> int:
                     print(f"  {workload} seed {seed} {side}: ops_per_s {ops:.4g}",
                           file=sys.stderr, flush=True)
             report(workload, seeds, runs, bench["end_to_end"])
-    finally:
-        subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(parent)],
-                       capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", str(root), "worktree", "prune"], capture_output=True)
     return 0
 
 

@@ -3,20 +3,20 @@
 the golden corpus.
 
     python3 tools/corpus_diff.py
-    python3 tools/corpus_diff.py --parent HEAD~1 --grid 1024 --jobs 2
+    python3 tools/corpus_diff.py --parent HEAD~1
 
 Run from the root of a steinkit checkout.  The parent revision (default
 HEAD, the commit an uncommitted change sits on; HEAD~1 once it is
-committed) is checked out with `git worktree add` into a temporary
-directory.  The 18 corpus specs (`corpus.KERNEL_SPECS` and
-`corpus.NO_KERNEL_SPECS`, written as spec documents by the parent's
-`spec_to_dict`) go through `python -m steinkit VERB SPEC --grid G` for the
-verbs check, kernel, bound, clt (with `--n 1,4,16,64,256`) and recover, at
-each grid (default 1024 and 4096), in both checkouts.  The script prints
-how many outputs (stdout and exit code) are byte-identical, and for every
-output that differs, the largest relative and absolute difference of its
-numbers, or why they cannot be paired.  The worktree is removed at the
-end.  Standard library only.
+committed) is checked out with `ab_bench.parent_worktree`.  The 18 corpus
+specs (`corpus.KERNEL_SPECS` and `corpus.NO_KERNEL_SPECS`, written as spec
+documents by the parent's `spec_to_dict`) go through `python -m steinkit
+VERB SPEC --grid G` for the verbs check, kernel, bound, clt (with `--n
+1,4,16,64,256`) and recover, at grids 1024 and 4096, in both checkouts,
+up to four CLI processes at a time (fewer on a machine with fewer CPUs).
+The script prints how many outputs (stdout and exit code) are
+byte-identical, and for every output that differs, the largest relative
+and absolute difference of its numbers, or why they cannot be paired.  The
+worktree is removed at the end.  Standard library only.
 """
 
 from __future__ import annotations
@@ -25,15 +25,19 @@ import argparse
 import functools
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from ab_bench import parent_worktree
+
 VERBS = ("check", "kernel", "bound", "clt", "recover")
+GRIDS = (1024, 4096)
 CLT_NS = "1,4,16,64,256"
+# each CLI process holds ~85 MB, so a few at a time keep the peak small
+JOBS = min(4, os.cpu_count() or 1)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)\b")
 
 WRITE_CORPUS = """
@@ -83,29 +87,17 @@ def numeric_diff(old: str, new: str):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    ap.add_argument("--grid", type=int, action="append",
-                    help="grid size; repeat for several (default 1024 and 4096)")
-    ap.add_argument("--jobs", type=int, default=4, help="CLI processes at a time")
     args = ap.parse_args(argv)
-    grids = args.grid or [1024, 4096]
-    if args.jobs < 1:
-        ap.error("--jobs must be at least 1")
 
     root = Path.cwd().resolve()
-    tmp = Path(tempfile.mkdtemp(prefix="corpus-diff-"))
-    parent, specs = tmp / "parent", tmp / "specs"
-    try:
-        subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(parent),
-                        args.parent], check=True, capture_output=True, text=True)
-        rev = subprocess.run(["git", "-C", str(parent), "rev-parse", "--short", "HEAD"],
-                             check=True, capture_output=True, text=True).stdout.strip()
-        print(f"parent {args.parent} = {rev} in a worktree; change = {root}", flush=True)
-        specs.mkdir()
+    with parent_worktree(root, args.parent) as parent, \
+            tempfile.TemporaryDirectory(prefix="corpus-diff-") as tmp:
+        specs = Path(tmp)
         subprocess.run([sys.executable, "-c", WRITE_CORPUS, str(specs)], env=env_for(parent),
                        check=True)
         cases = [(spec, verb, grid) for spec in sorted(specs.glob("*.json"))
-                 for grid in grids for verb in VERBS]
-        with ThreadPoolExecutor(args.jobs) as pool:
+                 for grid in GRIDS for verb in VERBS]
+        with ThreadPoolExecutor(JOBS) as pool:
             outs = {side: list(pool.map(functools.partial(run_verb, tree), cases))
                     for side, tree in (("parent", parent), ("change", root))}
         same = 0
@@ -122,13 +114,9 @@ def main(argv=None) -> int:
                 print(f"  {what}: {diff}")
             else:
                 print(f"  {what}: max relative {diff[0]:.3g}, max absolute {diff[1]:.3g}")
-        print(f"{same} of {len(cases)} outputs byte-identical ({len(cases) // len(grids) // len(VERBS)}"
-              f" specs, grids {', '.join(map(str, grids))}, verbs {', '.join(VERBS)})")
-    finally:
-        subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(parent)],
-                       capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", str(root), "worktree", "prune"], capture_output=True)
+        n_specs = len(cases) // len(GRIDS) // len(VERBS)
+        print(f"{same} of {len(cases)} outputs byte-identical ({n_specs} specs, grids"
+              f" {', '.join(map(str, GRIDS))}, verbs {', '.join(VERBS)})")
     return 0
 
 
