@@ -44,7 +44,7 @@ from .distributions import (
     truncated_support,
 )
 from .errors import NumericsError, SpecError
-from .kernels import KernelFn, kernel_stats, stein_kernel
+from .kernels import KernelFn, _require_finite, kernel_stats, stein_kernel
 
 MASS_DEFECT_LIMIT = 1e-3
 # The FFT route's longest transform: at 2^24 points its working arrays take
@@ -480,6 +480,7 @@ def clt_curve(spec: DistributionSpec, ns, grid_size: int = 4096,
 def curve_to_csv(curve: CltCurve) -> str:
     """CSV interchange form: n,bound,empirical with the empirical field
     empty when undefined."""
+    _require_finite("CLT value", curve.bounds, curve.empirical or ())
     lines = ["n,bound,empirical"]
     for i, n in enumerate(curve.ns):
         emp = "" if curve.empirical is None else f"{curve.empirical[i]:.17g}"

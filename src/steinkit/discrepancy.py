@@ -66,16 +66,23 @@ def _find_crossings(f, edges) -> np.ndarray:
     otherwise cancel against it.  The brackets with a sign change (or a
     zero at their right end) are refined together by Illinois false
     position (Dowell and Jarratt, BIT 1971), bisecting where a step is NaN,
-    until each is narrower than XTOL + RTOL |x|; as in brentq, the crossing
-    is the end of the final bracket where |f| is smaller.  A crossing within
-    1e-12 of the total width of an edge (where a jump makes the scan report
-    the edge itself) or of the crossing before it is dropped.
+    until each is narrower than XTOL min(w, 1) + RTOL |x|, w the total
+    width; as in brentq, the crossing is the end of the final bracket where
+    |f| is smaller.  A crossing within 1e-12 w of an edge (where a jump
+    makes the scan report the edge itself) or of the crossing before it is
+    dropped.  The length floors scale with min(w, 1), so that a narrow scan
+    keeps its brackets inside its panels, and no inset exceeds a quarter of
+    its panel.
     """
     edges = np.asarray(edges, dtype=float)
+    width = edges[-1] - edges[0]
+    unit = min(width, 1.0)
+    xtol = XTOL * unit
     lo, hi = edges[:-1], edges[1:]
     xs = np.linspace(lo, hi, BRACKETS_PER_PANEL + 1, axis=1)
-    inset = np.maximum(1e-12 * (hi - lo),
-                       1e-13 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
+    inset = np.minimum(np.maximum(1e-12 * (hi - lo),
+                                  1e-13 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), unit)),
+                       0.25 * (hi - lo))
     xs[:, 0], xs[:, -1] = lo + inset, hi - inset
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     sign = (vals[:, :-1] * vals[:, 1:] < 0.0) | (vals[:, 1:] == 0.0)
@@ -84,13 +91,13 @@ def _find_crossings(f, edges) -> np.ndarray:
     live = np.arange(len(b))
     for _ in range(MAX_PASSES):
         live = live[~((fb[live] == 0.0)
-                      | (np.abs(b[live] - a[live]) < XTOL + RTOL * np.abs(b[live])))]
+                      | (np.abs(b[live] - a[live]) < xtol + RTOL * np.abs(b[live])))]
         if not len(live):
             break
         la, lb, lfa, lfb = a[live], b[live], fa[live], fb[live]
         # as in brentq, a step lands at least half the tolerance inside the
         # bracket, so that a converged end closes it on the next pass
-        step = 0.5 * (XTOL + RTOL * np.abs(lb))
+        step = 0.5 * (xtol + RTOL * np.abs(lb))
         c = np.clip(lb - lfb * (lb - la) / (lfb - lfa),
                     np.minimum(la, lb) + step, np.maximum(la, lb) - step)
         c = np.where(np.isnan(c), 0.5 * (la + lb), c)
@@ -101,7 +108,7 @@ def _find_crossings(f, edges) -> np.ndarray:
         ga[live] = np.where(flip, lfb, ga[live])
         b[live], fb[live] = c, fc
     roots = np.where(np.abs(ga) < np.abs(fb), a, b)
-    tol = 1e-12 * max(edges[-1] - edges[0], 1.0)
+    tol = 1e-12 * width
     i = np.searchsorted(edges, roots)
     near = np.minimum(roots - edges[i - 1], edges[i] - roots) <= tol
     near |= np.diff(roots, prepend=-math.inf) <= tol

@@ -35,6 +35,7 @@ WEIGHT_SUM_TOL = 1e-12
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _ndtr(z):
@@ -134,8 +135,8 @@ class Tabulated:
         if np.any(v < 0):
             raise SpecError("tabulated density values must be nonnegative")
         total = np.trapezoid(v, g)
-        if not total > 0:
-            raise SpecError("tabulated density must have positive total mass")
+        if not 0 < total < math.inf:
+            raise SpecError("tabulated density must have a positive, finite total mass")
         if abs(total - 1.0) > 4 * len(g) * math.ulp(1.0):
             v = v / total
         g.flags.writeable = False
@@ -383,7 +384,9 @@ def _piece_tail(c, t: np.ndarray, lower: bool):
         case Exponential():
             tc = np.maximum(t, 0.0)
             s = np.exp(-c.rate * tc)
-            return (-np.expm1(-c.rate * tc) if lower else s), tc * s
+            # the largest float in place of tc = +inf keeps inf * 0 out of the
+            # tail there; every finite tc is left as it is
+            return (-np.expm1(-c.rate * tc) if lower else s), np.minimum(tc, _FLOAT_MAX) * s
         case Tabulated():
             g, v = c.grid, c.values
             tc = np.clip(np.asarray(t, dtype=float), g[0], g[-1])

@@ -13,8 +13,8 @@ with q the non-zero-bias density, p the AC density, and h the
 Radon-Nikodym factor of the AC part with respect to mu; tau vanishes off
 the support interval, at every atom, and on the Cantor-type singular
 support.  Purely atomic laws with two or more atoms admit no kernel, and
-the over-determined moment system that proves it is exposed as an
-inconsistency witness.
+the gap between two atoms on which sigma^2 q is a positive constant, the
+certificate that proves it, is exposed as an inconsistency witness.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .distributions import (
 from .errors import DegenerateError, ExistenceError, NumericsError, SpecError
 
 UNDERFLOW_FLOOR = 1e-300
-FEASIBILITY_TOL = 1e-9
 MAX_GRID = 1 << 20  # grid sizes are refused above this, before any allocation
 
 
@@ -195,18 +194,10 @@ def existence_check(spec: DistributionSpec,
     covered = _merge_intervals(
         iv for c in spec.ac_pieces for iv in _positivity_intervals(c))
 
-    gap = None
-    if covered[0][0] > sup.lo:
-        gap = (sup.lo, covered[0][0])
-    else:
-        reach = covered[0][1]
-        for lo, hi in covered[1:]:
-            if lo > reach and reach < sup.hi:
-                gap = (reach, min(lo, sup.hi))
-                break
-            reach = max(reach, hi)
-        if gap is None and reach < sup.hi:
-            gap = (reach, sup.hi)
+    # the cover is sorted and disjoint, so the spans of its complement in
+    # [sup.lo, sup.hi] run between consecutive ends
+    ends = [sup.lo, *(e for iv in covered for e in iv), sup.hi]
+    gap = next(((a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b), None)
 
     if gap is None:
         return ExistenceReport(Verdict.EXISTS)
@@ -433,20 +424,24 @@ def nz_mass(spec: DistributionSpec, lo: float, hi: float,
 
 @dataclass(frozen=True)
 class InconsistencyWitness:
-    """Least-squares verdict on the moment system a purely atomic law imposes
-    on its would-be kernel values.
+    """The paper's certificate (J, c) that a purely atomic law has no Stein
+    kernel.  On the gap J between two adjacent atoms, a mu-null open
+    interval, sigma^2 q(t) = E[(X - m) 1{X >= t}] is a constant c > 0, so a
+    test function f with f' a bump in J has E[tau f'] = 0 for every tau but
+    E[(X - m) f] = c * int f' > 0.
 
-    residual_norm > 0 iff the system is infeasible.  For a feasible system
-    (single atoms) `assignment` maps each atom location to its kernel value.
-    For two symmetric atoms, `functions` and `implied_values` name the two
-    monomials whose equations pin the same linear combination of kernel
-    values to incompatible constants.
+    `interval` is the J with the largest c, and `residual_norm` is that c.
+    A single atom has the trivial kernel: residual_norm 0 and `assignment`
+    {x: 0}.  For two equal-mass atoms at +/-x, `implied_values` holds what
+    the identities at the `functions` x and x^3 force on tau(x) + tau(-x),
+    E[(X - m) X^j] / (j p x^(j-1)): the incompatible 2x^2 and 2x^2/3.
     """
 
     residual_norm: float
     functions: tuple | None = None
     implied_values: tuple | None = None
     assignment: dict | None = None
+    interval: tuple | None = None
 
     @property
     def feasible(self) -> bool:
@@ -454,56 +449,46 @@ class InconsistencyWitness:
 
 
 def discrete_witness(spec: DistributionSpec) -> InconsistencyWitness:
-    """Build and solve the moment system for a purely atomic spec.
-
-    With k atoms, the Stein identity against the monomials x^j for
-    j = 1..k+1 gives k+1 linear equations in the k unknown kernel values;
-    the least-squares residual certifies (in)feasibility.  Two equal-mass
-    atoms at +/-c yield the classic pair of incompatible implied values for
-    tau(c) + tau(-c), reported via the j = 1 and j = 3 equations.
-    """
+    """The witness of a purely atomic spec: c on every gap between adjacent
+    atoms from one `partial_expectation` call at their midpoints."""
     atoms = spec.atoms
     if len(atoms) != len(spec.components):
         raise SpecError("discrete witness is defined for purely atomic specs")
-    k = len(atoms)
-    locs = np.array([a.location for a in atoms])
-    masses = np.array([a.mass for a in atoms])
-    m = float(np.sum(masses * locs))
-
-    rows = []
-    rhs = []
-    for j in range(1, k + 2):
-        rows.append(masses * j * locs ** (j - 1))
-        rhs.append(float(np.sum(masses * (locs - m) * locs ** j)))
-    a_mat = np.vstack(rows)
-    b_vec = np.array(rhs)
-
-    sol, _, _, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    residual = float(np.linalg.norm(a_mat @ sol - b_vec))
-
-    scale = max(1.0, float(np.max(np.abs(b_vec))))
-    if residual <= FEASIBILITY_TOL * scale:
-        assignment = {float(x): float(v) + 0.0 for x, v in zip(locs, sol)}
-        return InconsistencyWitness(residual_norm=0.0, assignment=assignment)
+    if len(atoms) == 1:
+        return InconsistencyWitness(residual_norm=0.0, assignment={atoms[0].location: 0.0})
+    locs = np.sort([a.location for a in atoms])
+    # 0.5 a + 0.5 b, unlike (a + b) / 2, cannot overflow
+    c = partial_expectation(spec, 0.5 * locs[:-1] + 0.5 * locs[1:])
+    i = int(np.argmax(c))
 
     functions = implied = None
-    if k == 2:
-        (x1, p1), (x2, p2) = sorted(zip(locs, masses))
+    if len(atoms) == 2:
+        (x1, p1), (x2, p2) = sorted((a.location, a.mass) for a in atoms)
         if math.isclose(x2, -x1, rel_tol=1e-12, abs_tol=0.0) and math.isclose(p1, p2, rel_tol=1e-12):
-            # rows j=1 and j=3 both constrain tau(x1) + tau(x2)
+            m = moments(spec).mean
             functions = ("x^1", "x^3")
-            implied = (b_vec[0] / a_mat[0, 0], b_vec[2] / a_mat[2, 0])
-    return InconsistencyWitness(residual_norm=residual, functions=functions,
-                                implied_values=implied)
+            implied = tuple(sum(a.mass * (a.location - m) * a.location ** j for a in atoms)
+                            / (j * p1 * x1 ** (j - 1)) for j in (1, 3))
+    return InconsistencyWitness(residual_norm=float(c[i]), functions=functions,
+                                implied_values=implied,
+                                interval=(float(locs[i]), float(locs[i + 1])))
 
 
 # ---------------------------------------------------------------------------
 # Interchange formats
 # ---------------------------------------------------------------------------
 
+def _require_finite(what: str, *values) -> None:
+    """Raise NumericsError unless every value is finite: the CSV forms, like
+    the JSON renderer, carry numbers only."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise NumericsError(f"non-finite {what} in CSV output")
+
+
 def kernel_to_csv(kernel: KernelFn) -> str:
     """CSV interchange form: header t,tau, one row per grid point, then one
     row per atom with tau = 0 and a trailing `# atom` comment."""
+    _require_finite("kernel value", kernel.grid_t, kernel.grid_tau)
     buf = io.StringIO()
     buf.write("t,tau\n")
     for t, v in zip(kernel.grid_t, kernel.grid_tau):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import DEFAULT_CONFIG, QuadratureConfig, _adapt
 from .errors import NumericsError, SpecError
-from .kernels import MAX_GRID, KernelFn, TestFunction
+from .kernels import MAX_GRID, KernelFn, TestFunction, _require_finite
 
 EXPONENT_FLOOR = math.log(1e-300)
 _EDGE_INSET = 1e-9
@@ -106,6 +106,8 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     (an atom, or the Cantor support on which the canonical kernel vanishes)
     raise NumericsError before any quadrature.
     """
+    if not len(kernel.grid_t):
+        raise NumericsError("the kernel's support is too narrow to sample off its atoms")
     lo = kernel.domain.lo if math.isfinite(kernel.domain.lo) else float(kernel.grid_t[0])
     hi = kernel.domain.hi if math.isfinite(kernel.domain.hi) else float(kernel.grid_t[-1])
     if not lo < m < hi:
@@ -185,6 +187,7 @@ def stein_operator(kernel: KernelFn, m: float, g: TestFunction, x):
 
 def density_to_csv(density: RecoveredDensity) -> str:
     """CSV interchange form: header x,p, one row per grid point."""
+    _require_finite("density value", density.grid, density.values)
     buf = io.StringIO()
     buf.write("x,p\n")
     for x, p in zip(density.grid, density.values):

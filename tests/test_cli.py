@@ -1,13 +1,22 @@
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steinkit
+from steinkit.cli import dispatch
+from steinkit.distributions import KINDS
 
 CLI = [sys.executable, "-m", "steinkit"]
 # the subprocess imports the same steinkit as the tests, from a plain
@@ -353,3 +362,70 @@ def test_oversized_grid_exits_one(tmp_path, verb, grid):
     assert cp.returncode == 1
     assert cp.stderr.startswith("error:") and len(cp.stderr.strip().split("\n")) == 1
     assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_kernel_csv_with_infinite_values_exits_two(tmp_path, out):
+    # the kernel of this mixture overflows to inf on part of its grid
+    doc = {"components": [
+        {"kind": "exponential", "rate": 2.0 ** -510, "weight": 0.5},
+        {"kind": "exponential", "rate": 2.0 ** 800, "weight": 0.5}]}
+    path = tmp_path / "tau.csv"
+    extra = ["--out", str(path)] if out else []
+    cp = run_cli("kernel", write_spec(tmp_path, "spec.json", doc), "--grid", "64", *extra)
+    assert cp.returncode == 2
+    assert cp.stdout == "" and not path.exists()
+    assert cp.stderr.rstrip().splitlines()[-1].startswith("error:")
+
+
+NON_FINITE = re.compile(r"\b(?:nan|inf(?:inity)?)\b", re.IGNORECASE)
+SIGNED_POW2 = st.builds(lambda sign, k: sign * math.ldexp(1.0, k),
+                        st.sampled_from((1.0, -1.0)), st.integers(-1000, 1000))
+POW2 = st.builds(lambda k: math.ldexp(1.0, k), st.integers(-1000, 1000))
+WEIGHTS = ((1.0,), (0.5, 0.5), (0.25, 0.75), (0.5, 0.25, 0.25))
+
+
+@st.composite
+def spec_documents(draw):
+    """Documents of one to three components of the six kinds.  Locations are
+    +/-2^k and scales 2^k with k in [-1000, 1000]; an interval ends, and a
+    tabulated grid steps, 2^k past its start, so that widths far below the
+    location's float step occur too."""
+    comps = []
+    for w in draw(st.sampled_from(WEIGHTS)):
+        kind, x = draw(st.sampled_from(sorted(KINDS))), draw(SIGNED_POW2)
+        match kind:
+            case "uniform" | "cantor":
+                comps.append({"kind": kind, "lo": x, "hi": x + draw(POW2), "weight": w})
+            case "normal":
+                comps.append({"kind": kind, "mean": x, "sd": draw(POW2), "weight": w})
+            case "exponential":
+                comps.append({"kind": kind, "rate": draw(POW2), "weight": w})
+            case "atom":
+                comps.append({"kind": kind, "location": x, "mass": w})
+            case "tabulated":
+                steps = draw(st.lists(POW2, min_size=1, max_size=3))
+                values = draw(st.lists(POW2, min_size=len(steps) + 1, max_size=len(steps) + 1))
+                comps.append({"kind": kind, "grid": list(x + np.cumsum([0.0, *steps])),
+                              "values": values, "weight": w})
+    return {"components": comps}
+
+
+@settings(max_examples=180, derandomize=True, deadline=None)
+@given(spec_documents(), st.sampled_from((64, 1024)))
+def test_dispatch_exits_with_a_code_and_finite_output(doc, grid):
+    verbs = (["check"], ["kernel"], ["bound"], ["clt", "--n", "1,4,64"], ["recover"])
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # as at the command line, a warning is reported, not raised
+        warnings.simplefilter("ignore")
+        spec = Path(tmp, "spec.json")
+        spec.write_text(json.dumps(doc))
+        for verb in verbs:
+            out = Path(tmp, verb[0] + ".out")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            code = dispatch([*verb, str(spec), "--grid", str(grid), "--out", str(out)],
+                            stdout, stderr)
+            assert code in range(5), (verb, stderr.getvalue())
+            files = [p.read_text() for p in (out, Path(str(out) + ".json")) if p.exists()]
+            for text in (stdout.getvalue(), *files):
+                assert not NON_FINITE.search(text), (verb, text)

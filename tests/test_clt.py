@@ -8,6 +8,7 @@ from steinkit import (
     CltCurve,
     DistributionSpec,
     Exponential,
+    NumericsError,
     SpecError,
     Tabulated,
     Uniform,
@@ -241,3 +242,10 @@ def test_curve_csv_format():
     lines = curve_to_csv(curve).strip().split("\n")
     assert lines[0] == "n,bound,empirical"
     assert lines[1].startswith("4,") and lines[1].endswith(",")
+
+
+@pytest.mark.parametrize("bounds, empirical", [((math.inf,), None), ((0.5,), (math.nan,))])
+def test_curve_csv_refuses_non_finite_values(bounds, empirical):
+    from steinkit.clt import curve_to_csv
+    with pytest.raises(NumericsError):
+        curve_to_csv(CltCurve(ns=(1,), bounds=bounds, empirical=empirical))

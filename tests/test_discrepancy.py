@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import optimize
 
 from steinkit import (
     DegenerateError,
+    IntegrationWarning,
     affine_transform,
     discrepancy_bounds,
     kernel_stats,
@@ -121,6 +123,33 @@ def test_report_uniform_bound_values():
     xs = np.linspace(0.0, 1.0, 2_000_001)
     want_l1 = 2.0 * float(np.trapezoid(np.abs(xs * (1 - xs) / 2 - 1.0 / 12.0), xs))
     assert rep.bound_l1 == pytest.approx(want_l1, abs=1e-8)
+
+
+@pytest.mark.parametrize("s", [1e-20, 1e-40])
+def test_report_is_scale_free_for_tiny_supports(s):
+    # the crossing scan's absolute length floors once put its brackets
+    # outside these supports, and an IndexError escaped
+    def report(s):
+        spec = spec_from_dict({"components": [
+            {"kind": "uniform", "lo": 0.0, "hi": s, "weight": 0.5},
+            {"kind": "uniform", "lo": s / 2, "hi": 2 * s, "weight": 0.5}]})
+        return discrepancy_bounds(spec, stein_kernel(spec, 1024))
+
+    got, want = report(s), report(1.0)
+    assert got.bound_l1 / s ** 2 == pytest.approx(want.bound_l1, rel=1e-15)
+    assert got.bound_sd / s ** 2 == pytest.approx(want.bound_sd, rel=1e-15)
+    assert got.tv_exact == pytest.approx(want.tv_exact, rel=1e-8)
+
+
+def test_report_on_a_support_64_ulps_wide():
+    lo = 1024.0
+    spec = spec_from_dict({"components": [
+        {"kind": "uniform", "lo": lo, "hi": lo + 64 * math.ulp(lo), "weight": 1.0}]})
+    with warnings.catch_warnings():
+        # 64 float steps cannot resolve the normal density to the tolerance
+        warnings.simplefilter("ignore", IntegrationWarning)
+        rep = discrepancy_bounds(spec, stein_kernel(spec, 1024))
+    assert all(map(math.isfinite, (rep.tv_exact, rep.bound_l1, rep.bound_sd)))
 
 
 def test_report_mixed_bound_l1_closed_form():

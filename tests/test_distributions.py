@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 
@@ -105,7 +106,10 @@ def test_parse_rejects_nonincreasing_grid():
     '{"kind":"uniform","lo":0,"hi":1,"weight":0.5}]}',
     # finite, but its closed-form second moment 2/rate^2 is not
     '{"components":[{"kind":"exponential","rate":1e-300,"weight":1}]}',
-], ids=["normal_infinite_mean", "atom_nan_location", "exponential_rate_1e-300"])
+    # finite, but its trapezoid total overflows and would divide it to zero
+    '{"components":[{"kind":"tabulated","grid":[0,1e150],"values":[1e160,1e160],"weight":1}]}',
+], ids=["normal_infinite_mean", "atom_nan_location", "exponential_rate_1e-300",
+        "tabulated_total_overflows"])
 def test_parse_rejects_non_finite_parameters(text):
     with pytest.raises(SpecError):
         parse_spec(text)
@@ -368,6 +372,17 @@ def test_partial_expectation_boundary_behavior(name):
     rng = np.random.default_rng(3)
     for t in rng.uniform(m, hi, 8):
         assert partial_expectation(spec, float(t)) >= -1e-12
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_partial_expectation_vanishes_at_infinity(name):
+    # an exponential piece's centred tail once read inf * 0 = NaN at t = +inf
+    spec = ALL_SPECS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (-math.inf, math.inf):
+            assert partial_expectation(spec, t) == 0.0
+        assert np.all(partial_expectation(spec, np.array([-math.inf, 0.5, math.inf]))[[0, 2]] == 0.0)
 
 
 def test_partial_expectation_atom_jump():

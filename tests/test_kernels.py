@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from steinkit import (
@@ -506,6 +509,46 @@ def test_symmetric_scaled_atoms_witness():
 def test_witness_rejects_non_atomic():
     with pytest.raises(SpecError):
         discrete_witness(U01)
+
+
+@pytest.mark.parametrize("locations, c", [
+    (np.linspace(-1e-3, 1e-3, 2), 5e-4),
+    (np.linspace(-1.0, 1.0, 3), 1.0 / 3.0),
+    (np.linspace(-1.0, 1.0, 5), 0.3),
+    (np.linspace(-1e-3, 1e-3, 10), 1e-3 / 3.6),
+], ids=["two-at-1e-3", "three", "five", "ten-at-1e-3"])
+def test_equal_atoms_have_no_kernel(locations, c):
+    # the least-squares moment system once reported these laws feasible
+    spec = DistributionSpec(tuple(Atom(float(x), 1.0 / len(locations)) for x in locations))
+    w = discrete_witness(spec)
+    assert not w.feasible
+    assert w.residual_norm == pytest.approx(c, rel=1e-12)
+    lo, hi = w.interval
+    assert hi == locations[list(locations).index(lo) + 1]
+
+
+def _exact_gap_constants(spec):
+    """E[(X - m) 1{X > a}] at each atom a but the last, in exact arithmetic."""
+    atoms = sorted((Fraction(a.location), Fraction(a.mass)) for a in spec.atoms)
+    m = sum(p * x for x, p in atoms)
+    return [x for x, _ in atoms], [sum(p * (x - m) for x, p in atoms[i + 1:])
+                                   for i in range(len(atoms) - 1)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(1, 100)), min_size=2,
+                max_size=40, unique_by=lambda a: a[0]),
+       st.integers(-300, 300))
+def test_witness_gap_constant_is_exact(atoms, k):
+    total = sum(w for _, w in atoms)
+    spec = DistributionSpec(tuple(Atom(math.ldexp(x, k), w / total) for x, w in atoms))
+    w = discrete_witness(spec)
+    locations, exact = _exact_gap_constants(spec)
+    i = locations.index(Fraction(w.interval[0]))
+    assert Fraction(w.interval[1]) == locations[i + 1]
+    assert w.residual_norm > 0
+    assert abs(Fraction(w.residual_norm) - exact[i]) <= Fraction(1e-9) * exact[i]
+    assert exact[i] >= max(exact) * Fraction(1 - 1e-9)
 
 
 # -- equivariance ------------------------------------------------------------

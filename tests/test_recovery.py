@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from steinkit import (
+    Atom,
+    DistributionSpec,
     KernelFn,
+    Normal,
     NumericsError,
     SpecError,
     SupportInterval,
@@ -20,7 +23,7 @@ from steinkit import (
 from steinkit.corpus import KERNEL_SPECS
 from steinkit.distributions import DEFAULT_CONFIG
 from steinkit.kernels import MAX_GRID
-from steinkit.recovery import density_to_csv
+from steinkit.recovery import RecoveredDensity, density_to_csv
 
 import oracle_utils as oracle
 
@@ -255,6 +258,21 @@ def test_operator_expectation_vanishes(name):
     kernel = stein_kernel(spec, 256)
     for tf in standard_test_functions(*truncated_support(spec, 1e-9)):
         assert abs(stein_residual(spec, kernel, tf)) < 1e-6
+
+
+def test_density_csv_refuses_non_finite_values():
+    den = RecoveredDensity(grid=np.array([0.0, 1.0]), values=np.array([1.0, math.inf]),
+                           normalizer=1.0, anchor=0.5, error_estimate=0.0)
+    with pytest.raises(NumericsError):
+        density_to_csv(den)
+
+
+def test_support_narrower_than_a_float_step_raises():
+    # a normal with sd 1e-20 at the atom's location: every grid point rounds
+    # onto the atom, so the kernel has no sample to span its domain
+    spec = DistributionSpec((Normal(1.0, 1e-20, 0.5), Atom(1.0, 0.5)))
+    with pytest.raises(NumericsError):
+        recover_density(stein_kernel(spec, 64), moments(spec).mean, 64)
 
 
 def test_density_csv_format():

@@ -1,0 +1,49 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+# enters parent_worktree, prints the checkout's path and waits to be ended
+HOLD_WORKTREE = """
+import sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from ab_bench import parent_worktree
+with parent_worktree(Path(sys.argv[2]), "HEAD") as parent:
+    print("path", parent, flush=True)
+    time.sleep(60)
+"""
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], check=True, capture_output=True, text=True).stdout
+
+
+def test_parent_worktree_is_removed_on_sigterm(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "a.txt").write_text("a\n")
+    _git(repo, "add", "a.txt")
+    _git(repo, "commit", "-q", "-m", "a")
+
+    child = subprocess.Popen([sys.executable, "-c", HOLD_WORKTREE, str(TOOLS), str(repo)],
+                             stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "TMPDIR": str(tmp_path)})
+    try:
+        line = child.stdout.readline()
+        while line and not line.startswith("path "):
+            line = child.stdout.readline()
+        parent = Path(line.split(" ", 1)[1].strip())
+        assert (parent / "a.txt").exists()
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        child.kill()
+        child.stdout.close()
+    assert not parent.parent.exists()
+    assert _git(repo, "worktree", "list").count("\n") == 1

@@ -27,6 +27,7 @@ import contextlib
 import json
 import math
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -38,9 +39,11 @@ from pathlib import Path
 def parent_worktree(root: Path, rev: str):
     """Check the git revision `rev` of the repository at `root` out with
     `git worktree add` into a temporary directory, yield that checkout's
-    path, and remove the worktree on exit."""
+    path, and remove the worktree on exit.  Meanwhile SIGTERM raises
+    SystemExit, so that a terminated run removes the worktree too."""
     tmp = Path(tempfile.mkdtemp(prefix="parent-tree-"))
     parent = tmp / "parent"
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(parent), rev],
                        check=True, capture_output=True, text=True)
@@ -53,6 +56,7 @@ def parent_worktree(root: Path, rev: str):
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "-C", str(root), "worktree", "prune"], capture_output=True)
+        signal.signal(signal.SIGTERM, previous)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
