@@ -18,6 +18,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from .clt import clt_curve, curve_to_csv
 from .discrepancy import discrepancy_bounds
@@ -214,7 +216,9 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         # argparse exits 2 on usage errors; the contract wants 1
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _COMMANDS[args.verb](args, stdout)
+        # non-finite values are refused where rendered, not warned about
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.verb](args, stdout)
     except (OSError, SpecError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -35,7 +35,7 @@ from .distributions import (
     moments,
     truncated_support,
 )
-from .errors import DegenerateError
+from .errors import DegenerateError, NumericsError
 from .kernels import KernelFn
 
 BRACKETS_PER_PANEL = 64
@@ -127,7 +127,9 @@ def tv_to_normal(spec: DistributionSpec,
     """
     mom = moments(spec)
     if mom.variance <= 0.0:
-        raise DegenerateError("TV distance to the matched normal needs sigma^2 > 0")
+        if spec.is_single_atom():
+            raise DegenerateError("TV distance to the matched normal needs sigma^2 > 0")
+        raise NumericsError("the variance underflows to 0 on a support that is not a point")
     m, sd = mom.mean, math.sqrt(mom.variance)
 
     slo, shi = truncated_support(spec, config.tail_quantile)
@@ -158,8 +160,7 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
     """
     var = moments(spec).variance
     slo, shi = truncated_support(spec, config.tail_quantile)
-    edges = sorted({slo, shi, *(b for b in spec.density_breaks if slo < b < shi),
-                    *(a.location for a in spec.atoms if slo < a.location < shi)})
+    edges = [slo, *(b for b in spec._kernel_breaks if slo < b < shi), shi]
     pts = _find_crossings(lambda t: kernel.values_ae(t) - var, edges)
     l1, mean_tau, second = expect(
         spec, lambda x, tau: np.stack([np.abs(tau - var), tau, tau * tau]),

@@ -10,10 +10,10 @@ are exact up to floating point wherever a closed form exists.
 
 Every other expectation against the mixture goes through `expect`: the AC
 pieces through `integrate`, a vectorized globally adaptive Gauss-Kronrod
-7-15 rule, over segments split at the spec's density breaks (computed once
-per spec) and at the edges of each Cantor part's construction cells; atoms
-through their masses; the Cantor part through the midpoints of the same
-equal-mass cells.
+7-15 rule, over segments split at the spec's density breaks and atoms
+(computed once per spec) and at the edges of each Cantor part's
+construction cells; atoms through their masses; the Cantor part, whatever
+the kernel, through the midpoints of the same equal-mass cells.
 """
 
 from __future__ import annotations
@@ -601,14 +601,16 @@ class DistributionSpec:
         if len(set(locs)) != len(locs):
             raise SpecError("atom locations must be pairwise distinct")
         object.__setattr__(self, "components", comps)
-        # the spec is frozen, so its closed-form moments and its density
-        # breaks (finite piece ends and tabulated knots) are computed once
+        # the spec is frozen, so its closed-form moments, its density breaks
+        # (finite piece ends and tabulated knots) and, with the atoms added,
+        # its kernel breaks are computed once
         object.__setattr__(self, "_moments", _closed_form_moments(self))
         breaks = set()
         for c in self.ac_pieces:
             ends = c.grid if isinstance(c, Tabulated) else _piece_support(c)
             breaks.update(float(b) for b in ends if math.isfinite(b))
         object.__setattr__(self, "density_breaks", tuple(sorted(breaks)))
+        object.__setattr__(self, "_kernel_breaks", tuple(sorted(breaks | set(locs))))
 
     @property
     def ac_pieces(self) -> tuple:
@@ -970,7 +972,7 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     whose rows are then integrated together (the result has shape (k,)).
     tau holds the kernel's values at x, or is None when no kernel is given:
     the Lebesgue-a.e. version at AC nodes, the pointwise version at atoms
-    and Cantor points (zero at atoms and on a registered Cantor support).
+    and Cantor samples (zero at atoms and for a registered Cantor part).
 
     The AC part is one `integrate` call of g times the mixture's AC density,
     over the union of the pieces' supports, so its tolerance holds for the
@@ -984,9 +986,7 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     tolerance alone, since the problem is affine-invariant.  Atoms add
     their mass times g.  A Cantor part adds the mean of g over its cells:
     at the midpoints of the same 2^D cells, second order by the symmetry
-    of every cell; an unregistered kernel is sampled at the cells' left
-    endpoints, points of the Cantor set itself, at the full depth
-    cantor_depth(span).
+    of every cell.
     """
     def ac(x):
         p = ac_density(spec, x)
@@ -995,35 +995,30 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
 
     depth = min(config.cantor_depth(1.0) // 2 + 2, MAX_CELL_DEPTH)
     left = cantor_points(depth) if spec.cantor_parts else None
-    breaks = {*spec.density_breaks, *extra_breaks, *(a.location for a in spec.atoms)}
+    breaks = np.concatenate((spec._kernel_breaks, extra_breaks))
     if spec.cantor_parts:
         ends = np.concatenate((left[1:], left[:-1] + 3.0 ** -depth))
-        breaks = np.unique(np.concatenate([list(breaks)] + [np.concatenate((
-            (c.lo, c.hi), c.lo + (c.hi - c.lo) * ends)) for c in spec.cantor_parts]))
+        breaks = np.concatenate([breaks] + [np.concatenate((
+            (c.lo, c.hi), c.lo + (c.hi - c.lo) * ends)) for c in spec.cantor_parts])
     total = 0.0
     if spec.ac_pieces:
         los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
         a, b = max(min(los), lo), min(max(his), hi)
         if a < b:
-            seams = (np.concatenate(([a], breaks[(a < breaks) & (breaks < b)], [b]))
-                     if spec.cantor_parts else [a, *sorted(x for x in breaks if a < x < b), b])
-            total, _ = integrate(ac, seams, config)
+            # distinct and sorted; np.unique would import numpy.ma on first use
+            seams = np.sort(np.concatenate(([a, b], breaks[(a < breaks) & (breaks < b)])))
+            total, _ = integrate(ac, seams[np.append(True, np.diff(seams) > 0)], config)
     atoms = [a for a in spec.atoms if lo <= a.location <= hi]
     if atoms:
         xs = np.array([a.location for a in atoms])
         vals = np.asarray(g(xs, None if kernel is None else kernel.values(xs)), dtype=float)
         total = total + vals @ np.array([a.mass for a in atoms])
     for c in spec.cantor_parts:
-        span = c.hi - c.lo
-        registered = kernel is None or (c.lo, c.hi) in kernel.cantor_intervals
-        if registered:
-            pts = c.lo + span * (left + 0.5 / 3.0 ** depth)
-        else:
-            pts = c.lo + span * cantor_points(min(config.cantor_depth(span), 22))
+        pts = c.lo + (c.hi - c.lo) * (left + 0.5 / 3.0 ** depth)
         inside = pts[(pts >= lo) & (pts <= hi)]
         if inside.size:
-            tau = (None if kernel is None else
-                   np.zeros_like(inside) if registered else kernel.values(inside))
+            tau = (None if kernel is None else np.zeros_like(inside)
+                   if (c.lo, c.hi) in kernel.cantor_intervals else kernel.values(inside))
             vals = np.asarray(g(inside, tau), dtype=float)
             total = total + c.weight * vals.sum(axis=-1) / len(pts)
     return total

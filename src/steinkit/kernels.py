@@ -326,8 +326,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     lo, hi = truncated_support(spec, config.tail_quantile)
     atom_zeros = tuple(a.location for a in spec.atoms)
     cantor_iv = tuple((c.lo, c.hi) for c in spec.cantor_parts)
-    breaks = set(atom_zeros) | set(spec.density_breaks)
-    density_breaks = tuple(sorted(b for b in breaks if lo < b < hi))
+    density_breaks = tuple(b for b in spec._kernel_breaks if lo < b < hi)
 
     fn_vec = None
     if len(spec.components) == 1:

@@ -47,6 +47,13 @@ NORMAL_UNIFORM = {"components": [
     {"kind": "uniform", "lo": 0, "hi": 1, "weight": 0.5},
 ]}
 
+# sd**2 underflows to 0
+TINY_NORMAL = {"components": [{"kind": "normal", "mean": 0.0, "sd": 1e-200, "weight": 1.0}]}
+# the kernel of this mixture overflows to inf on part of its grid
+EXTREME_RATES = {"components": [
+    {"kind": "exponential", "rate": 2.0 ** -510, "weight": 0.5},
+    {"kind": "exponential", "rate": 2.0 ** 800, "weight": 0.5}]}
+
 
 def run_cli(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV)
@@ -322,7 +329,9 @@ def test_import_builds_no_cantor_table():
 
 @pytest.mark.parametrize("verb, doc", [
     # sigma^2 underflows to 0
-    ("clt", {"components": [{"kind": "normal", "mean": 0.0, "sd": 1e-200, "weight": 1.0}]}),
+    ("clt", TINY_NORMAL),
+    # the same, which is no point mass: not the degenerate exit 4
+    ("bound", TINY_NORMAL),
     # Var tau ~ s^4 overflows to a NaN bound_sd (the id it had next to a
     # case that the centred variance mended)
     pytest.param("bound", {"components": [
@@ -366,16 +375,35 @@ def test_oversized_grid_exits_one(tmp_path, verb, grid):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_kernel_csv_with_infinite_values_exits_two(tmp_path, out):
-    # the kernel of this mixture overflows to inf on part of its grid
-    doc = {"components": [
-        {"kind": "exponential", "rate": 2.0 ** -510, "weight": 0.5},
-        {"kind": "exponential", "rate": 2.0 ** 800, "weight": 0.5}]}
     path = tmp_path / "tau.csv"
     extra = ["--out", str(path)] if out else []
-    cp = run_cli("kernel", write_spec(tmp_path, "spec.json", doc), "--grid", "64", *extra)
+    cp = run_cli("kernel", write_spec(tmp_path, "spec.json", EXTREME_RATES), "--grid", "64",
+                 *extra)
     assert cp.returncode == 2
     assert cp.stdout == "" and not path.exists()
     assert cp.stderr.rstrip().splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("verb, doc, code", [
+    ("kernel", EXTREME_RATES, 2),
+    # the trapezoid total of this density overflows
+    ("check", {"components": [{"kind": "tabulated", "grid": [0.0, 1e308, 1.7e308],
+                               "values": [1.0, 1.0, 1.0], "weight": 1.0}]}, 1),
+    ("bound", TINY_NORMAL, 2),
+    # only a point mass is degenerate
+    ("bound", DIRAC, 4),
+])
+def test_a_failed_run_prints_one_error_line(tmp_path, verb, doc, code):
+    # numpy's overflow warnings on the way to a failure stay off stderr
+    cp = run_cli(verb, write_spec(tmp_path, "spec.json", doc), "--grid", "64")
+    assert cp.returncode == code
+    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1, cp.stderr
+
+
+def test_integration_warnings_reach_stderr(tmp_path):
+    cp = run_cli("bound", write_spec(tmp_path, "spec.json", NORMAL_UNIFORM), "--tol", "1e-300")
+    assert cp.returncode == 0, cp.stderr
+    assert "IntegrationWarning: integration tolerance not met" in cp.stderr
 
 
 NON_FINITE = re.compile(r"\b(?:nan|inf(?:inity)?)\b", re.IGNORECASE)

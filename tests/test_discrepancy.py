@@ -9,7 +9,10 @@ from scipy import optimize
 
 from steinkit import (
     DegenerateError,
+    DistributionSpec,
     IntegrationWarning,
+    Normal,
+    NumericsError,
     affine_transform,
     discrepancy_bounds,
     kernel_stats,
@@ -49,6 +52,12 @@ def test_tv_rademacher_is_one():
 def test_tv_degenerate_raises():
     with pytest.raises(DegenerateError):
         tv_to_normal(NO_KERNEL_SPECS["dirac"][0])
+
+
+def test_tv_with_an_underflowed_variance_is_a_numerical_failure():
+    # sigma^2 = 1e-400 rounds to 0, but the law is no point mass
+    with pytest.raises(NumericsError, match="underflows"):
+        tv_to_normal(DistributionSpec((Normal(0.0, 1e-200, 1.0),)))
 
 
 def test_tv_uniform_against_oracle():

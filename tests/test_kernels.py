@@ -379,21 +379,41 @@ def test_residual_detects_wrong_kernel():
     assert abs(stein_residual(U01, wrong, tf_x)) > 0.1
 
 
-def test_foreign_kernel_is_integrated_over_the_singular_support():
-    # a caller-built kernel has no registered Cantor intervals, so the
-    # singular-continuous part is sampled at construction cells (first-order
-    # accurate).  tau constantly sigma^2 satisfies the f(x)=x equation only
-    # if the Cantor half of the mass is counted; by symmetry of the spec it
-    # also satisfies x^2, while x^3 exposes it as invalid
-    spec = KERNEL_SPECS["uniform_cantor"]
+def _foreign_constant_kernel(k):
+    """uniform[0, 2^k] + Cantor[0, 2^k] with equal weights, and a caller-built
+    kernel constantly sigma^2 that counts the points it is evaluated at."""
+    s = 2.0 ** k
+    spec = DistributionSpec((Uniform(0.0, s, 0.5), CantorPart(0.0, s, 0.5)))
     var = moments(spec).variance
-    const = KernelFn(domain=SupportInterval(0.0, 1.0), form="constant",
-                     params={"value": var}, grid_t=np.array([0.5]),
-                     grid_tau=np.array([var]), atom_zeros=(),
-                     _fn_vec=lambda ts: np.full_like(ts, var))
-    by_id = {tf.id: tf for tf in standard_test_functions(0.0, 1.0)}
-    assert abs(stein_residual(spec, const, by_id["x"])) < 1e-6
-    assert abs(stein_residual(spec, const, by_id["x^3"])) > 1e-3
+    seen = [0]
+
+    def fn_vec(ts):
+        seen[0] += np.size(ts)
+        return np.full_like(ts, var)
+
+    const = KernelFn(domain=SupportInterval(0.0, s), form="constant",
+                     params={"value": var}, grid_t=np.array([0.5 * s]),
+                     grid_tau=np.array([var]), atom_zeros=(), _fn_vec=fn_vec)
+    return spec, var, const, seen
+
+
+@pytest.mark.parametrize("k", [-20, 0, 20])
+def test_foreign_kernel_is_integrated_over_the_singular_support(k):
+    # a caller-built kernel has no registered Cantor intervals, so it is
+    # evaluated on the singular-continuous part, at the same cell midpoints
+    # as any kernel.  tau constantly sigma^2 satisfies the f(x)=x equation
+    # only if the Cantor half of the mass is counted, and the rule is
+    # scale-free: the same accuracy from the same points at every span 2^k
+    spec, var, const, seen = _foreign_constant_kernel(k)
+    x = standard_test_functions(0.0, 2.0 ** k)[0]
+    assert abs(stein_residual(spec, const, x)) <= 1e-9 * var
+    unit_spec, _, unit, unit_seen = _foreign_constant_kernel(0)
+    stein_residual(unit_spec, unit, x)
+    assert seen[0] == unit_seen[0]
+    if k == 0:
+        # x^3, not scale-free like x, exposes the constant as invalid
+        x3 = standard_test_functions(0.0, 1.0)[2]
+        assert abs(stein_residual(spec, const, x3)) > 1e-3
 
 
 def test_kernel_evaluation_is_thread_safe():

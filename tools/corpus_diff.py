@@ -11,12 +11,15 @@ committed) is checked out with `ab_bench.parent_worktree`.  The 18 corpus
 specs (`corpus.KERNEL_SPECS` and `corpus.NO_KERNEL_SPECS`, written as spec
 documents by the parent's `spec_to_dict`) go through `python -m steinkit
 VERB SPEC --grid G` for the verbs check, kernel, bound, clt (with `--n
-1,4,16,64,256`) and recover, at grids 1024 and 4096, in both checkouts,
-up to four CLI processes at a time (fewer on a machine with fewer CPUs).
-The script prints how many outputs (stdout and exit code) are
-byte-identical, and for every output that differs, the largest relative
-and absolute difference of its numbers, or why they cannot be paired.  The
-worktree is removed at the end.  Standard library only.
+1,4,16,64,256`) and recover, at grids 1024 and 4096, and `python -m
+steinkit corpus`, whose certification table prints |E tau - sigma^2| and
+the largest Stein residual of every corpus spec, runs once (its grid is
+capped at 1024): 181 outputs, in both checkouts, up to four CLI processes
+at a time (fewer on a machine with fewer CPUs).  The script prints how
+many outputs (stdout and exit code) are byte-identical, and for every
+output that differs, the largest relative and absolute difference of its
+numbers, or why they cannot be paired.  The worktree is removed at the
+end.  Standard library only.
 """
 
 from __future__ import annotations
@@ -56,13 +59,19 @@ def env_for(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(tree / "src")}
 
 
-def run_verb(tree: Path, case: tuple) -> tuple:
-    """(exit code, stdout) of one CLI call (spec, verb, grid) in the checkout `tree`."""
-    spec, verb, grid = case
-    extra = ["--n", CLT_NS] if verb == "clt" else []
-    cp = subprocess.run([sys.executable, "-m", "steinkit", verb, str(spec), "--grid", str(grid),
-                         *extra], cwd=tree, env=env_for(tree), capture_output=True, text=True,
-                        stdin=subprocess.DEVNULL)
+def cli_cases(specs) -> list:
+    """(label, CLI arguments) of every call: each spec through each verb at
+    each grid, then the corpus battery once."""
+    cases = [(f"{spec.stem} {verb} --grid {grid}",
+              [verb, str(spec), "--grid", str(grid), *(["--n", CLT_NS] if verb == "clt" else [])])
+             for spec in specs for grid in GRIDS for verb in VERBS]
+    return cases + [("corpus", ["corpus"])]
+
+
+def run_verb(tree: Path, args: list) -> tuple:
+    """(exit code, stdout) of one CLI call in the checkout `tree`."""
+    cp = subprocess.run([sys.executable, "-m", "steinkit", *args], cwd=tree, env=env_for(tree),
+                        capture_output=True, text=True, stdin=subprocess.DEVNULL)
     return cp.returncode, cp.stdout
 
 
@@ -95,17 +104,17 @@ def main(argv=None) -> int:
         specs = Path(tmp)
         subprocess.run([sys.executable, "-c", WRITE_CORPUS, str(specs)], env=env_for(parent),
                        check=True)
-        cases = [(spec, verb, grid) for spec in sorted(specs.glob("*.json"))
-                 for grid in GRIDS for verb in VERBS]
+        names = sorted(specs.glob("*.json"))
+        cases = cli_cases(names)
         with ThreadPoolExecutor(JOBS) as pool:
-            outs = {side: list(pool.map(functools.partial(run_verb, tree), cases))
+            outs = {side: list(pool.map(functools.partial(run_verb, tree),
+                                        [args for _, args in cases]))
                     for side, tree in (("parent", parent), ("change", root))}
         same = 0
-        for (spec, verb, grid), old, new in zip(cases, outs["parent"], outs["change"]):
+        for (what, _), old, new in zip(cases, outs["parent"], outs["change"]):
             if old == new:
                 same += 1
                 continue
-            what = f"{spec.stem} {verb} --grid {grid}"
             if old[0] != new[0]:
                 print(f"  {what}: exit {old[0]} -> {new[0]}")
                 continue
@@ -114,9 +123,8 @@ def main(argv=None) -> int:
                 print(f"  {what}: {diff}")
             else:
                 print(f"  {what}: max relative {diff[0]:.3g}, max absolute {diff[1]:.3g}")
-        n_specs = len(cases) // len(GRIDS) // len(VERBS)
-        print(f"{same} of {len(cases)} outputs byte-identical ({n_specs} specs, grids"
-              f" {', '.join(map(str, GRIDS))}, verbs {', '.join(VERBS)})")
+        print(f"{same} of {len(cases)} outputs byte-identical ({len(names)} specs, grids"
+              f" {', '.join(map(str, GRIDS))}, verbs {', '.join(VERBS)}; corpus once)")
     return 0
 
 
