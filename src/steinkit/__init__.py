@@ -60,4 +60,4 @@ from .kernels import (
 )
 from .recovery import RecoveredDensity, recover_density, stein_operator
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

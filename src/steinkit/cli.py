@@ -118,9 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args, stdout) -> int:
+def _cmd_check(args, config, stdout) -> int:
     spec = load_spec(args.spec)
-    report = existence_check(spec, _config(args))
+    report = existence_check(spec)
     doc = {"schema": SCHEMA, **report.to_dict()}
     stdout.write(_fmt_json(doc) + "\n")
     if report.verdict is Verdict.EXISTS:
@@ -130,9 +130,9 @@ def _cmd_check(args, stdout) -> int:
     return EXIT_NOT_EXISTS
 
 
-def _cmd_kernel(args, stdout) -> int:
+def _cmd_kernel(args, config, stdout) -> int:
     spec = load_spec(args.spec)
-    kernel = stein_kernel(spec, args.grid, _config(args))
+    kernel = stein_kernel(spec, args.grid, config)
     _write(args.out, kernel_to_csv(kernel), stdout)
     descriptor = kernel.descriptor()
     if descriptor is not None:
@@ -145,9 +145,8 @@ def _cmd_kernel(args, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(args, stdout) -> int:
+def _cmd_bound(args, config, stdout) -> int:
     spec = load_spec(args.spec)
-    config = _config(args)
     kernel = stein_kernel(spec, args.grid, config)
     report = discrepancy_bounds(spec, kernel, config)
     doc = {"schema": SCHEMA, **report.to_dict()}
@@ -158,13 +157,12 @@ def _cmd_bound(args, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_clt(args, stdout) -> int:
+def _cmd_clt(args, config, stdout) -> int:
     spec = load_spec(args.spec)
     try:
         ns = [int(part) for part in args.n.split(",") if part]
     except ValueError as exc:
         raise SpecError(f"--n must be a comma-separated integer list: {exc}")
-    config = _config(args)
     curve = clt_curve(spec, ns, grid_size=args.grid, config=config)
     if args.out:
         _write(args.out, curve_to_csv(curve), stdout)
@@ -173,16 +171,15 @@ def _cmd_clt(args, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_recover(args, stdout) -> int:
+def _cmd_recover(args, config, stdout) -> int:
     spec = load_spec(args.spec)
-    config = _config(args)
     kernel = stein_kernel(spec, args.grid, config)
     density = recover_density(kernel, moments(spec).mean, args.grid, config)
     _write(args.out, density_to_csv(density), stdout)
     return EXIT_OK
 
 
-def _cmd_corpus(args, stdout) -> int:
+def _cmd_corpus(args, config, stdout) -> int:
     rows = corpus_mod.run_corpus(grid_size=min(args.grid, 1024))
     width = max(len(r.spec_name) for r in rows)
     cwidth = max(len(r.check) for r in rows)
@@ -216,9 +213,11 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         # argparse exits 2 on usage errors; the contract wants 1
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
+        # every verb validates --tol and --tail, whether it reads them or not
+        config = _config(args)
         # non-finite values are refused where rendered, not warned about
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.verb](args, stdout)
+            return _COMMANDS[args.verb](args, config, stdout)
     except (OSError, SpecError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

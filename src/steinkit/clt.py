@@ -219,11 +219,16 @@ def _centered_cf_minus_one(spec: DistributionSpec, t) -> np.ndarray:
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:
-    """(1 + x)^n for complex x as exp(n log|1 + x|) e^(i n arg(1 + x)),
-    keeping relative precision at small |x| and giving 0 where 1 + x = 0."""
+    """(1 + x)^n for complex x as exp(n log|1 + x|) e^(i n arg(1 + x)), 0
+    where 1 + x = 0; log1p(|1 + x|^2 - 1) keeps relative precision at small
+    |x|, and log|1 + x| is direct below |1 + x|^2 = 1/2, where that rounds to -1."""
     re, im = x.real, x.imag
-    with np.errstate(divide="ignore"):
-        modulus = np.exp(0.5 * n * np.log1p(re * (2.0 + re) + im * im))
+    sq = re * (2.0 + re) + im * im
+    near = sq < -0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_sq = np.log1p(sq)
+        log_sq[near] = 2.0 * np.log(np.abs(1.0 + x[near]))
+        modulus = np.exp(0.5 * n * log_sq)
     return modulus * np.exp(1j * (n * np.arctan2(im, 1.0 + re)))
 
 
@@ -452,15 +457,13 @@ def rate_fit(curve: CltCurve) -> tuple:
 
 
 def clt_curve(spec: DistributionSpec, ns, grid_size: int = 4096,
-              config: QuadratureConfig = DEFAULT_CONFIG,
-              kernel: KernelFn = None) -> CltCurve:
+              config: QuadratureConfig = DEFAULT_CONFIG) -> CltCurve:
     """Assemble the bound series, the empirical series when the spec is
     purely AC, and the fitted slopes when the n-range supports a fit."""
     ns = tuple(int(n) for n in ns)
     if not ns or any(n < 1 for n in ns):
         raise SpecError("ns must be positive integers")
-    if kernel is None:
-        kernel = stein_kernel(spec, config=config)
+    kernel = stein_kernel(spec, config=config)
     mom = moments(spec)
     _, var_tau = kernel_stats(spec, kernel, config=config)
     bounds = tuple(_bound_from_var_tau(var_tau, mom.variance, n) for n in ns)

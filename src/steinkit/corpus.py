@@ -29,21 +29,20 @@ from .kernels import (
 )
 
 
-def _rational_interval_spec(count: int = 8) -> DistributionSpec:
-    """Equal-density cover of intervals [r_k - 2^-k, r_k + 2^-k] around a
-    fixed enumeration of rationals, truncated to the first `count` terms.
+def _rational_interval_spec() -> DistributionSpec:
+    """Equal-density cover of intervals [r_k - 2^-k, r_k + 2^-k] around the
+    first eight terms of a fixed enumeration of rationals.
 
     The limit object is supported on all of the reals yet not almost
     everywhere positive; any finite truncation already has interior gaps,
     so no kernel exists.
     """
     rationals = [0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 / 3.0]
-    assert count <= len(rationals)
-    lengths = [2.0 ** -(k - 1) for k in range(1, count + 1)]
+    lengths = [2.0 ** -(k - 1) for k in range(1, len(rationals) + 1)]
     total = sum(lengths)
     pieces = tuple(
         Uniform(r - 2.0 ** -k, r + 2.0 ** -k, lengths[k - 1] / total)
-        for k, r in enumerate(rationals[:count], start=1))
+        for k, r in enumerate(rationals, start=1))
     return DistributionSpec(pieces)
 
 

@@ -683,12 +683,12 @@ class QuadratureConfig:
         if not (0.0 < self.tail_quantile <= 1e-6):
             raise SpecError("tail_quantile must lie in (0, 1e-6]")
 
-    def cantor_depth(self, span: float) -> int:
-        """Ternary depth at which 3^-depth * span < abs_tol."""
-        if span <= 0:
-            return 2
-        d = math.ceil(math.log(span / self.abs_tol) / math.log(3.0))
-        return min(max(d, 2), 64)
+    @property
+    def cantor_depth(self) -> int:
+        """Depth D of `expect`'s Cantor cells, from abs_tol alone: d // 2 + 2,
+        d >= 2 the ternary depth with 3^-d < abs_tol, at most MAX_CELL_DEPTH."""
+        d = math.ceil(math.log(1.0 / self.abs_tol) / math.log(3.0))
+        return min(max(d, 2) // 2 + 2, MAX_CELL_DEPTH)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -963,10 +963,15 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
     return total, abserr
 
 
-def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.inf,
-           extra_breaks: Sequence[float] = (), kernel=None,
+def _sorted_distinct(x) -> np.ndarray:
+    """Sorted distinct values of x; np.unique would import numpy.ma."""
+    x = np.sort(x)
+    return x[np.append(True, np.diff(x) > 0)]
+
+
+def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel=None,
            config: QuadratureConfig = DEFAULT_CONFIG):
-    """E[g(X) 1{lo <= X <= hi}] against the full mixture measure.
+    """E[g(X)] against the full mixture measure.
 
     g(x, tau) maps a 1-D array of points to values or to a (k, n) stack,
     whose rows are then integrated together (the result has shape (k,)).
@@ -982,18 +987,18 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     smooth; `integrate` cuts a few segments into its starting panels.
     On the gaps between those cells the Cantor CDF and partial mean are
     constant, so a kernel there is as smooth as the AC density; D is
-    cantor_depth(1.0) // 2 + 2, at most MAX_CELL_DEPTH, and set by the
-    tolerance alone, since the problem is affine-invariant.  Atoms add
-    their mass times g.  A Cantor part adds the mean of g over its cells:
-    at the midpoints of the same 2^D cells, second order by the symmetry
-    of every cell.
+    `config.cantor_depth`.  Atoms add their mass times g.  A Cantor part
+    adds the mean of g over its cells: at the midpoints of the same 2^D
+    cells, second order by the symmetry of every cell.  An integral over a
+    window [lo, hi] is that of g times its indicator, with lo and hi among
+    extra_breaks.
     """
     def ac(x):
         p = ac_density(spec, x)
         return np.asarray(g(x, None if kernel is None else kernel._values_ae(x, spec, p)),
                           dtype=float) * p
 
-    depth = min(config.cantor_depth(1.0) // 2 + 2, MAX_CELL_DEPTH)
+    depth = config.cantor_depth
     left = cantor_points(depth) if spec.cantor_parts else None
     breaks = np.concatenate((spec._kernel_breaks, extra_breaks))
     if spec.cantor_parts:
@@ -1003,24 +1008,18 @@ def expect(spec: DistributionSpec, g, lo: float = -math.inf, hi: float = math.in
     total = 0.0
     if spec.ac_pieces:
         los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
-        a, b = max(min(los), lo), min(max(his), hi)
-        if a < b:
-            # distinct and sorted; np.unique would import numpy.ma on first use
-            seams = np.sort(np.concatenate(([a, b], breaks[(a < breaks) & (breaks < b)])))
-            total, _ = integrate(ac, seams[np.append(True, np.diff(seams) > 0)], config)
-    atoms = [a for a in spec.atoms if lo <= a.location <= hi]
-    if atoms:
-        xs = np.array([a.location for a in atoms])
+        a, b = min(los), max(his)
+        seams = _sorted_distinct(np.concatenate(([a, b], breaks[(a < breaks) & (breaks < b)])))
+        total, _ = integrate(ac, seams, config)
+    if spec.atoms:
+        xs = np.array([a.location for a in spec.atoms])
         vals = np.asarray(g(xs, None if kernel is None else kernel.values(xs)), dtype=float)
-        total = total + vals @ np.array([a.mass for a in atoms])
+        total = total + vals @ np.array([a.mass for a in spec.atoms])
     for c in spec.cantor_parts:
         pts = c.lo + (c.hi - c.lo) * (left + 0.5 / 3.0 ** depth)
-        inside = pts[(pts >= lo) & (pts <= hi)]
-        if inside.size:
-            tau = (None if kernel is None else np.zeros_like(inside)
-                   if (c.lo, c.hi) in kernel.cantor_intervals else kernel.values(inside))
-            vals = np.asarray(g(inside, tau), dtype=float)
-            total = total + c.weight * vals.sum(axis=-1) / len(pts)
+        tau = (None if kernel is None else np.zeros_like(pts)
+               if (c.lo, c.hi) in kernel.cantor_intervals else kernel.values(pts))
+        total = total + c.weight * np.asarray(g(pts, tau), dtype=float).sum(axis=-1) / len(pts)
     return total
 
 

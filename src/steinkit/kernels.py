@@ -174,15 +174,14 @@ def _merge_intervals(intervals):
     return [(lo, hi) for lo, hi in out]
 
 
-def existence_check(spec: DistributionSpec,
-                    config: QuadratureConfig = DEFAULT_CONFIG) -> ExistenceReport:
+def existence_check(spec: DistributionSpec) -> ExistenceReport:
     """Decide whether a Stein kernel exists for the spec.
 
     The gate tests whether the mixture's AC density is strictly positive up
     to a Lebesgue-null set on the open interval I between the essential
     infimum and supremum: the union of the pieces' positivity intervals must
-    cover I with no gap of positive length.  Verdicts: a single atom is
-    degenerate; anything else without that coverage has no kernel.
+    cover I with no gap of positive length, decided exactly without a
+    tolerance.  A single atom is degenerate; otherwise no cover, no kernel.
     """
     sup = support(spec)
     if sup.is_degenerate:
@@ -211,8 +210,7 @@ def existence_check(spec: DistributionSpec,
 # Non-zero-bias density
 # ---------------------------------------------------------------------------
 
-def nz_density(spec: DistributionSpec, t,
-               config: QuadratureConfig = DEFAULT_CONFIG):
+def nz_density(spec: DistributionSpec, t):
     """Density q(t) = sigma^-2 E[(X - m) 1{X >= t}] of the non-zero-biased
     distribution; vanishes outside the closed support interval.
 
@@ -313,7 +311,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     """
     if not 16 <= grid_size <= MAX_GRID:
         raise SpecError(f"grid_size must lie in [16, {MAX_GRID}], got {grid_size}")
-    report = existence_check(spec, config)
+    report = existence_check(spec)
     if report.verdict is Verdict.DEGENERATE:
         raise DegenerateError("a point mass admits the trivial kernel only; "
                               "no grid construction is defined")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DEFAULT_CONFIG, QuadratureConfig, _adapt
+from .distributions import DEFAULT_CONFIG, QuadratureConfig, _adapt, _sorted_distinct
 from .errors import NumericsError, SpecError
 from .kernels import MAX_GRID, KernelFn, TestFunction, _require_finite
 
@@ -161,7 +161,7 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
             steps = math.ceil(math.log2(ratio))
             cuts.append(end + (near - end) * ratio ** (np.arange(1, steps) / steps))
     cuts = np.concatenate(cuts)
-    edges = np.union1d(nodes, cuts[(nodes[0] < cuts) & (cuts < nodes[-1])])
+    edges = _sorted_distinct(np.concatenate((nodes, cuts[(nodes[0] < cuts) & (cuts < nodes[-1])])))
     cell = np.searchsorted(nodes, edges[:-1], side="right") - 1
     # an absolute error in the exponent is the density's relative error, so
     # the whole integral is held to abs_tol alone

@@ -1,8 +1,9 @@
 """Brute-force oracles used across the test suite.
 
 Everything here recomputes library quantities by an independent route:
-plain quadrature against component densities, atom sums, and equal-mass
-Cantor construction cells.  Nothing imports the library's closed forms
+plain quadrature against component densities, exact moments by sympy
+(imported on first use), atom sums, and equal-mass Cantor construction
+cells.  Nothing imports the library's closed forms
 beyond the raw component parameters.  The one exception is
 `kernel_measure_integral`, a helper only tests use, which runs on the
 library's own expectation engine.
@@ -87,8 +88,71 @@ def expect(spec, g):
 
 
 def kernel_measure_integral(spec, kernel, lo, hi, config=DEFAULT_CONFIG):
-    """integral of tau over [lo, hi] against the full mixture measure."""
-    return float(engine_expect(spec, lambda x, tau: tau, lo, hi, kernel=kernel, config=config))
+    """integral of tau over [lo, hi] against the full mixture measure: tau
+    times the window's indicator, with the window's ends as breaks."""
+    return float(engine_expect(spec, lambda x, tau: tau * ((lo <= x) & (x <= hi)),
+                               extra_breaks=(lo, hi), kernel=kernel, config=config))
+
+
+def _piece_central_moments(c):
+    """(weight, mean, 2nd, 3rd and 4th central moments) of one AC piece or
+    atom, exact in sympy: its density integrated symbolically from its
+    parameters, each float taken at its exact binary value."""
+    import sympy as sp
+
+    x = sp.Symbol("x", real=True)
+    r = sp.Rational
+    if isinstance(c, Atom):
+        return r(c.mass), r(c.location), 0, 0, 0
+    if isinstance(c, Uniform):
+        parts = [(1 / (r(c.hi) - r(c.lo)), r(c.lo), r(c.hi))]
+    elif isinstance(c, Normal):
+        mu, sd = r(c.mean), r(c.sd)
+        parts = [(sp.exp(-(x - mu) ** 2 / (2 * sd ** 2)) / (sd * sp.sqrt(2 * sp.pi)),
+                  -sp.oo, sp.oo)]
+    elif isinstance(c, Exponential):
+        parts = [(r(c.rate) * sp.exp(-r(c.rate) * x), 0, sp.oo)]
+    elif isinstance(c, Tabulated):
+        g, v = [r(float(a)) for a in c.grid], [r(float(a)) for a in c.values]
+        parts = [(v[i] + (v[i + 1] - v[i]) * (x - g[i]) / (g[i + 1] - g[i]), g[i], g[i + 1])
+                 for i in range(len(g) - 1)]
+    else:
+        raise TypeError(c)
+
+    def integral(f):
+        return sum(sp.integrate(f * p, (x, a, b)) for p, a, b in parts)
+
+    mass = integral(1)
+    mean = integral(x) / mass
+    return (r(c.weight), mean, *(integral((x - mean) ** k) / mass for k in (2, 3, 4)))
+
+
+def standardized_cumulants(spec):
+    """(kappa_3, kappa_4) of the standardized law of a spec of AC pieces and
+    atoms: each piece's central moments combined exactly about the mixture
+    mean; kappa_3 is 0.0 exactly for a law symmetric in its parameters."""
+    pieces = [_piece_central_moments(c) for c in spec.components]
+    total = sum(p[0] for p in pieces)
+    m = sum(w * mean for w, mean, *_ in pieces) / total
+    mu = [0, 0, 0]
+    for w, mean, v, t, f in pieces:
+        d = mean - m
+        mu[0] += w * (v + d ** 2) / total
+        mu[1] += w * (t + 3 * d * v + d ** 3) / total
+        mu[2] += w * (f + 4 * d * t + 6 * d ** 2 * v + d ** 4) / total
+    var, third, fourth = (float(u) for u in mu)
+    return third / var ** 1.5, fourth / var ** 2 - 3.0
+
+
+def half_mean_abs_hermite(k):
+    """E|He_k(Z)| / 2 for k = 3 or 4: He_k phi = -(He_(k-1) phi)', so the
+    integral between consecutive sign changes of the even |He_k| is a
+    difference of He_(k-1) phi."""
+    roots = {3: [0.0, math.sqrt(3.0)],
+             4: [0.0, math.sqrt(3.0 - math.sqrt(6.0)), math.sqrt(3.0 + math.sqrt(6.0))]}[k]
+    prev = {3: lambda z: z * z - 1.0, 4: lambda z: z ** 3 - 3.0 * z}[k]
+    ends = [prev(z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi) for z in roots] + [0.0]
+    return sum(abs(a - b) for a, b in zip(ends[:-1], ends[1:]))
 
 
 def moments_oracle(spec):

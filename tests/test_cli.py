@@ -279,6 +279,13 @@ def test_invalid_tail_quantile_exits_one(tmp_path):
     assert "tail_quantile" in cp.stderr
 
 
+@pytest.mark.parametrize("option", [["--tail", "1e-5"], ["--tol", "nan"]])
+def test_corpus_validates_tol_and_tail(option):
+    out, err = io.StringIO(), io.StringIO()
+    assert dispatch(["corpus", *option], out, err) == 1
+    assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
 def test_floats_render_17_significant_digits(tmp_path):
     cp = run_cli("check", write_spec(tmp_path, "mixed.json", MIXED))
     # verdict JSON carries no long floats; use the clt bounds instead
@@ -290,7 +297,8 @@ def test_floats_render_17_significant_digits(tmp_path):
 
 def test_runtime_loads_no_scipy_module(tmp_path):
     # scipy is a test oracle only: a fresh interpreter that imports steinkit,
-    # runs every verb and hits the quadrature's subdivision cap loads none of it
+    # runs every verb and hits the quadrature's subdivision cap loads none of
+    # it; nor does any verb load numpy.ma, which np.unique imports on first use
     spec = write_spec(tmp_path, "mix.json", NORMAL_UNIFORM)
     code = ("import io, sys, warnings\n"
             "import numpy as np\n"
@@ -302,6 +310,7 @@ def test_runtime_loads_no_scipy_module(tmp_path):
             "             ['clt', spec, '--n', '1,4,64'], ['recover', spec], ['corpus']):\n"
             "    code = dispatch(argv + ['--grid', '1024'], io.StringIO(), io.StringIO())\n"
             "    assert code == 0, (argv, code)\n"
+            "    assert 'numpy.ma' not in sys.modules, argv\n"
             "with warnings.catch_warnings(record=True) as caught:\n"
             "    warnings.simplefilter('always')\n"
             "    integrate(lambda x: np.abs(x - 0.3), [0.0, 1.0], QuadratureConfig(max_subdivisions=1))\n"

@@ -8,6 +8,7 @@ from steinkit import (
     CltCurve,
     DistributionSpec,
     Exponential,
+    Normal,
     NumericsError,
     SpecError,
     Tabulated,
@@ -169,6 +170,43 @@ def test_cf_route_matches_fine_fft_reference(spec, n):
     assert res.route == "cf"
     assert abs(res.tv - ref) <= ref_err
     assert res.error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("spec", [
+    N01,
+    DistributionSpec((Normal(-1.0, 1.0, 0.5), Normal(1.0, 0.5, 0.5))),
+    DistributionSpec((Normal(0.0, 1.0, 0.3), Normal(0.5, 2.0, 0.7))),
+], ids=["normal", "normal_pair", "normal_pair_skewed"])
+def test_cf_route_is_exact_at_one_summand(spec):
+    # at n = 1 psi is the characteristic function itself, so |1 + x| falls
+    # far below 1e-8 on the frequency grid; d_TV(S_1^*, Z) is tv_to_normal
+    res = convolution_tv_result(spec, 1, 1 << 14)
+    assert res.route == "cf"
+    assert abs(res.tv - tv_to_normal(spec)) <= max(res.error_estimate, 1e-14)
+
+
+EDGEWORTH_SPECS = [name for name, spec in KERNEL_SPECS.items()
+                   if not spec.atoms and not spec.cantor_parts
+                   and not all(isinstance(c, Normal) for c in spec.components)]
+
+
+@pytest.mark.parametrize("name", EDGEWORTH_SPECS)
+def test_cf_route_meets_the_edgeworth_limit(name):
+    # Cramer's condition holds, so the Edgeworth expansion holds in variation:
+    # sqrt(n) d_TV -> |k3|/6 E|He3(Z)|/2, or n d_TV -> |k4|/24 E|He4(Z)|/2 when k3 = 0
+    spec = KERNEL_SPECS[name]
+    k3, k4 = oracle.standardized_cumulants(spec)
+    if k3 != 0.0:
+        limit, power = abs(k3) / 6.0 * oracle.half_mean_abs_hermite(3), 0.5
+    else:
+        limit, power = abs(k4) / 24.0 * oracle.half_mean_abs_hermite(4), 1.0
+    gaps = []
+    for n in (10 ** 4, 10 ** 6):
+        res = convolution_tv_result(spec, n)
+        assert res.route == "cf"
+        gaps.append(abs(res.tv * n ** power / limit - 1.0))
+    assert gaps[0] <= 1e-3
+    assert gaps[1] < gaps[0]
 
 
 def test_route_falls_back_to_fft_where_psi_decays_slowly():

@@ -588,12 +588,11 @@ def test_quadrature_config_validation():
             QuadratureConfig(rel_tol=bad)
 
 
-def test_cantor_depth_scales_with_span():
+def test_cantor_depth_is_set_by_the_tolerance():
     from steinkit import QuadratureConfig
-    config = QuadratureConfig(abs_tol=1e-9)
-    assert 3.0 ** -config.cantor_depth(1.0) < 1e-9
-    assert config.cantor_depth(1.0) < config.cantor_depth(100.0)
-    assert config.cantor_depth(0.0) >= 2
+    from steinkit.distributions import MAX_CELL_DEPTH
+    assert QuadratureConfig().cantor_depth == 11
+    assert QuadratureConfig(abs_tol=1e-15).cantor_depth == MAX_CELL_DEPTH
 
 
 # -- expectation engine -------------------------------------------------------

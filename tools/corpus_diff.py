@@ -16,10 +16,11 @@ steinkit corpus`, whose certification table prints |E tau - sigma^2| and
 the largest Stein residual of every corpus spec, runs once (its grid is
 capped at 1024): 181 outputs, in both checkouts, up to four CLI processes
 at a time (fewer on a machine with fewer CPUs).  The script prints how
-many outputs (stdout and exit code) are byte-identical, and for every
-output that differs, the largest relative and absolute difference of its
-numbers, or why they cannot be paired.  The worktree is removed at the
-end.  Standard library only.
+many outputs (exit code, stdout and stderr, each checkout's path in stderr
+written as <tree>) are byte-identical, and for every output that differs,
+the exit codes, or, per stream that differs, the largest relative and
+absolute difference of its numbers or why they cannot be paired.  The
+worktree is removed at the end.  Standard library only.
 """
 
 from __future__ import annotations
@@ -69,10 +70,11 @@ def cli_cases(specs) -> list:
 
 
 def run_verb(tree: Path, args: list) -> tuple:
-    """(exit code, stdout) of one CLI call in the checkout `tree`."""
+    """(exit code, stdout, stderr) of one CLI call in the checkout `tree`,
+    the checkout's path in stderr (a warning's source file) as <tree>."""
     cp = subprocess.run([sys.executable, "-m", "steinkit", *args], cwd=tree, env=env_for(tree),
                         capture_output=True, text=True, stdin=subprocess.DEVNULL)
-    return cp.returncode, cp.stdout
+    return cp.returncode, cp.stdout, cp.stderr.replace(str(tree), "<tree>")
 
 
 def numeric_diff(old: str, new: str):
@@ -118,11 +120,13 @@ def main(argv=None) -> int:
             if old[0] != new[0]:
                 print(f"  {what}: exit {old[0]} -> {new[0]}")
                 continue
-            diff = numeric_diff(old[1], new[1])
-            if isinstance(diff, str):
-                print(f"  {what}: {diff}")
-            else:
-                print(f"  {what}: max relative {diff[0]:.3g}, max absolute {diff[1]:.3g}")
+            notes = []
+            for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+                if a != b:
+                    diff = numeric_diff(a, b)
+                    notes.append(f"{stream} {diff}" if isinstance(diff, str) else
+                                 f"{stream} max relative {diff[0]:.3g}, max absolute {diff[1]:.3g}")
+            print(f"  {what}: {'; '.join(notes)}")
         print(f"{same} of {len(cases)} outputs byte-identical ({len(names)} specs, grids"
               f" {', '.join(map(str, GRIDS))}, verbs {', '.join(VERBS)}; corpus once)")
     return 0
