@@ -15,9 +15,9 @@ function of S_n^*,
     psi(s) = [phi_X(s / (sigma sqrt(n))) e^(-i s m / (sigma sqrt(n)))]^n,
 
 as a Fourier series on a fixed window [-Z, Z], at a cost set by how fast
-psi decays rather than by n.  The FFT route self-convolves the density,
-sampled on a grid, n times; it runs where psi decays too slowly, such as
-small n on a density with jumps.
+psi decays rather than by n.  The FFT route self-convolves the exact cell
+masses of the law on a grid n times; it runs where psi decays too slowly,
+such as small n on a density with jumps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .distributions import (
     _piece_cf_envelope,
     _piece_mean,
     _piece_tail,
-    ac_density,
     moments,
     truncated_support,
 )
@@ -138,66 +137,31 @@ def _fft_len(n: int, grid_size: int) -> int:
     return 1 << (n * (grid_size - 1)).bit_length()
 
 
-def _cell_masses(spec: DistributionSpec, lo: float, hi: float, grid_size: int):
-    """Mass of the AC density in each grid cell: the exact CDF difference in
-    every cell that holds exactly one distinct density break (a break on a
-    cell edge belongs to both cells), the midpoint sample elsewhere."""
-    dx = (hi - lo) / grid_size
-    xs = lo + (np.arange(grid_size) + 0.5) * dx
-    w = ac_density(spec, xs) * dx
-    held = {}
-    for b in spec.density_breaks:
-        if lo <= b <= hi:
-            pos = (b - lo) / dx
-            cells = {min(max(i, 0), grid_size - 1) for i in (math.floor(pos), math.ceil(pos) - 1)}
-            for cell in cells:
-                held[cell] = held.get(cell, 0) + 1
-    single = [k for k, count in held.items() if count == 1]
-    if single:
-        edges = np.array([lo + k * dx for k in single]
-                         + [min(lo + (k + 1) * dx, hi) for k in single])
-        cdf = sum(c.weight * _piece_tail(c, edges, lower=True)[0] for c in spec.ac_pieces)
-        w[single] = cdf[len(single):] - cdf[:len(single)]
-    return w, dx
-
-
-def _sum_density_grid(spec: DistributionSpec, n: int, grid_size: int,
-                      config: QuadratureConfig):
-    """Cell masses of X, self-convolved n times by FFT."""
-    lo, hi = truncated_support(spec, config.tail_quantile)
-    w, dx = _cell_masses(spec, lo, hi, grid_size)
-    mass = float(np.sum(w))
-    defect = abs(1.0 - mass)
-    if defect > MASS_DEFECT_LIMIT:
-        raise NumericsError(
-            f"sampled density mass {mass:.6f} is too far from 1; "
-            f"the grid is too small for the requested support")
-    w = w / mass
-
-    out_len = n * (grid_size - 1) + 1
-    fft_len = _fft_len(n, grid_size)
-    spectrum = np.fft.rfft(w, fft_len)
-    conv = np.fft.irfft(spectrum ** n, fft_len)[:out_len]
-    np.maximum(conv, 0.0, out=conv)
-    ys = n * (lo + 0.5 * dx) + np.arange(out_len) * dx
-    return ys, conv, dx, defect
-
-
 def _fft_tv(spec: DistributionSpec, n: int, grid_size: int,
             config: QuadratureConfig) -> tuple:
-    """(d_TV, mass defect) from the n-fold convolution: trapezoid of
-    |density - phi| on the standardized sum grid plus the normal mass
-    beyond it."""
+    """(d_TV, mass defect) by the FFT route (see convolution_tv_result)."""
+    lo, hi = truncated_support(spec, config.tail_quantile)
+    edges = np.linspace(lo, hi, grid_size + 1)
+    cdf = sum(c.weight * _piece_tail(c, edges, lower=True)[0] for c in spec.ac_pieces)
+    w = np.diff(cdf)
+    mass = float(np.sum(w))
+    if not abs(1.0 - mass) <= MASS_DEFECT_LIMIT:
+        raise NumericsError(
+            f"cell mass {mass:.6f} is too far from 1; "
+            f"the support [{lo!r}, {hi!r}] is too narrow for the grid")
+
+    fft_len = _fft_len(n, grid_size)
+    out_len = n * (grid_size - 1) + 1
+    conv = np.fft.irfft(np.fft.rfft(w / mass, fft_len) ** n, fft_len)[:out_len]
     mom = moments(spec)
-    scale = math.sqrt(mom.variance) * math.sqrt(n)
-    ys, conv, dx, defect = _sum_density_grid(spec, n, grid_size, config)
-    zs = (ys - n * mom.mean) / scale
+    dx = (hi - lo) / grid_size
+    scale = math.sqrt(n * (mom.variance + dx * dx / 12.0))
+    zs = (n * (lo + 0.5 * dx - mom.mean) + np.arange(out_len) * dx) / scale
     dz = dx / scale
-    dens = conv / dz
     phi = np.exp(-0.5 * zs * zs) / _SQRT2PI
-    tv = 0.5 * float(np.trapezoid(np.abs(dens - phi), zs))
+    tv = 0.5 * float(np.sum(np.abs(conv - phi * dz)))
     tv += 0.5 * (_ndtr(zs[0] - 0.5 * dz) + _ndtr(-(zs[-1] + 0.5 * dz)))
-    return min(1.0, tv), defect
+    return min(1.0, tv), abs(1.0 - mass)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +361,19 @@ def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
     frequencies (always computed); the mass defect is |1 - integral of f
     over the window|.
 
-    FFT route ("fft"): the cell masses of the density on a uniform grid over
-    the (tail-truncated) support, exact in cells holding one density break
-    and midpoint samples elsewhere, are convolved n-fold with zero-padding
-    past the full output length so cyclic wrap-around is structurally
-    impossible; the sum grid is standardized and |density - phi| integrated
-    by trapezoid, adding the normal mass beyond the grid.  The error
-    estimate is the difference against a half-resolution recomputation.
-    A transform longer than FFT_MAX_LEN points raises NumericsError.
+    FFT route ("fft"): every cell of a uniform grid over the
+    (tail-truncated) support gets its exact mass, the CDF difference at its
+    edges, and the masses are convolved n-fold with zero-padding past the
+    full output length so cyclic wrap-around is structurally impossible.
+    The distance is half the sum over the sum grid's cells of
+    |mass - phi(z) dz|, with z standardized by sqrt(n (sigma^2 + dx^2 / 12))
+    (Sheppard's variance of a law held as cell masses), plus half the
+    normal mass beyond the grid.  The mass defect is the mass the
+    truncation drops, at most about 2 tail_quantile; a mass more than
+    MASS_DEFECT_LIMIT off 1 (a grid collapsed onto a point) raises
+    NumericsError.  The error estimate is the difference against a
+    half-resolution recomputation.  A transform longer than FFT_MAX_LEN
+    points raises NumericsError.
     """
     if spec.atoms or spec.cantor_parts:
         raise SpecError("exact convolution distance requires a purely "

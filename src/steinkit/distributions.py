@@ -130,11 +130,13 @@ class Tabulated:
         if g.ndim != 1 or v.ndim != 1 or g.shape != v.shape or len(g) < 2:
             raise SpecError("tabulated piece needs matching 1-D grid/values with >= 2 points")
         _check_finite("tabulated", grid=g, values=v)
-        if not np.all(np.diff(g) > 0):
-            raise SpecError("tabulated grid must be strictly increasing")
-        if np.any(v < 0):
-            raise SpecError("tabulated density values must be nonnegative")
-        total = np.trapezoid(v, g)
+        # a span or total that overflows is refused below, without a warning
+        with np.errstate(over="ignore"):
+            if not np.all(np.diff(g) > 0):
+                raise SpecError("tabulated grid must be strictly increasing")
+            if np.any(v < 0):
+                raise SpecError("tabulated density values must be nonnegative")
+            total = np.trapezoid(v, g)
         if not 0 < total < math.inf:
             raise SpecError("tabulated density must have a positive, finite total mass")
         if abs(total - 1.0) > 4 * len(g) * math.ulp(1.0):

@@ -94,12 +94,12 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     kernel once on every node, and the final intervals are summed back per
     cell.  The grid is split a hair on each side of every density break,
     and the cell across a break starts as its two sides, so psi is smooth
-    under every rule; a cell next to a finite domain end, where
-    psi ~ 1/(t - lo), starts on edges graded geometrically toward it.  An
-    absolute error in the exponent is the density's relative error, so the
-    whole integral is held to `config.abs_tol` alone.  Cumulative sums
-    outward from x0 give the exponent; once it falls below the underflow
-    floor the density is pinned to zero beyond.
+    under every rule; a cell next to a finite domain end that holds no
+    atom, where psi ~ 1/(t - lo), starts on edges graded geometrically
+    toward it.  An absolute error in the exponent is the density's relative
+    error, so the whole integral is held to `config.abs_tol` alone.
+    Cumulative sums outward from x0 give the exponent; once it falls below
+    the underflow floor the density is pinned to zero beyond.
     The grid spans the kernel's domain, falling back to the kernel's sampled
     range when the domain is unbounded, with a hair of inset so tau stays
     positive at the first and last points.  Kernels with an interior zero
@@ -152,11 +152,12 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     # the grid steps over each density break by 2 * _BREAK_GAP, so the cell
     # that straddles one starts as its two smooth sides; an end cell at a
     # finite domain end, where psi ~ 1/(t - lo), starts on edges graded by
-    # about 2 toward that end
+    # about 2 toward that end; an atom at the end keeps tau(end+) > 0 and
+    # psi bounded, so its cell needs no grading
     cuts = [np.asarray(kernel.density_breaks, dtype=float)]
     for end, near, far in ((kernel.domain.lo, nodes[0], nodes[1]),
                            (kernel.domain.hi, nodes[-1], nodes[-2])):
-        if math.isfinite(end):
+        if math.isfinite(end) and end not in kernel.atom_zeros:
             ratio = (far - end) / (near - end)
             steps = math.ceil(math.log2(ratio))
             cuts.append(end + (near - end) * ratio ** (np.arange(1, steps) / steps))

@@ -265,18 +265,37 @@ def _split_abs_integral(diff, lo, hi, scan=4001):
     return total
 
 
+def piecewise_density_tv(pdf, breaks, mean, sd):
+    """d_TV between the law with density pdf, zero outside [breaks[0],
+    breaks[-1]] and smooth between consecutive breaks, and N(mean, sd^2):
+    |pdf - normal| integrated between the breaks and bisected crossings,
+    plus the normal mass outside the breaks."""
+    def diff(t):
+        return pdf(t) - math.exp(-0.5 * ((t - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+
+    total = sum(_split_abs_integral(diff, a, b) for a, b in zip(breaks[:-1], breaks[1:]))
+    total += float(ndtr((breaks[0] - mean) / sd) + ndtr(-(breaks[-1] - mean) / sd))
+    return 0.5 * total
+
+
 def tv_to_normal_oracle(spec, lo, hi, singular_mass=0.0):
     """Half L1 distance between the spec's AC density and the matched
     normal, split at bisected crossings, plus half the singular mass."""
     m, var = moments_oracle(spec)
-    sd = math.sqrt(var)
+    tv = piecewise_density_tv(lambda t: mixture_pdf(spec, t), [lo, hi], m, math.sqrt(var))
+    return tv + 0.5 * singular_mass
 
-    def diff(t):
-        return mixture_pdf(spec, t) - math.exp(-0.5 * ((t - m) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
 
-    total = _split_abs_integral(diff, lo, hi)
-    total += float(ndtr((lo - m) / sd) + ndtr(-(hi - m) / sd))
-    return 0.5 * (total + singular_mass)
+def irwin_hall_tv(n):
+    """d_TV of the standardized sum of n standard uniforms against the
+    standard normal, from the Irwin-Hall density
+    sum_{k <= y} (-1)^k C(n, k) (y - k)^(n-1) / (n-1)!, a polynomial between
+    consecutive integers."""
+    def pdf(y):
+        return sum((-1) ** k * math.comb(n, k) * (y - k) ** (n - 1)
+                   for k in range(math.floor(y) + 1)) / math.factorial(n - 1)
+
+    return piecewise_density_tv(pdf, list(range(n + 1)), 0.5 * n, math.sqrt(n / 12.0))
 
 
 # log n! = n log n - n + log(2 pi n) / 2 + r(n), with r(n) the sum over k of

@@ -126,12 +126,46 @@ def test_convolution_rejects_bad_grid():
         convolution_tv(U01, 4, 4095)
 
 
-def test_convolution_detects_unresolved_density():
-    from steinkit import NumericsError
-    # a spike 1e-6 wide is invisible to 1024 midpoints spanning [0, 1]
-    spike = DistributionSpec((Uniform(0.0, 1e-6, 0.5), Uniform(0.0, 1.0, 0.5)))
+# the law of S_2 for SPIKE is piecewise linear: 1/4 a triangle on [0, 2e-6],
+# 1/2 a trapezoid on [0, 1 + 1e-6] and 1/4 a triangle on [0, 2]
+SPIKE_PAIR_KNOTS = [0.0, 1e-6, 2e-6, 1.0, 1.0 + 1e-6, 2.0]
+SPIKE_PAIR_VALUES = [0.0, 0.25e6 + 0.5 + 0.25e-6, 0.5 + 0.5e-6, 0.75, 0.25 * (1.0 - 1e-6), 0.0]
+
+
+def spike_pair_tv():
+    mean, var = oracle.moments_oracle(SPIKE)
+    return oracle.piecewise_density_tv(
+        lambda t: float(np.interp(t, SPIKE_PAIR_KNOTS, SPIKE_PAIR_VALUES)),
+        SPIKE_PAIR_KNOTS, 2.0 * mean, math.sqrt(2.0 * var))
+
+
+def test_convolution_resolves_a_spike_below_the_cell_width():
+    # the spike is 1e-6 wide, a 244th of one of 4096 cells over [0, 1]
+    res = convolution_tv_result(SPIKE, 2, 4096, error_estimate=False)
+    assert res.route == "fft"
+    assert res.tv == pytest.approx(spike_pair_tv(), abs=5e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fft_route_matches_irwin_hall(n):
+    res = convolution_tv_result(U01, n, 4096, error_estimate=False)
+    assert res.route == "fft"
+    assert res.tv == pytest.approx(oracle.irwin_hall_tv(n), abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_fft_route_matches_gamma_oracle(n):
+    res = convolution_tv_result(E1, n, 4096, error_estimate=False)
+    assert res.route == "fft"
+    assert res.tv == pytest.approx(oracle.gamma_standardized_tv_oracle(n), abs=5e-6)
+
+
+def test_fft_route_refuses_a_collapsed_grid():
+    # the support rounds to one point, so every cell mass is 0
+    from steinkit.clt import _fft_tv
+    from steinkit.distributions import DEFAULT_CONFIG
     with pytest.raises(NumericsError):
-        convolution_tv(spike, 2, 1024)
+        _fft_tv(DistributionSpec((Normal(1.0, 1e-20, 1.0),)), 1, 1024, DEFAULT_CONFIG)
 
 
 def test_convolution_refuses_an_oversized_transform():
@@ -211,8 +245,9 @@ def test_cf_route_meets_the_edgeworth_limit(name):
 
 def test_route_falls_back_to_fft_where_psi_decays_slowly():
     assert convolution_tv_result(U01, 2).route == "fft"
-    # from grid 2^20 on, the spike's two breaks sit in separate cells
-    assert convolution_tv_result(SPIKE, 2, 1 << 20, error_estimate=False).route == "fft"
+    res = convolution_tv_result(SPIKE, 2, 1 << 20, error_estimate=False)
+    assert res.route == "fft"
+    assert res.tv == pytest.approx(spike_pair_tv(), abs=1e-6)
 
 
 def test_cf_route_reaches_a_million_summands():

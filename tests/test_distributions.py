@@ -108,8 +108,10 @@ def test_parse_rejects_nonincreasing_grid():
     '{"components":[{"kind":"exponential","rate":1e-300,"weight":1}]}',
     # finite, but its trapezoid total overflows and would divide it to zero
     '{"components":[{"kind":"tabulated","grid":[0,1e150],"values":[1e160,1e160],"weight":1}]}',
+    # finite, but its span overflows
+    '{"components":[{"kind":"tabulated","grid":[-1e308,1e308],"values":[1,1],"weight":1}]}',
 ], ids=["normal_infinite_mean", "atom_nan_location", "exponential_rate_1e-300",
-        "tabulated_total_overflows"])
+        "tabulated_total_overflows", "tabulated_span_overflows"])
 def test_parse_rejects_non_finite_parameters(text):
     with pytest.raises(SpecError):
         parse_spec(text)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -212,6 +213,25 @@ def test_boundary_atom_kernel_recovers_ac_shape():
     kernel = stein_kernel(spec, 64)
     den = recover_density(kernel, 0.0, 2048)
     assert float(np.max(np.abs(den.values - 0.5))) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["atom_at_edge_exponential", "mixed_atoms_uniform"])
+def test_end_cells_at_an_atom_start_ungraded(name):
+    # an atom at a domain end keeps tau(end+) > 0 and psi bounded, so every
+    # cell, the end cells included, closes on its first 15-node pass
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 512)
+    points = []
+
+    def fn_vec(ts):
+        points.append(np.size(ts))
+        return kernel._fn_vec(ts)
+
+    counted = dataclasses.replace(kernel, _fn_vec=fn_vec)
+    den = recover_density(counted, moments(spec).mean, 512)
+    # tau on the grid, then 15 nodes on each cell: the grid's cells plus the
+    # one the anchor splits off
+    assert sum(points) == len(den.grid) + 15 * len(den.grid)
 
 
 def test_anchor_outside_domain_raises():
