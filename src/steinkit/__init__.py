@@ -43,7 +43,6 @@ from .kernels import (
     ExistenceReport,
     InconsistencyWitness,
     KernelFn,
-    RadonNikodymFactor,
     Reason,
     TestFunction,
     Verdict,
@@ -53,11 +52,10 @@ from .kernels import (
     kernel_to_csv,
     nz_density,
     nz_mass,
-    radon_nikodym_factor,
     standard_test_functions,
     stein_kernel,
     stein_residual,
 )
 from .recovery import RecoveredDensity, recover_density, stein_operator
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

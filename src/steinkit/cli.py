@@ -180,7 +180,7 @@ def _cmd_recover(args, config, stdout) -> int:
 
 
 def _cmd_corpus(args, config, stdout) -> int:
-    rows = corpus_mod.run_corpus(grid_size=min(args.grid, 1024))
+    rows = corpus_mod.run_corpus()
     width = max(len(r.spec_name) for r in rows)
     cwidth = max(len(r.check) for r in rows)
     failures = 0

@@ -96,7 +96,7 @@ class CorpusCheck:
     detail: str
 
 
-def run_corpus(grid_size: int = 1024) -> list:
+def run_corpus() -> list:
     """Run the full golden-corpus battery and return one row per check."""
     rows = []
     for name, spec in KERNEL_SPECS.items():
@@ -105,7 +105,7 @@ def run_corpus(grid_size: int = 1024) -> list:
                                 report.verdict.value))
         if not report.exists:
             continue
-        kernel = stein_kernel(spec, grid_size)
+        kernel = stein_kernel(spec)
         mom = moments(spec)
         mean_tau, _ = kernel_stats(spec, kernel)
         gap = abs(mean_tau - mom.variance)

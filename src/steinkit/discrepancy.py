@@ -68,7 +68,8 @@ def _find_crossings(f, edges) -> np.ndarray:
     position (Dowell and Jarratt, BIT 1971), bisecting where a step is NaN,
     until each is narrower than XTOL min(w, 1) + RTOL |x|, w the total
     width; as in brentq, the crossing is the end of the final bracket where
-    |f| is smaller.  A crossing within 1e-12 w of an edge (where a jump
+    |f| is smaller.  Signs are compared as np.sign values, never through a
+    product of values, which overflows once |f| passes ~1e154.  A crossing within 1e-12 w of an edge (where a jump
     makes the scan report the edge itself) or of the crossing before it is
     dropped.  The length floors scale with min(w, 1), so that a narrow scan
     keeps its brackets inside its panels, and no inset exceeds a quarter of
@@ -85,7 +86,8 @@ def _find_crossings(f, edges) -> np.ndarray:
                        0.25 * (hi - lo))
     xs[:, 0], xs[:, -1] = lo + inset, hi - inset
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    sign = (vals[:, :-1] * vals[:, 1:] < 0.0) | (vals[:, 1:] == 0.0)
+    sv = np.sign(vals)
+    sign = (sv[:, :-1] * sv[:, 1:] < 0.0) | (vals[:, 1:] == 0.0)
     a, b, fa, fb = (v[sign] for v in (xs[:, :-1], xs[:, 1:], vals[:, :-1], vals[:, 1:]))
     ga = fa.copy()  # f(a) itself; the Illinois rule halves fa
     live = np.arange(len(b))
@@ -102,7 +104,7 @@ def _find_crossings(f, edges) -> np.ndarray:
                     np.minimum(la, lb) + step, np.maximum(la, lb) - step)
         c = np.where(np.isnan(c), 0.5 * (la + lb), c)
         fc = np.asarray(f(c), dtype=float)
-        flip = fc * lfb < 0.0
+        flip = np.sign(fc) * np.sign(lfb) < 0.0
         a[live] = np.where(flip, lb, la)
         fa[live] = np.where(flip, lfb, 0.5 * lfa)
         ga[live] = np.where(flip, lfb, ga[live])
@@ -156,17 +158,21 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
     split at the points of the truncated support where tau crosses sigma^2;
     atoms and the Cantor support contribute sigma^2 times their mass since
     the canonical kernel vanishes there.  bound_sd = 2 sqrt(Var tau(X)), with
-    E tau and E tau^2 integrated in the same call.
+    Var tau taken as in `kernel_stats`, integrated in the same call.  Both
+    rows about sigma^2 are integrated in units of u = max(sigma^2, 1), as
+    `kernel_stats` does.
     """
     var = moments(spec).variance
     slo, shi = truncated_support(spec, config.tail_quantile)
     edges = [slo, *(b for b in spec._kernel_breaks if slo < b < shi), shi]
     pts = _find_crossings(lambda t: kernel.values_ae(t) - var, edges)
-    l1, mean_tau, second = expect(
-        spec, lambda x, tau: np.stack([np.abs(tau - var), tau, tau * tau]),
+    unit = max(var, 1.0)
+    l1, mean_tau, spread = expect(
+        spec, lambda x, tau: np.stack([np.abs(tau - var) / unit, tau, ((tau - var) / unit) ** 2]),
         extra_breaks=pts, kernel=kernel, config=config)
+    var_tau = float(spread) * unit * unit - (float(mean_tau) - var) ** 2
     return DiscrepancyReport(
         tv_exact=tv_to_normal(spec, config=config),
-        bound_l1=2.0 * float(l1),
-        bound_sd=2.0 * math.sqrt(max(float(second - mean_tau * mean_tau), 0.0)),
+        bound_l1=2.0 * unit * float(l1),
+        bound_sd=2.0 * math.sqrt(max(var_tau, 0.0)),
     )

@@ -845,9 +845,9 @@ def _gk15(f, a, b, side=None, anchor=None):
     estimates |K15 - G7|, from one call of f on all nodes.
 
     f maps a 1-D array of points to values or to a (k, n) stack.  Where
-    side_i is +1 (-1), [a_i, b_i] lies in (0, 1] and stands for
+    side_i is positive (negative), [a_i, b_i] lies in (0, 1] and stands for
     [anchor_i, inf) ((-inf, anchor_i]) under QUADPACK's qagi substitution
-    x = anchor_i +- (1 - t)/t.
+    scaled by |side_i|, x = anchor_i + side_i (1 - t)/t.
     """
     half = 0.5 * (b - a)
     t = (0.5 * (a + b))[:, None] + half[:, None] * _GK_X
@@ -857,7 +857,7 @@ def _gk15(f, a, b, side=None, anchor=None):
         u = t[tail]
         x, jac = t.copy(), np.ones_like(t)
         x[tail] = anchor[tail, None] + side[tail, None] * (1.0 - u) / u
-        jac[tail] = 1.0 / (u * u)
+        jac[tail] = np.abs(side[tail, None]) / (u * u)
     fx = np.asarray(f(x.ravel()), dtype=float)
     fx = fx.reshape(fx.shape[:-1] + t.shape) * jac
     kronrod = half * (fx @ _GK_W)
@@ -867,17 +867,20 @@ def _gk15(f, a, b, side=None, anchor=None):
 def _qagi_cells(edges):
     """(a, b, side, anchor) of the starting intervals between sorted edges,
     in `_gk15`'s form: an infinite end becomes (0, 1] under QUADPACK's qagi
-    substitution about the finite edge next to it (0 for the whole line)."""
+    substitution about the finite edge next to it (0 for the whole line),
+    scaled by the mean width of the finite intervals (1 if there are none),
+    so that the tail nodes sit where the law does at every scale."""
     e = np.asarray(edges, dtype=float)
     i, j = (1 if e[0] == -math.inf else 0), (len(e) - 1 if e[-1] == math.inf else len(e))
     if j - i == len(e):
         return e[:-1], e[1:], *(np.zeros(len(e) - 1),) * 2
+    scale = (e[j - 1] - e[i]) / (j - 1 - i) if j - 1 > i else 1.0
     cells = np.zeros((4, max(j - 1, i) + len(e) - j))
     cells[0, i:j - 1], cells[1, i:j - 1] = e[i:j - 1], e[i + 1:j]
     if i:
-        cells[:, 0] = 0.0, 1.0, -1.0, e[1] if e[1] < math.inf else 0.0
+        cells[:, 0] = 0.0, 1.0, -scale, e[1] if e[1] < math.inf else 0.0
     if j < len(e):
-        cells[:, -1] = 0.0, 1.0, 1.0, e[-2] if e[-2] > -math.inf else 0.0
+        cells[:, -1] = 0.0, 1.0, scale, e[-2] if e[-2] > -math.inf else 0.0
     return cells
 
 
@@ -944,10 +947,11 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
     """(value, abserr) of the integral of f from edges[0] to edges[-1].
 
     Each of the m intervals between sorted edges (an infinite end under
-    QUADPACK's qagi substitution, in its variable t in (0, 1]) is cut into
-    2^j equal panels, j the largest with m 2^j <= PANELS (or 0), and the
-    panels start `_adapt`'s globally adaptive Gauss-Kronrod 7-15; value and
-    abserr are the sums over its final intervals.  f maps a 1-D array of
+    QUADPACK's qagi substitution, in its variable t in (0, 1], scaled by the
+    mean panel width of the finite intervals) is cut into 2^j equal panels,
+    j the largest with m 2^j <= PANELS (or 0), and the panels start
+    `_adapt`'s globally adaptive Gauss-Kronrod 7-15; value and abserr are
+    the sums over its final intervals.  f maps a 1-D array of
     points to values, or to a (k, n) stack of k integrands, which then share
     every node and are refined until the hardest meets max(abs_tol, rel_tol
     |value|); value and abserr then have shape (k,).  Past the subdivision
@@ -958,7 +962,7 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
     ends = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, k + 1)
     ends[:, -1] = b
     value, error, _ = _adapt(f, config, ends[:, :-1].ravel(), ends[:, 1:].ravel(),
-                             *np.repeat([side, anchor], k, axis=1))
+                             *np.repeat([side / k, anchor], k, axis=1))
     total, abserr = value.sum(axis=-1), error.sum(axis=-1)
     if value.ndim == 1:
         return float(total), float(abserr)
@@ -986,7 +990,10 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     whole AC integral.  Its segments are split at the spec's density
     breaks, atoms, extra_breaks, and the edges of each Cantor part's 2^D
     construction cells (its exact ends included), so every segment is
-    smooth; `integrate` cuts a few segments into its starting panels.
+    smooth; `integrate` cuts a few segments into its starting panels.  The
+    ends of the tail_quantile window and its midpoint split them too, so
+    the nodes find a law however narrow it is or far from 0, and an
+    infinite tail is scaled to the window's segments.
     On the gaps between those cells the Cantor CDF and partial mean are
     constant, so a kernel there is as smooth as the AC density; D is
     `config.cantor_depth`.  Atoms add their mass times g.  A Cantor part
@@ -1002,7 +1009,8 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
 
     depth = config.cantor_depth
     left = cantor_points(depth) if spec.cantor_parts else None
-    breaks = np.concatenate((spec._kernel_breaks, extra_breaks))
+    lo, hi = truncated_support(spec, config.tail_quantile)
+    breaks = np.concatenate((spec._kernel_breaks, extra_breaks, (lo, 0.5 * lo + 0.5 * hi, hi)))
     if spec.cantor_parts:
         ends = np.concatenate((left[1:], left[:-1] + 3.0 ** -depth))
         breaks = np.concatenate([breaks] + [np.concatenate((

@@ -127,37 +127,6 @@ def standard_test_functions(lo: float, hi: float) -> tuple:
     )
 
 
-def _canonical_zeros(ts, atoms=(), cantor_intervals=()) -> np.ndarray:
-    """Mask of the points of ts where the canonical version vanishes: the
-    atoms and the registered Cantor supports, the null sets on which h = 0."""
-    ts = np.asarray(ts, dtype=float)
-    zero = np.isin(ts, atoms)
-    for lo, hi in cantor_intervals:
-        zero |= cantor_in_support(ts, lo, hi)
-    return zero
-
-
-@dataclass(frozen=True)
-class RadonNikodymFactor:
-    """Pointwise Radon-Nikodym factor h = d(mu_ac)/d(mu) for specs in this
-    universe: 0 at atoms and on Cantor supports, 1 elsewhere.  Elementwise
-    on arrays; a scalar gives a float."""
-
-    atom_locations: tuple
-    cantor_intervals: tuple
-
-    def __call__(self, t):
-        h = np.where(_canonical_zeros(t, self.atom_locations, self.cantor_intervals), 0.0, 1.0)
-        return float(h) if h.ndim == 0 else h
-
-
-def radon_nikodym_factor(spec: DistributionSpec) -> RadonNikodymFactor:
-    return RadonNikodymFactor(
-        atom_locations=tuple(a.location for a in spec.atoms),
-        cantor_intervals=tuple((c.lo, c.hi) for c in spec.cantor_parts),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Existence gate
 # ---------------------------------------------------------------------------
@@ -243,19 +212,24 @@ class KernelFn:
     the generating rule in the array function `_fn_vec`, so grid kernels
     are exact at and between their export abscissae; `grid_t`/`grid_tau`
     are the canonical sampled representation used by the CSV interchange
-    format.  `values` is the one place the version rules are applied.
+    format, `grid_tau` read through `values`, the one place the version
+    rules are applied.
     """
 
     domain: SupportInterval
     form: str
     params: dict
     grid_t: np.ndarray
-    grid_tau: np.ndarray
     atom_zeros: tuple
     cantor_intervals: tuple = ()
     density_breaks: tuple = ()
     _fn_vec: Callable = field(default=None, repr=False)
     _spec: DistributionSpec = field(default=None, repr=False)  # a grid kernel's own spec
+
+    @property
+    def grid_tau(self) -> np.ndarray:
+        """The kernel at the export abscissae grid_t."""
+        return self.values(self.grid_t)
 
     def evaluate(self, t: float) -> float:
         """Kernel value at a point, applying the canonical version rules."""
@@ -264,10 +238,14 @@ class KernelFn:
     __call__ = evaluate
 
     def values(self, ts) -> np.ndarray:
-        """Vectorized pointwise evaluation with all version rules applied."""
+        """Vectorized pointwise evaluation with all version rules applied:
+        zero at the atoms and on the registered Cantor supports, the null
+        sets on which the Radon-Nikodym factor h vanishes."""
         ts = np.asarray(ts, dtype=float)
-        return np.where(_canonical_zeros(ts, self.atom_zeros, self.cantor_intervals),
-                        0.0, self.values_ae(ts))
+        zero = np.isin(ts, self.atom_zeros)
+        for lo, hi in self.cantor_intervals:
+            zero |= cantor_in_support(ts, lo, hi)
+        return np.where(zero, 0.0, self.values_ae(ts))
 
     def values_ae(self, ts) -> np.ndarray:
         """Vectorized evaluation of the Lebesgue-a.e. version: the pointwise
@@ -306,8 +284,10 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     Single uniform, normal, and exponential pieces take their closed forms
     ((t-lo)(hi-t)/2 rescaled to the interval, the constant variance, and
     t/rate respectively); every other spec is built from the general rule
-    sigma^2 q h / p evaluated exactly, and sampled on `grid_size`
-    Chebyshev-clustered points spanning the (tail-truncated) support.
+    sigma^2 q h / p evaluated exactly.  The export abscissae `grid_t` are
+    `grid_size` Chebyshev-clustered points spanning the (tail-truncated)
+    support, less the atoms of a grid kernel, where its AC density must not
+    underflow; the rule itself is evaluated only when the kernel is.
     """
     if not 16 <= grid_size <= MAX_GRID:
         raise SpecError(f"grid_size must lie in [16, {MAX_GRID}], got {grid_size}")
@@ -343,7 +323,6 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
             form, params = "linear", {"slope": 1.0 / r, "origin": 0.0}
 
     grid_t = _chebyshev_interior(lo, hi, grid_size)
-    grid_p = None
     if fn_vec is None:
         def fn_vec(ts, p=None):
             # sigma^2 * q / p with sigma^2 q written as the partial expectation;
@@ -353,19 +332,16 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
             return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
 
         form, params = "grid", {}
-        grid_t = grid_t[~_canonical_zeros(grid_t, atom_zeros)]
-        grid_p = ac_density(spec, grid_t)
-        bad = np.nonzero(grid_p < UNDERFLOW_FLOOR)[0]
+        grid_t = grid_t[~np.isin(grid_t, atom_zeros)]
+        bad = np.nonzero(ac_density(spec, grid_t) < UNDERFLOW_FLOOR)[0]
         if len(bad):
             raise NumericsError(
                 f"AC density underflows below {UNDERFLOW_FLOOR} inside the support "
                 f"interval at t={grid_t[bad[0]]!r}")
-    grid_tau = np.where(_canonical_zeros(grid_t, atom_zeros, cantor_iv), 0.0, np.maximum(
-        fn_vec(grid_t) if grid_p is None else fn_vec(grid_t, grid_p), 0.0))
     return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form=form, params=params,
-                    grid_t=grid_t, grid_tau=grid_tau, atom_zeros=atom_zeros,
+                    grid_t=grid_t, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,
-                    _fn_vec=fn_vec, _spec=spec if grid_p is not None else None)
+                    _fn_vec=fn_vec, _spec=spec if form == "grid" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +367,18 @@ def kernel_stats(spec: DistributionSpec, kernel: KernelFn,
     """(E[tau(X)], Var(tau(X))) under the mixture.
 
     Atoms and the singular support carry kernel value zero in the canonical
-    version, so they contribute only to the spread around the mean.
+    version, so they contribute only to the spread around the mean.  The
+    variance is the spread about sigma^2, E(tau - sigma^2)^2 - (E tau -
+    sigma^2)^2, which E tau^2 - (E tau)^2 would lose to cancellation.  The
+    spread is integrated in units of u^2, u = max(sigma^2, 1), so that its
+    tolerance grows with sigma^4 as E tau's does with sigma^2: a spread
+    near 0 is not held to abs_tol below the rounding of tau.
     """
-    mean_tau, second = expect(spec, lambda x, tau: np.stack([tau, tau * tau]),
+    var = moments(spec).variance
+    unit = max(var, 1.0)
+    mean_tau, spread = expect(spec, lambda x, tau: np.stack([tau, ((tau - var) / unit) ** 2]),
                               kernel=kernel, config=config)
-    return float(mean_tau), max(float(second - mean_tau * mean_tau), 0.0)
+    return float(mean_tau), max(float(spread) * unit * unit - (float(mean_tau) - var) ** 2, 0.0)
 
 
 def nz_mass(spec: DistributionSpec, lo: float, hi: float,
@@ -485,10 +468,11 @@ def _require_finite(what: str, *values) -> None:
 def kernel_to_csv(kernel: KernelFn) -> str:
     """CSV interchange form: header t,tau, one row per grid point, then one
     row per atom with tau = 0 and a trailing `# atom` comment."""
-    _require_finite("kernel value", kernel.grid_t, kernel.grid_tau)
+    tau = kernel.grid_tau
+    _require_finite("kernel value", kernel.grid_t, tau)
     buf = io.StringIO()
     buf.write("t,tau\n")
-    for t, v in zip(kernel.grid_t, kernel.grid_tau):
+    for t, v in zip(kernel.grid_t, tau):
         buf.write(f"{t:.17g},{v:.17g}\n")
     for loc in kernel.atom_zeros:
         buf.write(f"{loc:.17g},0 # atom\n")

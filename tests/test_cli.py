@@ -295,6 +295,23 @@ def test_floats_render_17_significant_digits(tmp_path):
     assert doc["bounds"][1] == 0.5 or abs(doc["bounds"][1] - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("pieces, want", [
+    # the bound is affine invariant: these are the values at sd 1 and 2 and
+    # at rates 1 and 2; the normals' mean of 5000 sd costs some digits
+    ([{"kind": "normal", "mean": 5.0, "sd": 1e-3, "weight": 0.5},
+      {"kind": "normal", "mean": 5.0, "sd": 2e-3, "weight": 0.5}], 0.4799733689071905),
+    ([{"kind": "exponential", "rate": 1e6, "weight": 0.5},
+      {"kind": "exponential", "rate": 2e6, "weight": 0.5}], 2.4713531680026524),
+], ids=["narrow-normal-pair", "fast-exponential-pair"])
+def test_clt_bound_of_a_narrow_law(tmp_path, pieces, want):
+    out, err = io.StringIO(), io.StringIO()
+    path = write_spec(tmp_path, "narrow.json", {"components": pieces})
+    assert dispatch(["clt", path, "--n", "1,4,16"], out, err) == 0, err.getvalue()
+    doc = json.loads(out.getvalue())
+    assert doc["bounds"] == pytest.approx([want, want / 2, want / 4], rel=1e-12, abs=0.0)
+    assert all(b > e for b, e in zip(doc["bounds"], doc["empirical"]))
+
+
 def test_runtime_loads_no_scipy_module(tmp_path):
     # scipy is a test oracle only: a fresh interpreter that imports steinkit,
     # runs every verb and hits the quadrature's subdivision cap loads none of
@@ -324,16 +341,19 @@ def test_runtime_loads_no_scipy_module(tmp_path):
 
 def test_import_builds_no_cantor_table():
     # the Cantor cell table is built on first use, so neither `import
-    # steinkit` nor the CLI's imports pay for it; a Cantor kernel builds it
+    # steinkit` nor the CLI's imports pay for it, nor does building a Cantor
+    # kernel; the kernel's first evaluation builds it
     code = ("import steinkit, steinkit.cli\n"
             "from steinkit.distributions import _cantor_table\n"
             "print(_cantor_table.cache_info().currsize)\n"
-            "steinkit.stein_kernel(steinkit.corpus.KERNEL_SPECS['uniform_cantor'], 64)\n"
+            "k = steinkit.stein_kernel(steinkit.corpus.KERNEL_SPECS['uniform_cantor'], 64)\n"
+            "print(_cantor_table.cache_info().currsize)\n"
+            "k.values(0.5)\n"
             "print(_cantor_table.cache_info().currsize)\n")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                         env=CLI_ENV)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.split() == ["0", "1"]
+    assert cp.stdout.split() == ["0", "0", "1"]
 
 
 @pytest.mark.parametrize("verb, doc", [

@@ -56,6 +56,22 @@ def test_bound_scaling_is_exact():
         assert clt_bound(E1, 4 * n, kernel=kernel) == clt_bound(E1, n, kernel=kernel) / 2
 
 
+@pytest.mark.parametrize("k", [-20, -10, 10, 20])
+def test_bound_is_scale_free_for_narrow_and_wide_normal_pairs(k):
+    # 1/2 N(5s, s) + 1/2 N(5s, 2s): at s = 2^-20 the bound once read ~0
+    def pair(s):
+        return DistributionSpec((Normal(5 * s, s, 0.5), Normal(5 * s, 2 * s, 0.5)))
+    want = clt_bound(pair(1.0), 1)
+    assert clt_bound(pair(2.0 ** k), 1) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [-20, 20])
+def test_bound_is_scale_free_for_exponential_pairs(k):
+    def pair(k):
+        return DistributionSpec((Exponential(2.0 ** k, 0.5), Exponential(2.0 ** (k + 1), 0.5)))
+    assert clt_bound(pair(k), 1) == pytest.approx(clt_bound(pair(0), 1), rel=1e-15, abs=0.0)
+
+
 def test_bound_rejects_bad_n():
     with pytest.raises(SpecError):
         clt_bound(E1, 0)

@@ -13,6 +13,7 @@ from steinkit import (
     IntegrationWarning,
     Normal,
     NumericsError,
+    Uniform,
     affine_transform,
     discrepancy_bounds,
     kernel_stats,
@@ -104,6 +105,28 @@ def test_tv_affine_invariance():
                 continue
             mapped = affine_transform(spec, scale, shift)
             assert tv_to_normal(mapped) == pytest.approx(base, abs=1e-7), name
+
+
+def _overlapping_uniforms(s):
+    return DistributionSpec((Uniform(0.0, s, 0.5), Uniform(0.5 * s, 2.0 * s, 0.5)))
+
+
+@pytest.mark.parametrize("k", [-66, -330, -500, 330])
+def test_tv_is_exact_under_dyadic_scaling(k):
+    # every node of the whole-line quadrature, tails included, scales with
+    # the law, so a dyadic scale changes no bit of the distance
+    got = tv_to_normal(_overlapping_uniforms(2.0 ** k))
+    assert got == pytest.approx(tv_to_normal(_overlapping_uniforms(1.0)), rel=1e-15, abs=0.0)
+
+
+def test_crossings_of_a_huge_density_raise_no_overflow():
+    # on a support 2e-160 wide the density is ~1e160, whose products
+    # overflow; the scan compares signs, so no numpy warning escapes.  The
+    # distance itself is still 1.3e-4 relative off (absolute-x precision)
+    spec = DistributionSpec((Uniform(0.0, 1e-160, 0.5), Uniform(5e-161, 2e-160, 0.5)))
+    want = tv_to_normal(_overlapping_uniforms(1.0))
+    assert tv_to_normal(spec) == pytest.approx(want, rel=1e-3, abs=0.0)
+    assert discrepancy_bounds(spec, stein_kernel(spec, 64)).tv_exact == tv_to_normal(spec)
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0])

@@ -620,6 +620,19 @@ def test_integrate_gaussian_over_the_whole_line():
     assert half == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
 
 
+@pytest.mark.parametrize("piece", [
+    Normal(5.0, 1e-3, 1.0), Normal(30.0, 1e-2, 1.0), Normal(100.0, 0.1, 1.0),
+    Normal(1e3, 1.0, 1.0), Normal(0.0, 1e-6, 1.0), Exponential(1e6, 1.0),
+], ids=["N(5,1e-3)", "N(30,1e-2)", "N(100,0.1)", "N(1e3,1)", "N(0,1e-6)", "Exp(1e6)"])
+def test_expect_reads_the_mass_of_a_narrow_or_far_law(piece):
+    # a law with no finite break reaches the quadrature as two infinite
+    # tails; the seams at the tail_quantile window and tails scaled to it
+    # put nodes where the law is, however narrow or far from 0
+    from steinkit.distributions import expect
+    spec = DistributionSpec((piece,))
+    assert expect(spec, lambda x, _: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
+
+
 # several AC pieces over the same seams, which `expect` integrates as one
 # mixture density
 MULTI_PIECE_SPECS = {

@@ -13,6 +13,7 @@ from steinkit import (
     DegenerateError,
     DistributionSpec,
     ExistenceError,
+    Exponential,
     KernelFn,
     Normal,
     Reason,
@@ -30,7 +31,6 @@ from steinkit import (
     moments,
     nz_density,
     nz_mass,
-    radon_nikodym_factor,
     standard_test_functions,
     stein_kernel,
     stein_residual,
@@ -223,6 +223,28 @@ def test_kernel_nonnegative_on_grid():
         assert np.all(kernel.grid_tau >= 0.0), name
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_grid_tau_is_the_kernel_at_grid_t(name):
+    # the export sample is read through `values`, the one place the
+    # version rules are applied
+    kernel = stein_kernel(KERNEL_SPECS[name], 256)
+    assert np.array_equal(kernel.grid_tau, kernel.values(kernel.grid_t))
+
+
+def test_stein_kernel_evaluates_no_partial_expectation(monkeypatch):
+    # building a grid kernel evaluates its rule nowhere: the export sample
+    # is read only when the kernel is
+    import steinkit.kernels as kernels_mod
+    calls = []
+    real = kernels_mod.partial_expectation
+    monkeypatch.setattr(kernels_mod, "partial_expectation",
+                        lambda spec, t: calls.append(np.size(t)) or real(spec, t))
+    kernel = stein_kernel(MIXED)
+    assert kernel.form == "grid" and calls == []
+    assert len(kernel.grid_tau) == len(kernel.grid_t)
+    assert calls == [len(kernel.grid_t)]
+
+
 def test_kernel_zero_at_atoms_and_outside():
     kernel = stein_kernel(KERNEL_SPECS["atom_inside_uniform"], 64)
     assert kernel.evaluate(0.5) == 0.0
@@ -265,27 +287,6 @@ def test_values_accept_scalars_and_zero_d_arrays(name):
             got = kernel.values(arg)
             assert np.ndim(got) == 0 and float(got) == want, (name, t, type(arg))
             assert float(kernel.values_ae(arg)) == ae, (name, t, type(arg))
-
-
-def test_radon_nikodym_factor_values():
-    h = radon_nikodym_factor(KERNEL_SPECS["uniform_cantor"])
-    assert h(0.5) == 1.0
-    assert h(0.25) == 0.0
-    uniform_h = radon_nikodym_factor(KERNEL_SPECS["atom_inside_uniform"])
-    assert uniform_h(0.5) == 0.0
-    assert uniform_h(0.7) == 1.0
-
-
-@pytest.mark.parametrize("name", ["uniform_cantor", "atom_inside_uniform"])
-def test_radon_nikodym_factor_array_matches_scalar_calls(name):
-    h = radon_nikodym_factor(KERNEL_SPECS[name])
-    ts = np.array([-0.5, 0.0, 0.25, 1.0 / 3.0, 0.4, 0.5, 2.0 / 3.0, 0.7, 1.0, 1.5])
-    got = h(ts)
-    assert isinstance(got, np.ndarray) and got.shape == ts.shape
-    want = [h(float(t)) for t in ts]
-    assert all(type(v) is float for v in want)
-    assert got.tolist() == want
-    assert 0.0 in want and 1.0 in want
 
 
 # -- certification -----------------------------------------------------------
@@ -360,8 +361,7 @@ def test_residual_examples():
     assert abs(stein_residual(MIXED, km, tf_x)) < 1e-9
     # Stein's lemma fixed point: constant kernel 1 for the standard normal
     const = KernelFn(domain=SupportInterval(-math.inf, math.inf), form="constant",
-                     params={"value": 1.0}, grid_t=np.array([0.0]),
-                     grid_tau=np.array([1.0]), atom_zeros=(),
+                     params={"value": 1.0}, grid_t=np.array([0.0]), atom_zeros=(),
                      _fn_vec=lambda ts: np.ones_like(ts))
     tf_sin = next(tf for tf in standard_test_functions(-8, 8) if tf.id == "sin")
     assert abs(stein_residual(N01, const, tf_sin)) < 1e-9
@@ -372,8 +372,7 @@ def test_residual_examples():
 
 def test_residual_detects_wrong_kernel():
     wrong = KernelFn(domain=SupportInterval(0.0, 1.0), form="constant",
-                     params={"value": 0.3}, grid_t=np.array([0.5]),
-                     grid_tau=np.array([0.3]), atom_zeros=(),
+                     params={"value": 0.3}, grid_t=np.array([0.5]), atom_zeros=(),
                      _fn_vec=lambda ts: np.full_like(ts, 0.3))
     tf_x = standard_test_functions(0, 1)[0]
     assert abs(stein_residual(U01, wrong, tf_x)) > 0.1
@@ -392,8 +391,8 @@ def _foreign_constant_kernel(k):
         return np.full_like(ts, var)
 
     const = KernelFn(domain=SupportInterval(0.0, s), form="constant",
-                     params={"value": var}, grid_t=np.array([0.5 * s]),
-                     grid_tau=np.array([var]), atom_zeros=(), _fn_vec=fn_vec)
+                     params={"value": var}, grid_t=np.array([0.5 * s]), atom_zeros=(),
+                     _fn_vec=fn_vec)
     return spec, var, const, seen
 
 
@@ -439,6 +438,77 @@ def test_kernel_stats_normal():
     mean_tau, var_tau = kernel_stats(N01, stein_kernel(N01, 64))
     assert mean_tau == pytest.approx(1.0, abs=1e-10)
     assert var_tau == pytest.approx(0.0, abs=1e-12)
+
+
+def test_kernel_stats_of_a_narrow_far_normal():
+    # N(5, 1e-3): sigma^2 = 1e-6 and the constant kernel has no spread
+    spec = DistributionSpec((Normal(5.0, 1e-3, 1.0),))
+    mean_tau, var_tau = kernel_stats(spec, stein_kernel(spec, 64))
+    assert mean_tau == pytest.approx(1e-6, rel=1e-12, abs=0.0)
+    assert var_tau == 0.0
+
+
+def test_residuals_expose_a_kernel_too_large_for_a_narrow_law():
+    # tau = 1 on N(5, 1e-3), 1e6 times sigma^2: E[f'] - E[(X - m) f] is
+    # 1 - sigma^2 for f = x and 2m - 2m sigma^2 for f = x^2
+    spec = DistributionSpec((Normal(5.0, 1e-3, 1.0),))
+    one = KernelFn(domain=SupportInterval(-math.inf, math.inf), form="constant",
+                   params={"value": 1.0}, grid_t=np.array([5.0]), atom_zeros=(),
+                   _fn_vec=lambda ts: np.ones_like(ts))
+    x, x2 = standard_test_functions(*truncated_support(spec, 1e-9))[:2]
+    assert stein_residual(spec, one, x) == pytest.approx(1.0 - 1e-6, rel=1e-12, abs=0.0)
+    assert stein_residual(spec, one, x2) == pytest.approx(10.0 - 1e-5, rel=1e-12, abs=0.0)
+
+
+def test_var_tau_is_the_spread_about_sigma2():
+    # 1/2 N(-d s, s) + 1/2 N(d s, s) with d = 2^-8: tau - sigma^2 is
+    # O(d^4) s^2, so Var tau ~ 1.2e-20 s^4, far below the rounding of
+    # E tau^2 - (E tau)^2; the spread about sigma^2 gives the same Var tau /
+    # s^4 at every dyadic scale.  tau's own rounding, ~1e-16 s^2, leaves
+    # Var tau good to ~1e-7 on other nodes, such as those of the bounds
+    got = []
+    for k in (-16, 0, 16):
+        s = 2.0 ** k
+        spec = DistributionSpec((Normal(-s / 256, s, 0.5), Normal(s / 256, s, 0.5)))
+        kernel = stein_kernel(spec, 64)
+        _, var_tau = kernel_stats(spec, kernel)
+        got.append(var_tau / s ** 4)
+        assert discrepancy_bounds(spec, kernel).bound_sd == pytest.approx(
+            2.0 * math.sqrt(var_tau), rel=1e-6, abs=0.0)
+    assert 1e-21 < got[1] < 1e-19
+    assert got[0] == pytest.approx(got[1], rel=1e-9, abs=0.0)
+    assert got[2] == pytest.approx(got[1], rel=1e-9, abs=0.0)
+
+
+def _sweep_spec(family, k, j):
+    s = 2.0 ** k
+    mu = s * 2.0 ** j
+    return DistributionSpec({
+        "normal": (Normal(mu, s, 1.0),),
+        "same_mean": (Normal(mu, s, 0.5), Normal(mu, 2 * s, 0.5)),
+        "opposite": (Normal(-mu, s, 0.5), Normal(mu, s, 0.5)),
+        "exponential": (Exponential(s, 0.5), Exponential(2 * s, 0.5)),
+    }[family])
+
+
+# s = 2^k, k in {-40, -36, ..., 40}, and mu / s = 2^j, j in {-10, -8, ..., 10};
+# the pair at -mu and mu stops at mu / s = 16, beyond which its AC density
+# underflows between the two bumps
+SCALE_SWEEP = [(family, k, j) for k in range(-40, 41, 4) for j in range(-10, 11, 2)
+               for family in ("normal", "same_mean", "opposite")
+               if family != "opposite" or j <= 4] + [("exponential", k, 0)
+                                                     for k in range(-40, 41, 4)]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from(SCALE_SWEEP))
+def test_mass_and_mean_tau_hold_at_every_scale(case):
+    from steinkit.distributions import expect
+    spec = _sweep_spec(*case)
+    var = moments(spec).variance
+    mean_tau, _ = kernel_stats(spec, stein_kernel(spec, 64))
+    assert expect(spec, lambda x, _: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
+    assert mean_tau == pytest.approx(var, rel=1e-12, abs=0.0)
 
 
 def test_kernel_stats_mixed_against_oracle():

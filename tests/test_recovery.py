@@ -97,8 +97,7 @@ def test_underflow_floor_matches_reference(anchor):
     # tau = 1e-3 on (-5, 5): the exponent -t^2/2e-3 passes the floor near
     # |t| = 1.2, so most of the grid is pinned to zero on both sides
     kernel = KernelFn(domain=SupportInterval(-5.0, 5.0), form="constant",
-                      params={"value": 1e-3}, grid_t=np.linspace(-4.9, 4.9, 16),
-                      grid_tau=np.full(16, 1e-3), atom_zeros=(),
+                      params={"value": 1e-3}, grid_t=np.linspace(-4.9, 4.9, 16), atom_zeros=(),
                       _fn_vec=lambda ts: np.full_like(ts, 1e-3))
     den = recover_density(kernel, 0.0, 512, anchor=anchor)
     grid, values = oracle.recover_density_reference(kernel, 0.0, 512, anchor=anchor)
@@ -166,10 +165,9 @@ def test_recovery_evaluates_the_kernel_a_few_times(grid_size):
         calls.append(len(ts))
         return 0.5 * ts * (1.0 - ts)
 
-    grid_t = np.linspace(0.01, 0.99, 16)
     kernel = KernelFn(domain=SupportInterval(0.0, 1.0), form="polynomial-over-interval",
-                      params={"lo": 0.0, "hi": 1.0}, grid_t=grid_t,
-                      grid_tau=0.5 * grid_t * (1.0 - grid_t), atom_zeros=(), _fn_vec=fn_vec)
+                      params={"lo": 0.0, "hi": 1.0}, grid_t=np.linspace(0.01, 0.99, 16),
+                      atom_zeros=(), _fn_vec=fn_vec)
     recover_density(kernel, 0.5, grid_size)
     assert len(calls) <= 8
 

@@ -13,8 +13,8 @@ documents by the parent's `spec_to_dict`) go through `python -m steinkit
 VERB SPEC --grid G` for the verbs check, kernel, bound, clt (with `--n
 1,4,16,64,256`) and recover, at grids 1024 and 4096, and `python -m
 steinkit corpus`, whose certification table prints |E tau - sigma^2| and
-the largest Stein residual of every corpus spec, runs once (its grid is
-capped at 1024): 181 outputs, in both checkouts, up to four CLI processes
+the largest Stein residual of every corpus spec, runs once (it reads no
+grid): 181 outputs, in both checkouts, up to four CLI processes
 at a time (fewer on a machine with fewer CPUs).  The script prints how
 many outputs (exit code, stdout and stderr, each checkout's path in stderr
 written as <tree>) are byte-identical, and for every output that differs,
