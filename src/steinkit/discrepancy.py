@@ -36,7 +36,7 @@ from .distributions import (
     truncated_support,
 )
 from .errors import DegenerateError, NumericsError
-from .kernels import KernelFn
+from .kernels import KernelFn, _spread
 
 BRACKETS_PER_PANEL = 64
 XTOL, RTOL = 1e-14, 4.0 * np.finfo(float).eps  # brentq's stopping rule
@@ -168,7 +168,7 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
     pts = _find_crossings(lambda t: kernel.values_ae(t) - var, edges)
     unit = max(var, 1.0)
     l1, mean_tau, spread = expect(
-        spec, lambda x, tau: np.stack([np.abs(tau - var) / unit, tau, ((tau - var) / unit) ** 2]),
+        spec, lambda x, tau: np.stack([np.abs(tau - var) / unit, tau, _spread(tau, var, unit)]),
         extra_breaks=pts, kernel=kernel, config=config)
     var_tau = float(spread) * unit * unit - (float(mean_tau) - var) ** 2
     return DiscrepancyReport(

@@ -274,15 +274,17 @@ def cantor_survival_upper_mean(u):
     return s.reshape(u.shape), m.reshape(u.shape)
 
 
+@functools.cache
 def cantor_points(depth: int) -> np.ndarray:
-    """Left endpoints of the 2^depth construction cells of the standard
-    Cantor set, points of the set itself, each cell carrying mass 2^-depth."""
+    """Left endpoints of the 2^depth construction cells of the standard Cantor
+    set, points of the set itself, each cell of mass 2^-depth; read-only."""
     n = 1 << depth
     idx = np.arange(n, dtype=np.int64)
     x = np.zeros(n)
     for i in range(depth):
         bit = (idx >> (depth - 1 - i)) & 1
         x += bit * (2.0 / 3.0 ** (i + 1))
+    x.flags.writeable = False
     return x
 
 
@@ -1001,12 +1003,26 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     cells, second order by the symmetry of every cell.  An integral over a
     window [lo, hi] is that of g times its indicator, with lo and hi among
     extra_breaks.
+
+    `integrate`'s starting nodes depend on the segments alone, so a kernel
+    keeps p and tau there for the last segments and spec it met.
     """
     def ac(x):
-        p = ac_density(spec, x)
-        return np.asarray(g(x, None if kernel is None else kernel._values_ae(x, spec, p)),
-                          dtype=float) * p
+        nonlocal memo
+        hit = memo.get(key) if memo is not None else None
+        if hit is not None and hit[0] is spec:
+            _, p, tau = hit
+        else:
+            p = ac_density(spec, x)
+            tau = None if kernel is None else kernel._values_ae(x, spec, p)
+            if memo is not None:
+                p.flags.writeable = tau.flags.writeable = False
+                memo.clear()
+                memo[key] = spec, p, tau
+        memo = None  # refinement nodes differ from integrand to integrand
+        return np.asarray(g(x, tau), dtype=float) * p
 
+    memo = None if kernel is None else kernel._start_pass
     depth = config.cantor_depth
     left = cantor_points(depth) if spec.cantor_parts else None
     lo, hi = truncated_support(spec, config.tail_quantile)
@@ -1020,6 +1036,7 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
         los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
         a, b = min(los), max(his)
         seams = _sorted_distinct(np.concatenate(([a, b], breaks[(a < breaks) & (breaks < b)])))
+        key = seams.tobytes()
         total, _ = integrate(ac, seams, config)
     if spec.atoms:
         xs = np.array([a.location for a in spec.atoms])

@@ -225,6 +225,8 @@ class KernelFn:
     density_breaks: tuple = ()
     _fn_vec: Callable = field(default=None, repr=False)
     _spec: DistributionSpec = field(default=None, repr=False)  # a grid kernel's own spec
+    # expect's starting pass {segments' bytes: (spec, p, tau)}, empty on a copy
+    _start_pass: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def grid_tau(self) -> np.ndarray:
@@ -245,7 +247,10 @@ class KernelFn:
         zero = np.isin(ts, self.atom_zeros)
         for lo, hi in self.cantor_intervals:
             zero |= cantor_in_support(ts, lo, hi)
-        return np.where(zero, 0.0, self.values_ae(ts))
+        out = np.zeros_like(ts)  # values_ae is elementwise: bitwise the same on fewer points
+        if not zero.all():
+            out[~zero] = self._values_ae(ts[~zero])
+        return out
 
     def values_ae(self, ts) -> np.ndarray:
         """Vectorized evaluation of the Lebesgue-a.e. version: the pointwise
@@ -376,9 +381,19 @@ def kernel_stats(spec: DistributionSpec, kernel: KernelFn,
     """
     var = moments(spec).variance
     unit = max(var, 1.0)
-    mean_tau, spread = expect(spec, lambda x, tau: np.stack([tau, ((tau - var) / unit) ** 2]),
+    mean_tau, spread = expect(spec, lambda x, tau: np.stack([tau, _spread(tau, var, unit)]),
                               kernel=kernel, config=config)
     return float(mean_tau), max(float(spread) * unit * unit - (float(mean_tau) - var) ** 2, 0.0)
+
+
+def _spread(tau, var: float, unit: float) -> np.ndarray:
+    """((tau - sigma^2) / u)^2, Var tau's integrand; past the float range it
+    raises NumericsError, ahead of any quadrature warning."""
+    with np.errstate(over="ignore"):
+        sq = ((tau - var) / unit) ** 2
+    if np.isinf(sq).any():
+        raise NumericsError("Var tau: E (tau - sigma^2)^2 overflows the float range")
+    return sq
 
 
 def nz_mass(spec: DistributionSpec, lo: float, hi: float,

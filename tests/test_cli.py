@@ -54,6 +54,11 @@ EXTREME_RATES = {"components": [
     {"kind": "exponential", "rate": 2.0 ** -510, "weight": 0.5},
     {"kind": "exponential", "rate": 2.0 ** 800, "weight": 0.5}]}
 
+# tau between the bumps is far beyond the square root of the float range
+FAR_NORMALS = {"components": [
+    {"kind": "normal", "mean": -64.0, "sd": 1.0, "weight": 0.5},
+    {"kind": "normal", "mean": 64.0, "sd": 3.0, "weight": 0.5}]}
+
 
 def run_cli(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV)
@@ -343,7 +348,7 @@ def test_import_builds_no_cantor_table():
     # the Cantor cell table is built on first use, so neither `import
     # steinkit` nor the CLI's imports pay for it, nor does building a Cantor
     # kernel; the kernel's first evaluation builds it
-    code = ("import steinkit, steinkit.cli\n"
+    code = ("import steinkit, steinkit.cli, steinkit.corpus\n"
             "from steinkit.distributions import _cantor_table\n"
             "print(_cantor_table.cache_info().currsize)\n"
             "k = steinkit.stein_kernel(steinkit.corpus.KERNEL_SPECS['uniform_cantor'], 64)\n"
@@ -354,6 +359,32 @@ def test_import_builds_no_cantor_table():
                         env=CLI_ENV)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.split() == ["0", "0", "1"]
+
+
+def test_only_the_corpus_verb_imports_the_corpus(tmp_path):
+    # the corpus builds its specs on import, which no other verb needs
+    spec = write_spec(tmp_path, "mix.json", MIXED)
+    code = ("import io, sys\n"
+            "from steinkit.cli import dispatch\n"
+            f"for argv in (['check', {spec!r}], ['bound', {spec!r}], ['clt', {spec!r}, '--n', '1,4']):\n"
+            "    assert dispatch(argv + ['--grid', '256'], io.StringIO(), io.StringIO()) == 0, argv\n"
+            "print('steinkit.corpus' in sys.modules)\n")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                        env=CLI_ENV)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("verb", ["bound", "clt"])
+def test_var_tau_overflow_exits_two_and_names_it(tmp_path, verb):
+    # between the bumps of 1/2 N(-64, 1) + 1/2 N(64, 3) tau passes 1e224,
+    # so (tau - sigma^2)^2 leaves the float range: one error line names
+    # Var tau, and no quadrature warning reaches stderr before it
+    path = write_spec(tmp_path, "far.json", FAR_NORMALS)
+    extra = ["--n", "1,4,16"] if verb == "clt" else []
+    cp = run_cli(verb, path, *extra)
+    assert cp.returncode == 2
+    assert cp.stderr == "error: Var tau: E (tau - sigma^2)^2 overflows the float range\n"
 
 
 @pytest.mark.parametrize("verb, doc", [

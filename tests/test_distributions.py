@@ -443,6 +443,12 @@ def test_cantor_against_cell_oracle():
         assert m == pytest.approx(float(np.mean(pts * (pts >= u))), abs=1e-4)
 
 
+def test_cantor_points_are_built_once_per_depth():
+    pts = cantor_points(6)
+    assert cantor_points(6) is pts and not pts.flags.writeable
+    assert pts[-1] == pytest.approx(1.0 - 3.0 ** -6, abs=1e-15) and len(pts) == 64
+
+
 def test_cantor_membership():
     assert cantor_in_support(0.0, 0.0, 1.0)
     assert cantor_in_support(1.0, 0.0, 1.0)

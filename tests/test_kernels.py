@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from steinkit import (
     Exponential,
     KernelFn,
     Normal,
+    NumericsError,
     Reason,
     SpecError,
     SupportInterval,
@@ -39,6 +42,7 @@ from steinkit import (
 )
 from oracle_utils import kernel_measure_integral
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
+from steinkit.distributions import expect
 from steinkit.kernels import MAX_GRID
 
 import oracle_utils as oracle
@@ -534,6 +538,107 @@ def test_kernel_stats_finite_for_off_centre_normal_mixture():
     mean_tau, var_tau = kernel_stats(spec, kernel)
     assert mean_tau == pytest.approx(moments(spec).variance, abs=1e-9)
     assert math.isfinite(var_tau)
+
+
+def test_var_tau_overflow_raises_a_named_error():
+    # tau between the bumps passes 1e224: E (tau - sigma^2)^2 is named as
+    # out of the float range before any RuntimeWarning or IntegrationWarning
+    spec = DistributionSpec((Normal(-64.0, 1.0, 0.5), Normal(64.0, 3.0, 0.5)))
+    kernel = stein_kernel(spec, 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stat in (kernel_stats, discrepancy_bounds):
+            with pytest.raises(NumericsError, match=r"^Var tau: E \(tau - sigma\^2\)\^2 overflows"):
+                stat(spec, kernel)
+
+
+# -- the kernel's starting pass ----------------------------------------------
+
+def _certificate(spec, kernel_for):
+    """kernel_stats, the 7 residuals and discrepancy_bounds, each on the
+    kernel kernel_for() returns, as exact reprs."""
+    out = [kernel_stats(spec, kernel_for())]
+    out += [stein_residual(spec, kernel_for(), tf) for tf in _tfs(spec)]
+    out.append(discrepancy_bounds(spec, kernel_for()).to_dict())
+    return repr(out)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_a_shared_kernel_certifies_bitwise_as_fresh_ones(name):
+    # the starting pass a kernel keeps gives the same bits as one evaluated
+    # anew, on the first certificate and on a second one that only reads it
+    spec = KERNEL_SPECS[name]
+    fresh = _certificate(spec, lambda: stein_kernel(spec, 256))
+    shared = stein_kernel(spec, 256)
+    assert _certificate(spec, lambda: shared) == fresh
+    assert _certificate(spec, lambda: shared) == fresh
+
+
+def test_a_replaced_kernel_starts_with_an_empty_memo():
+    kernel = stein_kernel(MIXED, 64)
+    kernel_stats(MIXED, kernel)
+    assert len(kernel._start_pass) == 1
+    doubled = dataclasses.replace(kernel, _fn_vec=lambda ts, p=None: 2.0 * kernel._fn_vec(ts, p))
+    assert doubled._start_pass == {}
+    mean_tau, _ = kernel_stats(MIXED, doubled)
+    assert mean_tau == pytest.approx(2.0 * moments(MIXED).variance, rel=1e-12)
+
+
+def test_another_spec_reads_nothing_from_the_memo():
+    # two specs on the same segments, so the same starting nodes, with
+    # different densities: the grid kernel of `a` takes b's own density on b
+    a = DistributionSpec((Uniform(0.0, 1.0, 0.3), Uniform(0.0, 2.0, 0.7)))
+    b = DistributionSpec((Uniform(0.0, 1.0, 0.6), Uniform(0.0, 2.0, 0.4)))
+    g = lambda x, tau: np.stack([tau, x * tau])
+    want = expect(b, g, kernel=stein_kernel(a, 64))
+    kernel = stein_kernel(a, 64)
+    expect(a, g, kernel=kernel)
+    (key, (spec, _, _)), = kernel._start_pass.items()
+    assert spec is a
+    got = expect(b, g, kernel=kernel)
+    assert repr(got.tolist()) == repr(want.tolist())
+    assert list(kernel._start_pass) == [key] and kernel._start_pass[key][0] is b
+
+
+def test_threads_sharing_a_kernel_read_only_their_own_spec():
+    # threads alternating two specs on one kernel and the same starting
+    # nodes: every result is bitwise the serial one, whatever the switches
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    a = DistributionSpec((Uniform(0.0, 1.0, 0.3), Uniform(0.0, 2.0, 0.7)))
+    b = DistributionSpec((Uniform(0.0, 1.0, 0.6), Uniform(0.0, 2.0, 0.4)))
+    g = lambda x, tau: np.stack([tau, x * tau])
+    want = {id(s): repr(expect(s, g, kernel=stein_kernel(a, 64)).tolist()) for s in (a, b)}
+    kernel = stein_kernel(a, 64)
+    specs = [a, b] * 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda s: repr(expect(s, g, kernel=kernel).tolist()), specs,
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[id(s)] for s in specs]
+
+
+@pytest.mark.parametrize("name", ["normal_std", "mixed_atoms_uniform", "uniform_cantor"])
+def test_certification_evaluates_the_kernel_once_on_the_starting_nodes(name):
+    # kernel_stats and the 7 residuals start on the same nodes: the kernel
+    # is evaluated there once, and later only where a pass refines
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 256)
+    calls = []
+
+    def fn_vec(ts, *p):
+        calls.append(ts.tobytes())
+        return kernel._fn_vec(ts, *p)
+
+    counted = dataclasses.replace(kernel, _fn_vec=fn_vec)
+    kernel_stats(spec, counted)
+    for tf in _tfs(spec):
+        stein_residual(spec, counted, tf)
+    assert len(calls[0]) > 0 and calls.count(calls[0]) == 1
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
