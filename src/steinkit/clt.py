@@ -5,9 +5,10 @@ checked against exact distances.
 For X with variance sigma^2 and Stein kernel tau, the standardized sum
 S_n^* = (S_n - n m) / (sigma sqrt(n)) satisfies
 
-    d_TV(S_n^*, Z) <= 2 sqrt(Var tau(X)) / (sigma^2 sqrt(n)),
+    d_TV(S_n^*, Z) <= 2 sqrt(Var tau(X)) / (sigma^2 sqrt(n)) = 2 sqrt(Var r / n),
 
-an O(n^-1/2) rate with an explicit constant.  The empirical side holds for
+r = tau(X) / sigma^2 - 1, an O(n^-1/2) rate with an explicit, scale-free
+constant.  The empirical side holds for
 purely absolutely continuous specs, by one of two routes.  The
 characteristic-function route inverts the closed-form characteristic
 function of S_n^*,
@@ -43,7 +44,7 @@ from .distributions import (
     truncated_support,
 )
 from .errors import NumericsError, SpecError
-from .kernels import KernelFn, _require_finite, kernel_stats, stein_kernel
+from .kernels import KernelFn, _require_finite, _tau_moments, stein_kernel
 
 MASS_DEFECT_LIMIT = 1e-3
 # The FFT route's longest transform: at 2^24 points its working arrays take
@@ -111,21 +112,17 @@ class ConvolutionResult:
     route: str = "fft"
 
 
-def _bound_from_var_tau(var_tau: float, variance: float, n: int) -> float:
-    return 2.0 * math.sqrt(var_tau) / (variance * math.sqrt(n))
-
-
 def clt_bound(spec: DistributionSpec, n: int,
               kernel: KernelFn = None,
               config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """2 sqrt(Var tau(X)) / (sigma^2 sqrt(n)); requires a Stein kernel."""
+    """2 sqrt(Var tau(X)) / (sigma^2 sqrt(n)) as 2 sqrt(Var r / n), r =
+    tau / sigma^2 - 1, which forms no sigma^4; requires a Stein kernel."""
     if n < 1:
         raise SpecError(f"n must be >= 1, got {n}")
     if kernel is None:
         kernel = stein_kernel(spec, config=config)
-    mom = moments(spec)
-    _, var_tau = kernel_stats(spec, kernel, config=config)
-    return _bound_from_var_tau(var_tau, mom.variance, n)
+    _, var_r = _tau_moments(spec, kernel, config)
+    return 2.0 * math.sqrt(var_r / n)
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +403,26 @@ def convolution_tv(spec: DistributionSpec, n: int, grid_size: int = 4096,
 
 
 def rate_fit(curve: CltCurve) -> tuple:
-    """Least-squares log-log slopes of the bound and empirical series.
+    """Least-squares log-log slopes of the bound and empirical series, in
+    closed form: sum dx dy / sum dx^2 over the centred logs, by math.fsum.
 
     Needs at least 3 values of n spanning a factor of 8.
     """
-    ns = np.asarray(curve.ns, dtype=float)
-    if len(ns) < 3 or max(ns) / min(ns) < 8.0:
+    if len(curve.ns) < 3 or max(curve.ns) / min(curve.ns) < 8.0:
         raise SpecError("rate fit needs >= 3 values of n spanning a factor of 8")
 
+    def centred_logs(values):
+        logs = [math.log(v) for v in values]
+        mean = math.fsum(logs) / len(logs)
+        return [v - mean for v in logs]
+
+    dx = centred_logs(curve.ns)
+
     def slope(values):
-        vals = np.asarray(values, dtype=float)
-        if np.any(vals <= 0):
+        if any(v <= 0 for v in values):
             return None
-        return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
+        dy = centred_logs(values)
+        return math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
 
     slope_bound = slope(curve.bounds)
     slope_emp = slope(curve.empirical) if curve.empirical is not None else None
@@ -433,9 +437,8 @@ def clt_curve(spec: DistributionSpec, ns, grid_size: int = 4096,
     if not ns or any(n < 1 for n in ns):
         raise SpecError("ns must be positive integers")
     kernel = stein_kernel(spec, config=config)
-    mom = moments(spec)
-    _, var_tau = kernel_stats(spec, kernel, config=config)
-    bounds = tuple(_bound_from_var_tau(var_tau, mom.variance, n) for n in ns)
+    _, var_r = _tau_moments(spec, kernel, config)
+    bounds = tuple(2.0 * math.sqrt(var_r / n) for n in ns)
 
     empirical = None
     if not spec.atoms and not spec.cantor_parts:

@@ -36,7 +36,7 @@ from .distributions import (
     truncated_support,
 )
 from .errors import DegenerateError, NumericsError
-from .kernels import KernelFn, _spread
+from .kernels import KernelFn, _r_rows
 
 BRACKETS_PER_PANEL = 64
 XTOL, RTOL = 1e-14, 4.0 * np.finfo(float).eps  # brentq's stopping rule
@@ -63,17 +63,20 @@ def _find_crossings(f, edges) -> np.ndarray:
 
     One call of f scans every panel on BRACKETS_PER_PANEL brackets, from
     just inside its edges, where f may jump: a crossing next to a jump would
-    otherwise cancel against it.  The brackets with a sign change (or a
-    zero at their right end) are refined together by Illinois false
-    position (Dowell and Jarratt, BIT 1971), bisecting where a step is NaN,
-    until each is narrower than XTOL min(w, 1) + RTOL |x|, w the total
-    width; as in brentq, the crossing is the end of the final bracket where
-    |f| is smaller.  Signs are compared as np.sign values, never through a
-    product of values, which overflows once |f| passes ~1e154.  A crossing within 1e-12 w of an edge (where a jump
+    otherwise cancel against it.  An exact zero carries no sign: each
+    nonzero scan value is bracketed with the previous nonzero one in its
+    panel, and the brackets whose ends differ in sign are refined together
+    by Illinois false position (Dowell and Jarratt, BIT 1971), bisecting
+    where a step is NaN, until each is narrower than XTOL min(w, 1) +
+    RTOL |x|, w the total width; as in brentq, the crossing is the end of
+    the final bracket where |f| is smaller.  Signs are compared as np.sign
+    values, never through a product of values, which overflows once |f|
+    passes ~1e154.  A crossing within 1e-12 w of an edge (where a jump
     makes the scan report the edge itself) or of the crossing before it is
     dropped.  The length floors scale with min(w, 1), so that a narrow scan
     keeps its brackets inside its panels, and no inset exceeds a quarter of
-    its panel.
+    its panel.  A pair of crossings inside one bracket is missed, which
+    only callers that integrate |f| tolerate.
     """
     edges = np.asarray(edges, dtype=float)
     width = edges[-1] - edges[0]
@@ -86,9 +89,10 @@ def _find_crossings(f, edges) -> np.ndarray:
                        0.25 * (hi - lo))
     xs[:, 0], xs[:, -1] = lo + inset, hi - inset
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    sv = np.sign(vals)
-    sign = (sv[:, :-1] * sv[:, 1:] < 0.0) | (vals[:, 1:] == 0.0)
-    a, b, fa, fb = (v[sign] for v in (xs[:, :-1], xs[:, 1:], vals[:, :-1], vals[:, 1:]))
+    prev = np.maximum.accumulate(np.where(vals != 0.0, np.arange(xs.shape[1]), 0), axis=1)
+    xa, va = (np.take_along_axis(v, prev[:, :-1], axis=1) for v in (xs, vals))
+    sign = np.sign(va) * np.sign(vals[:, 1:]) < 0.0
+    a, b, fa, fb = (v[sign] for v in (xa, xs[:, 1:], va, vals[:, 1:]))
     ga = fa.copy()  # f(a) itself; the Illinois rule halves fa
     live = np.arange(len(b))
     for _ in range(MAX_PASSES):
@@ -154,25 +158,19 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
                        config: QuadratureConfig = DEFAULT_CONFIG) -> DiscrepancyReport:
     """Both Stein discrepancy bounds together with the exact distance.
 
-    bound_l1 = 2 E|tau(X) - sigma^2| is one `expect` over the whole line,
-    split at the points of the truncated support where tau crosses sigma^2;
-    atoms and the Cantor support contribute sigma^2 times their mass since
-    the canonical kernel vanishes there.  bound_sd = 2 sqrt(Var tau(X)), with
-    Var tau taken as in `kernel_stats`, integrated in the same call.  Both
-    rows about sigma^2 are integrated in units of u = max(sigma^2, 1), as
-    `kernel_stats` does.
+    With r = tau(X) / sigma^2 - 1 as in `kernel_stats`, bound_l1 =
+    2 sigma^2 E|r| and bound_sd = 2 sigma^2 sqrt(Var r), from one `expect`
+    over the rows [|r|, r, r^2], split at the points of the truncated
+    support where tau crosses sigma^2.
     """
     var = moments(spec).variance
     slo, shi = truncated_support(spec, config.tail_quantile)
     edges = [slo, *(b for b in spec._kernel_breaks if slo < b < shi), shi]
     pts = _find_crossings(lambda t: kernel.values_ae(t) - var, edges)
-    unit = max(var, 1.0)
-    l1, mean_tau, spread = expect(
-        spec, lambda x, tau: np.stack([np.abs(tau - var) / unit, tau, _spread(tau, var, unit)]),
-        extra_breaks=pts, kernel=kernel, config=config)
-    var_tau = float(spread) * unit * unit - (float(mean_tau) - var) ** 2
+    l1, mean_r, sq = expect(spec, lambda x, tau: _r_rows(tau, var), extra_breaks=pts,
+                            kernel=kernel, config=config)
     return DiscrepancyReport(
         tv_exact=tv_to_normal(spec, config=config),
-        bound_l1=2.0 * unit * float(l1),
-        bound_sd=2.0 * math.sqrt(max(var_tau, 0.0)),
+        bound_l1=2.0 * var * float(l1),
+        bound_sd=2.0 * var * math.sqrt(max(float(sq) - float(mean_r) ** 2, 0.0)),
     )

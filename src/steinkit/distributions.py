@@ -365,9 +365,10 @@ def _linear_piece_mass_m1(a, b, va, vb):
     return 0.5 * (va + vb) * w, w / 6.0 * (va * (2 * a + b) + vb * (a + 2 * b))
 
 
-def _piece_tail(c, t: np.ndarray, lower: bool):
-    """(P, C) for one component, elementwise: P = P(X >= t), or P(X < t) when
-    `lower`, and C = E[(X - mean_c) 1{X >= t}] = -E[(X - mean_c) 1{X < t}].
+def _piece_tail(c, t: np.ndarray, lower):
+    """(P, C) for one component, elementwise: P = P(X >= t), or P(X < t)
+    where `lower` (a bool, or a bool array like t), and
+    C = E[(X - mean_c) 1{X >= t}] = -E[(X - mean_c) 1{X < t}].
 
     Each probability is computed directly rather than as one minus the
     other, so a CDF is exactly zero below the support and keeps full
@@ -380,35 +381,34 @@ def _piece_tail(c, t: np.ndarray, lower: bool):
     match c:
         case Uniform():
             tc = np.clip(t, c.lo, c.hi)
-            p = (tc - c.lo if lower else c.hi - tc) / (c.hi - c.lo)
+            p = np.where(lower, tc - c.lo, c.hi - tc) / (c.hi - c.lo)
             return p, (c.hi - tc) * (tc - c.lo) / (2.0 * (c.hi - c.lo))
         case Normal():
             z = (t - c.mean) / c.sd
-            return _ndtr(z if lower else -z), c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
+            return _ndtr(np.where(lower, z, -z)), c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
         case Exponential():
             tc = np.maximum(t, 0.0)
             s = np.exp(-c.rate * tc)
             # the largest float in place of tc = +inf keeps inf * 0 out of the
             # tail there; every finite tc is left as it is
-            return (-np.expm1(-c.rate * tc) if lower else s), np.minimum(tc, _FLOAT_MAX) * s
+            return np.where(lower, -np.expm1(-c.rate * tc), s), np.minimum(tc, _FLOAT_MAX) * s
         case Tabulated():
             g, v = c.grid, c.values
             tc = np.clip(np.asarray(t, dtype=float), g[0], g[-1])
             i = np.clip(np.searchsorted(g, tc, side="right") - 1, 0, len(g) - 2)
             vt = v[i] + (v[i + 1] - v[i]) * (tc - g[i]) / (g[i + 1] - g[i])
-            if lower:
-                mass, m1 = _linear_piece_mass_m1(g[i], tc, v[i], vt)
-                p = c._pre_mass[i] + mass
-                return p, _piece_mean(c) * p - (c._pre_m1[i] + m1)
-            mass, m1 = _linear_piece_mass_m1(tc, g[i + 1], vt, v[i + 1])
-            p = mass + c._suf_mass[i + 1]
-            return p, m1 + c._suf_m1[i + 1] - _piece_mean(c) * p
+            # the linear piece below tc on the lower side, above it otherwise
+            mass, m1 = _linear_piece_mass_m1(*np.where(lower, (g[i], tc, v[i], vt),
+                                                       (tc, g[i + 1], vt, v[i + 1])))
+            p = np.where(lower, c._pre_mass[i] + mass, mass + c._suf_mass[i + 1])
+            return p, np.where(lower, _piece_mean(c) * p - (c._pre_m1[i] + m1),
+                               m1 + c._suf_m1[i + 1] - _piece_mean(c) * p)
         case Atom():
-            return (t > c.location if lower else t <= c.location).astype(float), np.zeros_like(t)
+            return np.where(lower, t > c.location, t <= c.location).astype(float), np.zeros_like(t)
         case CantorPart():
             span = c.hi - c.lo
             s, m = cantor_survival_upper_mean((t - c.lo) / span)
-            return (1.0 - s if lower else s), span * (m - 0.5 * s)
+            return np.where(lower, 1.0 - s, s), span * (m - 0.5 * s)
     raise TypeError(f"unknown component {c!r}")
 
 
@@ -755,28 +755,18 @@ def partial_expectation(spec: DistributionSpec, t):
     -sum_c w_c [(mean_c - m) * P(X < t) + E[(X - mean_c) 1{X < t}]] is used
     instead: in a deep lower tail the upper form sums order-one terms that
     cancel down to the tiny true value, while every lower term is itself
-    tiny there.  Accepts scalars or arrays.
+    tiny there.  `_piece_tail` gives each point its form, in one pass over
+    the components.  Accepts scalars or arrays.
     """
     m = moments(spec).mean
     arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        return float(_tail_form(spec, arr, m, lower=not arr >= m))
-    out = np.empty_like(arr)
-    upper = arr >= m
-    out[upper] = _tail_form(spec, arr[upper], m, lower=False)
-    out[~upper] = _tail_form(spec, arr[~upper], m, lower=True)
-    return out
-
-
-def _tail_form(spec: DistributionSpec, t: np.ndarray, m: float, lower: bool) -> np.ndarray:
-    """sum_c w_c [(mean_c - m) P(X >= t) + C_c], or, when `lower`, its equal
-    sum_c w_c [(m - mean_c) P(X < t) + C_c], with (P, C) from `_piece_tail`."""
-    out = np.zeros_like(t)
+    lower = ~(arr >= m)
+    out = np.zeros_like(arr)
     for c in spec.components:
-        p, centered = _piece_tail(c, t, lower)
-        shift = m - _piece_mean(c) if lower else _piece_mean(c) - m
+        p, centered = _piece_tail(c, arr, lower)
+        shift = np.where(lower, m - _piece_mean(c), _piece_mean(c) - m)
         out = out + _component_weight(c) * (shift * p + centered)
-    return out
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def affine_transform(spec: DistributionSpec, scale: float, shift: float) -> DistributionSpec:

@@ -48,6 +48,7 @@ from .errors import DegenerateError, ExistenceError, NumericsError, SpecError
 
 UNDERFLOW_FLOOR = 1e-300
 MAX_GRID = 1 << 20  # grid sizes are refused above this, before any allocation
+_VAR_TAU_OVERFLOW = "Var tau: E (tau - sigma^2)^2 overflows the float range"
 
 
 class Verdict(enum.Enum):
@@ -369,31 +370,37 @@ def stein_residual(spec: DistributionSpec, kernel: KernelFn, tf: TestFunction,
 
 def kernel_stats(spec: DistributionSpec, kernel: KernelFn,
                  config: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
-    """(E[tau(X)], Var(tau(X))) under the mixture.
-
-    Atoms and the singular support carry kernel value zero in the canonical
-    version, so they contribute only to the spread around the mean.  The
-    variance is the spread about sigma^2, E(tau - sigma^2)^2 - (E tau -
-    sigma^2)^2, which E tau^2 - (E tau)^2 would lose to cancellation.  The
-    spread is integrated in units of u^2, u = max(sigma^2, 1), so that its
-    tolerance grows with sigma^4 as E tau's does with sigma^2: a spread
-    near 0 is not held to abs_tol below the rounding of tau.
-    """
+    """(E[tau(X)], Var(tau(X))) under the mixture, as sigma^2 + sigma^2 E r
+    and sigma^4 Var r from `_tau_moments`.  The canonical kernel vanishes at
+    the atoms and on the singular support, so r = -1 there."""
     var = moments(spec).variance
-    unit = max(var, 1.0)
-    mean_tau, spread = expect(spec, lambda x, tau: np.stack([tau, _spread(tau, var, unit)]),
-                              kernel=kernel, config=config)
-    return float(mean_tau), max(float(spread) * unit * unit - (float(mean_tau) - var) ** 2, 0.0)
+    mean_r, var_r = _tau_moments(spec, kernel, config)
+    var_tau = var * (var * var_r)
+    if var_tau == math.inf:
+        raise NumericsError(_VAR_TAU_OVERFLOW)
+    return var + var * mean_r, var_tau
 
 
-def _spread(tau, var: float, unit: float) -> np.ndarray:
-    """((tau - sigma^2) / u)^2, Var tau's integrand; past the float range it
-    raises NumericsError, ahead of any quadrature warning."""
+def _tau_moments(spec: DistributionSpec, kernel: KernelFn, config: QuadratureConfig) -> tuple:
+    """(E r, Var r), r = tau(X) / sigma^2 - 1, from one `expect` over its
+    rows; Var r = E r^2 - (E r)^2 does not cancel, since E r is about 0."""
+    var = moments(spec).variance
+    mean_r, sq = expect(spec, lambda x, tau: _r_rows(tau, var)[1:], kernel=kernel, config=config)
+    return float(mean_r), max(float(sq) - float(mean_r) ** 2, 0.0)
+
+
+def _r_rows(tau, var: float) -> np.ndarray:
+    """The rows [|r|, r, r^2] of r = tau / sigma^2 - 1, which is the same for
+    every scaled copy of a law.  A sigma^2 below the smallest normal float,
+    or an r^2 past the float range, raises NumericsError before any warning."""
+    if not var >= np.finfo(float).tiny:
+        raise NumericsError(f"sigma^2 = {var!r} is below the smallest normal float")
     with np.errstate(over="ignore"):
-        sq = ((tau - var) / unit) ** 2
+        r = tau / var - 1.0
+        sq = r * r
     if np.isinf(sq).any():
-        raise NumericsError("Var tau: E (tau - sigma^2)^2 overflows the float range")
-    return sq
+        raise NumericsError(_VAR_TAU_OVERFLOW)
+    return np.stack([np.abs(r), r, sq])
 
 
 def nz_mass(spec: DistributionSpec, lo: float, hi: float,

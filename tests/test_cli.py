@@ -392,11 +392,6 @@ def test_var_tau_overflow_exits_two_and_names_it(tmp_path, verb):
     ("clt", TINY_NORMAL),
     # the same, which is no point mass: not the degenerate exit 4
     ("bound", TINY_NORMAL),
-    # Var tau ~ s^4 overflows to a NaN bound_sd (the id it had next to a
-    # case that the centred variance mended)
-    pytest.param("bound", {"components": [
-        {"kind": "uniform", "lo": 0.0, "hi": 1e100, "weight": 0.5},
-        {"kind": "uniform", "lo": 5e99, "hi": 2e100, "weight": 0.5}]}, id="bound-doc2"),
 ])
 def test_arithmetic_failures_exit_two(tmp_path, verb, doc):
     extra = ["--n", "1,4"] if verb == "clt" else []
@@ -405,6 +400,46 @@ def test_arithmetic_failures_exit_two(tmp_path, verb, doc):
     assert "Traceback" not in cp.stderr
     errors = [line for line in cp.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and cp.stderr.rstrip().endswith(errors[0])
+
+
+def _overlapping_uniforms(s):
+    return {"components": [
+        {"kind": "uniform", "lo": 0.0, "hi": s, "weight": 0.5},
+        {"kind": "uniform", "lo": s / 2, "hi": 2 * s, "weight": 0.5}]}
+
+
+@pytest.mark.parametrize("verb", ["bound", "clt"])
+@pytest.mark.parametrize("s", [1e-100, 1e100], ids=["1e-100", "1e+100"])
+def test_extreme_scales_match_scale_one(tmp_path, verb, s):
+    # Var tau ~ s^4 once overflowed at s = 1e100 (exit 2) and underflowed to
+    # a zero bound_sd and CLT bound at s = 1e-100; tau / sigma^2 is the same
+    # at every scale
+    extra = ["--n", "1,4,16", "--grid", "1024"] if verb == "clt" else []
+    got, want = (run_cli(verb, write_spec(tmp_path, f"{i}.json", _overlapping_uniforms(x)),
+                         *extra) for i, x in enumerate((s, 1.0)))
+    assert got.returncode == want.returncode == 0, got.stderr
+    assert got.stderr == ""
+    got, want = json.loads(got.stdout), json.loads(want.stdout)
+    if verb == "bound":
+        assert got["tv"] == pytest.approx(want["tv"], rel=1e-9, abs=0.0)
+        for key in ("bound_l1", "bound_sd"):
+            assert got[key] / s ** 2 == pytest.approx(want[key], rel=1e-9, abs=0.0)
+    else:
+        for key in ("bounds", "empirical", "slope_bound", "slope_empirical"):
+            assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("verb", ["bound", "clt"])
+@pytest.mark.parametrize("doc", [TINY_NORMAL, _overlapping_uniforms(1e-160)],
+                         ids=["sd-1e-200", "width-2e-160"])
+def test_a_subnormal_sigma2_exits_two_and_names_it(tmp_path, verb, doc):
+    # sigma^2 reads 0 and 2.8e-321: tau / sigma^2 is not formed, and one
+    # error line names sigma^2 and its value
+    extra = ["--n", "1,4"] if verb == "clt" else []
+    cp = run_cli(verb, write_spec(tmp_path, "spec.json", doc), *extra)
+    assert cp.returncode == 2
+    assert re.fullmatch(r"error: sigma\^2 = \S+ is below the smallest normal float\n",
+                        cp.stderr), cp.stderr
 
 
 @pytest.mark.parametrize("verb", ["bound", "clt"])

@@ -292,6 +292,24 @@ def test_rate_fit_trivial_series():
     assert slope_emp == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("power", [-1.0, -0.5, -0.25, 0.5])
+@pytest.mark.parametrize("ns", [(1, 4, 16, 64, 256), (3, 10, 25, 100), (2, 5, 7, 16, 33, 1000)])
+def test_rate_fit_is_exact_on_power_laws(power, ns):
+    c = 1.0580852148209581
+    slope, _ = rate_fit(CltCurve(ns=ns, bounds=tuple(c * n ** power for n in ns)))
+    assert abs(slope - power) <= 4 * math.ulp(power)
+
+
+@pytest.mark.parametrize("name", ["uniform01", "overlap_uniforms", "normal_uniform_mix",
+                                  "exponential1", "tabulated_triangle"])
+def test_rate_fit_matches_least_squares_on_corpus_curves(name):
+    curve = clt_curve(KERNEL_SPECS[name], (1, 4, 16, 64, 256), grid_size=1024)
+    logs = np.log(curve.ns)
+    for got, values in ((curve.slope_bound, curve.bounds),
+                        (curve.slope_empirical, curve.empirical)):
+        assert got == pytest.approx(np.polyfit(logs, np.log(values), 1)[0], rel=0.0, abs=1e-14)
+
+
 def test_rate_fit_insufficient_points():
     with pytest.raises(SpecError):
         rate_fit(CltCurve(ns=(4, 8), bounds=(1.0, 0.7)))

@@ -1,20 +1,23 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
 from steinkit import (
     DegenerateError,
     DistributionSpec,
+    Exponential,
     IntegrationWarning,
     Normal,
     NumericsError,
     Uniform,
     affine_transform,
+    clt_bound,
     discrepancy_bounds,
     kernel_stats,
     moments,
@@ -126,7 +129,34 @@ def test_crossings_of_a_huge_density_raise_no_overflow():
     spec = DistributionSpec((Uniform(0.0, 1e-160, 0.5), Uniform(5e-161, 2e-160, 0.5)))
     want = tv_to_normal(_overlapping_uniforms(1.0))
     assert tv_to_normal(spec) == pytest.approx(want, rel=1e-3, abs=0.0)
-    assert discrepancy_bounds(spec, stein_kernel(spec, 64)).tv_exact == tv_to_normal(spec)
+    with pytest.raises(NumericsError, match="sigma"):
+        discrepancy_bounds(spec, stein_kernel(spec, 64))
+
+
+def _scale_free_report(spec):
+    """tv, bound_l1 / sigma^2, bound_sd / sigma^2 and the CLT bound at n = 16:
+    each the same for every scaled copy of a law."""
+    kernel = stein_kernel(spec, 256)
+    var = moments(spec).variance
+    rep = discrepancy_bounds(spec, kernel)
+    return rep.tv_exact, rep.bound_l1 / var, rep.bound_sd / var, clt_bound(spec, 16, kernel)
+
+
+_unscaled_report = functools.cache(lambda name: _scale_free_report(KERNEL_SPECS[name]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_SPECS)), st.integers(-330, 330))
+@example("uniform01", -330)
+@example("uniform_cantor", -330)
+@example("exponential1", 330)
+@example("mixed_atoms_uniform", 330)
+def test_report_and_clt_bound_are_scale_free(name, k):
+    # r = tau / sigma^2 - 1 is the same under every scaling, and dyadic
+    # scaling moves no quadrature node off its scaled place; Var tau ~ s^4
+    # once underflowed to 0 at k = -330 and overflowed at k = 330
+    got = _scale_free_report(affine_transform(KERNEL_SPECS[name], 2.0 ** k, 0.0))
+    assert got == pytest.approx(_unscaled_report(name), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0])
@@ -283,6 +313,36 @@ def test_crossing_search_crossing_next_to_jump():
     got = _crossings(_find_crossings(f, [0.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
     assert len(got) == 1 and abs(got[0] - root) < 2e-14
     assert abs(got[0] - optimize.brentq(f, 1.0 + 1e-12, 1.5, xtol=1e-14)) < 2e-14
+
+
+def test_crossing_search_finds_nothing_in_an_exact_zero():
+    # an exact zero carries no sign: f = 0 everywhere has no crossing
+    edges = [0.0, 1.0, 2.0]
+    assert list(_find_crossings(np.zeros_like, edges)) == edges
+
+
+def test_crossing_search_returns_an_exact_zero_between_opposite_signs_once():
+    # x - 0.5 vanishes exactly at the scan point 0.5 of [0, 1]
+    got = _crossings(_find_crossings(lambda x: x - 0.5, [0.0, 1.0]), [0.0, 1.0])
+    assert len(got) == 1 and abs(got[0] - 0.5) < 2e-14
+    # and on a flat run of exact zeros between opposite signs
+    f = lambda x: np.where(np.abs(x - 0.5) < 0.02, 0.0, x - 0.5)  # noqa: E731
+    got = _crossings(_find_crossings(f, [0.0, 1.0]), [0.0, 1.0])
+    assert len(got) == 1 and abs(got[0] - 0.5) <= 0.02
+
+
+def test_tv_holds_where_two_crossings_share_a_bracket():
+    # p - phi changes sign at 0.959 and 1.084, inside one 0.184-wide scan
+    # bracket: the crossing search misses both, and the integral of |p - phi|
+    # must still match a quadrature split at a dense scan's crossings
+    spec = DistributionSpec((
+        Normal(1.3705338877569138, 0.7400068196225158, 0.16610166912422483),
+        Exponential(2.9927737241751426, 0.14133032588524455),
+        Normal(0.8138503312837142, 1.827879623325489, 0.6925680049905306)))
+    m, var = oracle.moments_oracle(spec)
+    want = oracle.piecewise_density_tv(lambda t: oracle.mixture_pdf(spec, t),
+                                       [-20.0, 0.0, 30.0], m, math.sqrt(var))
+    assert tv_to_normal(spec) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 def test_crossing_search_stops_on_nan():
