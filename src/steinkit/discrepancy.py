@@ -39,6 +39,7 @@ from .errors import DegenerateError, NumericsError
 from .kernels import KernelFn, _r_rows
 
 BRACKETS_PER_PANEL = 64
+PROBES = 8  # points a refinement pass evaluates in each live bracket
 XTOL, RTOL = 1e-14, 4.0 * np.finfo(float).eps  # brentq's stopping rule
 MAX_PASSES = 100  # so that a NaN or a flat bracket cannot loop forever
 
@@ -63,20 +64,27 @@ def _find_crossings(f, edges) -> np.ndarray:
 
     One call of f scans every panel on BRACKETS_PER_PANEL brackets, from
     just inside its edges, where f may jump: a crossing next to a jump would
-    otherwise cancel against it.  An exact zero carries no sign: each
-    nonzero scan value is bracketed with the previous nonzero one in its
-    panel, and the brackets whose ends differ in sign are refined together
-    by Illinois false position (Dowell and Jarratt, BIT 1971), bisecting
-    where a step is NaN, until each is narrower than XTOL min(w, 1) +
-    RTOL |x|, w the total width; as in brentq, the crossing is the end of
-    the final bracket where |f| is smaller.  Signs are compared as np.sign
-    values, never through a product of values, which overflows once |f|
-    passes ~1e154.  A crossing within 1e-12 w of an edge (where a jump
-    makes the scan report the edge itself) or of the crossing before it is
-    dropped.  The length floors scale with min(w, 1), so that a narrow scan
-    keeps its brackets inside its panels, and no inset exceeds a quarter of
-    its panel.  A pair of crossings inside one bracket is missed, which
-    only callers that integrate |f| tolerate.
+    otherwise cancel against it.  A NaN or an exact zero carries no sign:
+    each nonzero scan value is bracketed with the previous nonzero one in
+    its panel, and the brackets whose ends differ in sign are refined
+    together by probe passes, one call of f each: PROBES probes in every
+    live bracket, which shrinks to the first neighbouring signed points of
+    opposite sign, or ends at an exact zero between them.  The probes are
+    centred on the inverse interpolate (Brent 1973) through the bracket's
+    ends and the points beside them that run monotone with them, spaced by
+    half its change when one point is dropped but no closer than half the
+    stopping width; they are evenly spaced where fewer than three points
+    (of the scan, at first) run monotone, and after an interpolated pass
+    that shrank the bracket less than (PROBES + 1)-fold.  A bracket stops
+    once narrower than XTOL min(w, 1) + RTOL |x|, w the total width; as in
+    brentq, the crossing is the end of the final bracket where |f| is
+    smaller.  Signs are compared, never through a product of values, which
+    overflows once |f| passes ~1e154.  A crossing within 1e-12 w of an edge
+    (where a jump makes the scan report the edge itself) or of the crossing
+    before it is dropped.  The length floors scale with min(w, 1), so that
+    a narrow scan keeps its brackets inside its panels, and no inset
+    exceeds a quarter of its panel.  A pair of crossings inside one bracket
+    is missed, which only callers that integrate |f| tolerate.
     """
     edges = np.asarray(edges, dtype=float)
     width = edges[-1] - edges[0]
@@ -90,35 +98,62 @@ def _find_crossings(f, edges) -> np.ndarray:
     xs[:, 0], xs[:, -1] = lo + inset, hi - inset
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     prev = np.maximum.accumulate(np.where(vals != 0.0, np.arange(xs.shape[1]), 0), axis=1)
-    xa, va = (np.take_along_axis(v, prev[:, :-1], axis=1) for v in (xs, vals))
-    sign = np.sign(va) * np.sign(vals[:, 1:]) < 0.0
-    a, b, fa, fb = (v[sign] for v in (xa, xs[:, 1:], va, vals[:, 1:]))
-    ga = fa.copy()  # f(a) itself; the Illinois rule halves fa
-    live = np.arange(len(b))
+    va = np.take_along_axis(vals, prev[:, :-1], axis=1)
+    rows, cols = np.nonzero(np.sign(va) * np.sign(vals[:, 1:]) < 0.0)
+    scans = {r: list(zip(xs[r].tolist(), vals[r].tolist())) for r in set(rows.tolist())}
+    brackets = [_bracket(scans[r], int(prev[r, j]), True, math.inf)
+                for r, j in zip(rows.tolist(), cols.tolist())]
+    live = brackets
     for _ in range(MAX_PASSES):
-        live = live[~((fb[live] == 0.0)
-                      | (np.abs(b[live] - a[live]) < xtol + RTOL * np.abs(b[live])))]
-        if not len(live):
+        live = [br for br in live
+                if not (br[3] == 0.0 or br[1] - br[0] < xtol + RTOL * abs(br[1]))]
+        if not live:
             break
-        la, lb, lfa, lfb = a[live], b[live], fa[live], fb[live]
-        # as in brentq, a step lands at least half the tolerance inside the
-        # bracket, so that a converged end closes it on the next pass
-        step = 0.5 * (xtol + RTOL * np.abs(lb))
-        c = np.clip(lb - lfb * (lb - la) / (lfb - lfa),
-                    np.minimum(la, lb) + step, np.maximum(la, lb) - step)
-        c = np.where(np.isnan(c), 0.5 * (la + lb), c)
-        fc = np.asarray(f(c), dtype=float)
-        flip = np.sign(fc) * np.sign(lfb) < 0.0
-        a[live] = np.where(flip, lb, la)
-        fa[live] = np.where(flip, lfb, 0.5 * lfa)
-        ga[live] = np.where(flip, lfb, ga[live])
-        b[live], fb[live] = c, fc
-    roots = np.where(np.abs(ga) < np.abs(fb), a, b)
+        probes = [_probes(br, xtol) for br in live]
+        vals = np.asarray(f(np.array(probes).ravel()), dtype=float).reshape(len(live), PROBES)
+        for br, ps, vs in zip(live, probes, vals.tolist()):
+            br[:] = _bracket([(br[0], br[2]), *zip(ps, vs), (br[1], br[3])], 0, br[5], br[1] - br[0])
+    roots = np.array([a if abs(fa) < abs(fb) else b for a, b, fa, fb, *_ in brackets])
     tol = 1e-12 * width
     i = np.searchsorted(edges, roots)
     near = np.minimum(roots - edges[i - 1], edges[i] - roots) <= tol
     near |= np.diff(roots, prepend=-math.inf) <= tol
     return np.sort(np.concatenate([edges, roots[~near]]))
+
+
+def _probes(bracket, xtol: float) -> list:
+    """The PROBES points of a probe pass in `bracket` (see `_find_crossings`)."""
+    a, b, fa, fb, near, even = bracket
+    if not even:
+        pts = [(a, fa), (b, fb), *near]
+        c = _inverse(pts, a)
+        e = max(abs(c - _inverse([p for p in pts if p is not q], a)) for q in near)
+        if a < c < b and e < b - a:
+            step = 0.5 * max(e, xtol + RTOL * abs(b))
+            return [min(max(c + step * (j - 0.5 * (PROBES - 1)), a), b) for j in range(PROBES)]
+    return [a + (b - a) * (j + 1) / (PROBES + 1) for j in range(PROBES)]
+
+
+def _inverse(pts, a: float) -> float:
+    """Where the polynomial x(f) through the points (x, f), f strictly
+    monotone, meets f = 0, in Lagrange's form about a."""
+    return a + sum((x - a) * math.prod(g / (g - v) for _, g in pts if g != v) for x, v in pts)
+
+
+def _bracket(pts, i: int, even: bool, width: float) -> list:
+    """[a, b, f(a), f(b), monotone neighbours, even probes next] for the
+    first sign change from the signed point pts[i] on, between neighbouring
+    signed points, among the sorted points (x, f(x)) of a pass, even or
+    not, on a bracket `width` wide; an exact zero between them is b."""
+    signed = [k for k, (_, v) in enumerate(pts) if v and v == v]
+    n = next(n for n in range(signed.index(i), len(signed) - 1)
+             if (pts[signed[n]][1] > 0.0) != (pts[signed[n + 1]][1] > 0.0))
+    i, j = signed[n], signed[n + 1]
+    zero = next((x for x, v in pts[i + 1:j] if v == 0.0), None)
+    (a, fa), (b, fb) = pts[i], pts[j] if zero is None else (zero, 0.0)
+    near = [p for p in (pts[k] for k in signed[max(n - 1, 0):n]) if p[1] < fa < fb or p[1] > fa > fb]
+    near += [p for p in (pts[k] for k in signed[n + 2:n + 3]) if fa < fb < p[1] or fa > fb > p[1]]
+    return [a, b, fa, fb, tuple(near), not near or not (even or (PROBES + 1) * (b - a) <= width)]
 
 
 def tv_to_normal(spec: DistributionSpec,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import statistics
 import warnings
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -44,11 +43,43 @@ def _ndtr(z):
     return 0.5 * (math.erfc(x) if np.ndim(x) == 0 else _ERFC(x).astype(float))
 
 
+# Wichura's AS 241 (Applied Statistics 37, 1988), as CPython's statistics module
+# writes it: the numerator and denominator coefficients of its three rational
+# pieces (|p - 1/2| <= 0.425, then r = sqrt(-log min(p, 1 - p)) <= 5 and beyond),
+# highest degree first
+_AS241 = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)),
+)
+
+
 def _ndtri(p: float) -> float:
-    """Standard normal quantile (Wichura's AS 241); -inf at 0, inf at 1."""
+    """Standard normal quantile, bitwise as `statistics.NormalDist().inv_cdf`
+    (Wichura's AS 241); -inf at 0, inf at 1."""
     if p in (0.0, 1.0):
         return math.inf if p else -math.inf
-    return statistics.NormalDist().inv_cdf(p)
+    q = p - 0.5
+    r = 0.180625 - q * q if abs(q) <= 0.425 else math.sqrt(-math.log(min(p, 1.0 - p)))
+    piece = 0 if abs(q) <= 0.425 else 1 if r <= 5.0 else 2
+    r -= (0.0, 1.6, 5.0)[piece]
+    num, den = (functools.reduce(lambda acc, c: acc * r + c, cs) for cs in _AS241[piece])
+    return num * q / den if piece == 0 else math.copysign(num / den, q)
 
 
 def _check_weight(w, what):
@@ -213,6 +244,7 @@ _CELLS = 3.0 ** CANTOR_TABLE_DEPTH
 # passes of the cell-table walks, T levels each: 72 ternary levels, at least
 # the 64 at which a cell's mass 2^-64 lies below the rounding of values near 1
 CANTOR_PASSES = 6
+_CANTOR_BLOCK = 1 << 13  # points a Cantor walk takes at a time
 
 
 @functools.cache
@@ -243,13 +275,24 @@ def cantor_survival_upper_mean(u):
     A walk over `_cantor_table`, T levels a pass: a point in a gap reads
     both from the table; a point inside a cell goes on from its offset, by
     the self-similarity of the measure, for at most CANTOR_PASSES passes.  A
-    NaN gives NaN for both.
+    NaN gives NaN for both.  The walk takes _CANTOR_BLOCK points at a time,
+    which bounds its working arrays.
     """
-    ends, _, s_tab, m_tab = _cantor_table()
     u = np.asarray(u, dtype=float)
-    nan = np.isnan(u.ravel())
-    x = np.fmin(np.fmax(u.ravel(), 0.0), 1.0) * _CELLS  # a NaN walks as 0
-    s, m = np.empty_like(x), np.empty_like(x)
+    s, m = np.empty(u.size), np.empty(u.size)
+    for k in range(0, u.size, _CANTOR_BLOCK):
+        block = slice(k, k + _CANTOR_BLOCK)
+        _cantor_walk(u.ravel()[block], s[block], m[block])
+    if u.ndim == 0:
+        return float(s[0]), float(m[0])
+    return s.reshape(u.shape), m.reshape(u.shape)
+
+
+def _cantor_walk(u, s, m) -> None:
+    """`cantor_survival_upper_mean` of the 1-D array u, into s and m."""
+    ends, _, s_tab, m_tab = _cantor_table()
+    nan = np.isnan(u)
+    x = np.fmin(np.fmax(u, 0.0), 1.0) * _CELLS  # a NaN walks as 0
     # M(u) = cmm*M(v) + cms*S(v) + cm1, S(u) = css*S(v) + cs1 at v = x / 3^T in
     # a cell k: S(v) = S_k+1 + S(w)/2^T, M(v) = M_k+1 + (l_k S(w) + M(w)/3^T)/2^T
     live = np.arange(len(x))
@@ -269,9 +312,6 @@ def cantor_survival_upper_mean(u):
     m[live] = cmm * (5.0 / 12.0) + cms * 0.5 + cm1
     s[live] = css * 0.5 + cs1
     s[nan] = m[nan] = math.nan
-    if u.ndim == 0:
-        return float(s[0]), float(m[0])
-    return s.reshape(u.shape), m.reshape(u.shape)
 
 
 @functools.cache
@@ -407,8 +447,12 @@ def _piece_tail(c, t: np.ndarray, lower):
             return np.where(lower, t > c.location, t <= c.location).astype(float), np.zeros_like(t)
         case CantorPart():
             span = c.hi - c.lo
-            s, m = cantor_survival_upper_mean((t - c.lo) / span)
-            return np.where(lower, 1.0 - s, s), span * (m - 0.5 * s)
+            s, m = map(np.asarray, cantor_survival_upper_mean((t - c.lo) / span))
+            # in place, since on a kernel's starting nodes these arrays set the peak
+            m -= 0.5 * s
+            m *= span
+            np.subtract(1.0, s, out=s, where=lower)
+            return s, m
     raise TypeError(f"unknown component {c!r}")
 
 
@@ -766,6 +810,7 @@ def partial_expectation(spec: DistributionSpec, t):
         p, centered = _piece_tail(c, arr, lower)
         shift = np.where(lower, m - _piece_mean(c), _piece_mean(c) - m)
         out = out + _component_weight(c) * (shift * p + centered)
+        del p, centered, shift  # so that no component's arrays outlive its term
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -841,6 +886,13 @@ def _gk15(f, a, b, side=None, anchor=None):
     [anchor_i, inf) ((-inf, anchor_i]) under QUADPACK's qagi substitution
     scaled by |side_i|, x = anchor_i + side_i (1 - t)/t.
     """
+    x, jac, half = _gk15_nodes(a, b, side, anchor)
+    return _gk15_reduce(f(x.ravel()), jac, half)
+
+
+def _gk15_nodes(a, b, side=None, anchor=None):
+    """(x, jac, half) of `_gk15`: its (n, 15) nodes, their Jacobians (1.0 on
+    finite intervals only) and the intervals' half-widths."""
     half = 0.5 * (b - a)
     t = (0.5 * (a + b))[:, None] + half[:, None] * _GK_X
     x, jac = t, 1.0
@@ -850,8 +902,13 @@ def _gk15(f, a, b, side=None, anchor=None):
         x, jac = t.copy(), np.ones_like(t)
         x[tail] = anchor[tail, None] + side[tail, None] * (1.0 - u) / u
         jac[tail] = np.abs(side[tail, None]) / (u * u)
-    fx = np.asarray(f(x.ravel()), dtype=float)
-    fx = fx.reshape(fx.shape[:-1] + t.shape) * jac
+    return x, jac, half
+
+
+def _gk15_reduce(fx, jac, half):
+    """`_gk15`'s (K15, |K15 - G7|) from f's values fx at the raveled nodes."""
+    fx = np.asarray(fx, dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + (len(half), len(_GK_X))) * jac
     kronrod = half * (fx @ _GK_W)
     return kronrod, np.abs(kronrod - half * (fx @ _G7_W))
 
@@ -876,9 +933,10 @@ def _qagi_cells(edges):
     return cells
 
 
-def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None):
+def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None, first=None):
     """Globally adaptive Gauss-Kronrod 7-15 over the starting intervals
-    [a_i, b_i] (with `_gk15`'s side and anchor), under one error budget.
+    [a_i, b_i] (with `_gk15`'s side and anchor), under one error budget;
+    `first`, if given, is `_gk15`'s result on them.
 
     Returns (value, error, origin): the K15 integral and |K15 - G7| of
     every final interval, shaped like f's output per node, and the index
@@ -891,7 +949,7 @@ def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None):
     if side is None:
         side = anchor = np.zeros_like(a)
     origin = np.arange(len(a))
-    value, error = _gk15(f, a, b, side, anchor)
+    value, error = _gk15(f, a, b, side, anchor) if first is None else first
     single = value.ndim == 1
     value, error = np.atleast_2d(value), np.atleast_2d(error)
     cap = config.max_subdivisions + len(a)
@@ -949,16 +1007,20 @@ def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
     |value|); value and abserr then have shape (k,).  Past the subdivision
     cap the best value comes with an IntegrationWarning.
     """
-    a, b, side, anchor = _qagi_cells(edges)
-    k = 1 << max((PANELS // max(len(a), 1)).bit_length() - 1, 0)
-    ends = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, k + 1)
-    ends[:, -1] = b
-    value, error, _ = _adapt(f, config, ends[:, :-1].ravel(), ends[:, 1:].ravel(),
-                             *np.repeat([side / k, anchor], k, axis=1))
+    value, error, _ = _adapt(f, config, *_start_panels(edges))
     total, abserr = value.sum(axis=-1), error.sum(axis=-1)
     if value.ndim == 1:
         return float(total), float(abserr)
     return total, abserr
+
+
+def _start_panels(edges) -> tuple:
+    """(a, b, side, anchor) of `integrate`'s starting panels between edges."""
+    a, b, side, anchor = _qagi_cells(edges)
+    k = 1 << max((PANELS // max(len(a), 1)).bit_length() - 1, 0)
+    ends = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, k + 1)
+    ends[:, -1] = b
+    return ends[:, :-1].ravel(), ends[:, 1:].ravel(), *np.repeat([side / k, anchor], k, axis=1)
 
 
 def _sorted_distinct(x) -> np.ndarray:
@@ -994,25 +1056,52 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     window [lo, hi] is that of g times its indicator, with lo and hi among
     extra_breaks.
 
-    `integrate`'s starting nodes depend on the segments alone, so a kernel
-    keeps p and tau there for the last segments and spec it met.
+    Every point of the first pass (the starting panels' GK15 nodes, the
+    atoms and the Cantor midpoints) depends on the spec, extra_breaks and
+    config alone, so a kernel keeps that pass's plan, with p and tau at its
+    points, for the last ones it met (the spec checked by identity): a later
+    `expect` on them only evaluates g there and reduces it, and refinement
+    is evaluated as before.
     """
-    def ac(x):
-        nonlocal memo
-        hit = memo.get(key) if memo is not None else None
-        if hit is not None and hit[0] is spec:
-            _, p, tau = hit
-        else:
-            p = ac_density(spec, x)
-            tau = None if kernel is None else kernel._values_ae(x, spec, p)
-            if memo is not None:
-                p.flags.writeable = tau.flags.writeable = False
-                memo.clear()
-                memo[key] = spec, p, tau
-        memo = None  # refinement nodes differ from integrand to integrand
+    memo = {} if kernel is None else kernel._start_pass
+    key = np.asarray(extra_breaks, dtype=float).tobytes(), config
+    hit = memo.get(key)
+    if hit is None or hit[0] is not spec:
+        hit = spec, *_start_plan(spec, extra_breaks, kernel, config)
+        memo.clear()
+        memo[key] = hit
+    _, (ac, atoms, parts), (p, tau, atom_tau, part_taus) = hit
+
+    def refine(x):
+        p, tau = _ac_values(spec, kernel, x)
         return np.asarray(g(x, tau), dtype=float) * p
 
-    memo = None if kernel is None else kernel._start_pass
+    total = 0.0
+    if ac is not None:
+        panels, x, jac, half = ac
+        first = _gk15_reduce(np.asarray(g(x, tau), dtype=float) * p, jac, half)
+        value, _, _ = _adapt(refine, config, *panels, first=first)
+        total = value.sum(axis=-1)
+        total = float(total) if value.ndim == 1 else total
+    if atoms is not None:
+        xs, masses = atoms
+        total = total + np.asarray(g(xs, atom_tau), dtype=float) @ masses
+    for (pts, weight), part_tau in zip(parts, part_taus):
+        total = total + weight * np.asarray(g(pts, part_tau), dtype=float).sum(axis=-1) / len(pts)
+    return total
+
+
+def _ac_values(spec: DistributionSpec, kernel, x) -> tuple:
+    """(p, tau) at AC nodes x: the AC density and the kernel's a.e. version."""
+    p = ac_density(spec, x)
+    return p, None if kernel is None else kernel._values_ae(x, spec, p)
+
+
+def _start_plan(spec: DistributionSpec, extra_breaks, kernel, config: QuadratureConfig) -> tuple:
+    """(nodes, values) of `expect`'s first pass, every array read-only:
+    nodes (ac, atoms, parts) holds the starting panels, their GK15 nodes x,
+    Jacobians and half-widths, the atoms and masses, and each Cantor part's
+    midpoints and weight; values p and tau at x, and tau at the others."""
     depth = config.cantor_depth
     left = cantor_points(depth) if spec.cantor_parts else None
     lo, hi = truncated_support(spec, config.tail_quantile)
@@ -1021,23 +1110,35 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
         ends = np.concatenate((left[1:], left[:-1] + 3.0 ** -depth))
         breaks = np.concatenate([breaks] + [np.concatenate((
             (c.lo, c.hi), c.lo + (c.hi - c.lo) * ends)) for c in spec.cantor_parts])
-    total = 0.0
+    ac = atoms = p = tau = atom_tau = None
     if spec.ac_pieces:
         los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
         a, b = min(los), max(his)
         seams = _sorted_distinct(np.concatenate(([a, b], breaks[(a < breaks) & (breaks < b)])))
-        key = seams.tobytes()
-        total, _ = integrate(ac, seams, config)
+        panels = _start_panels(seams)
+        x, jac, half = _gk15_nodes(*panels)
+        x = x.ravel()
+        p, tau = _ac_values(spec, kernel, x)
+        ac = panels, x, jac, half
     if spec.atoms:
         xs = np.array([a.location for a in spec.atoms])
-        vals = np.asarray(g(xs, None if kernel is None else kernel.values(xs)), dtype=float)
-        total = total + vals @ np.array([a.mass for a in spec.atoms])
+        atoms = xs, np.array([a.mass for a in spec.atoms])
+        atom_tau = None if kernel is None else kernel.values(xs)
+    parts, part_taus = [], []
     for c in spec.cantor_parts:
         pts = c.lo + (c.hi - c.lo) * (left + 0.5 / 3.0 ** depth)
-        tau = (None if kernel is None else np.zeros_like(pts)
-               if (c.lo, c.hi) in kernel.cantor_intervals else kernel.values(pts))
-        total = total + c.weight * np.asarray(g(pts, tau), dtype=float).sum(axis=-1) / len(pts)
-    return total
+        parts.append((pts, c.weight))
+        part_taus.append(None if kernel is None else np.zeros_like(pts)
+                         if (c.lo, c.hi) in kernel.cantor_intervals else kernel.values(pts))
+    plan = (ac, atoms, tuple(parts)), (p, tau, atom_tau, tuple(part_taus))
+    stack = [plan]
+    while stack:  # every array of the plan, however nested, becomes read-only
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            item.flags.writeable = False
+    return plan
 
 
 # ---------------------------------------------------------------------------

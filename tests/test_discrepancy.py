@@ -359,6 +359,51 @@ def test_crossing_search_stops_on_nan():
     assert len(got) == 1 and 19 / 64 <= got[0] <= 20 / 64
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 10.0), st.floats(-4.0, 4.0))
+@example(0.113, 6.387182191618228, -2.042712795848863)
+def test_crossing_search_finds_a_simple_root_in_a_few_passes(r, c, b):
+    # (x - r)(1 + c (x - r)^2) e^(bx): smooth, one simple root at r, cubic
+    # for large c; probes centred on the inverse interpolate reach r within
+    # 2e-14 in at most four passes after the scan.  (For c in the hundreds
+    # the scan spacing no longer resolves the cubic, and a few searches need
+    # a pass or two more.)
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return (x - r) * (1.0 + c * (x - r) ** 2) * np.exp(b * x)
+
+    got = _crossings(_find_crossings(f, [-1.0, 2.0]), [-1.0, 2.0])
+    assert len(got) == 1 and abs(got[0] - r) < 2e-14
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_certificate_crossing_searches_take_few_calls(name, monkeypatch):
+    # the tau search of discrepancy_bounds, then tv_to_normal's density
+    # search, each counted with its scan; the Cantor staircase in
+    # uniform_cantor's tau is not smooth, and its search falls back on
+    # evenly spaced probes
+    import steinkit.discrepancy as disc
+    counts = []
+    search = disc._find_crossings
+
+    def counted(f, edges):
+        counts.append(0)
+
+        def g(x):
+            counts[-1] += 1
+            return f(x)
+        return search(g, edges)
+
+    monkeypatch.setattr(disc, "_find_crossings", counted)
+    spec = KERNEL_SPECS[name]
+    discrepancy_bounds(spec, stein_kernel(spec, 256))
+    assert len(counts) == 2
+    assert counts[0] <= (16 if name == "uniform_cantor" else 5) and counts[1] <= 5, counts
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 999), st.integers(-8, 8).filter(bool),
                           st.integers(-8, 8).filter(bool)),

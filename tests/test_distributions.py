@@ -31,11 +31,14 @@ from steinkit import (
 )
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
 from steinkit.distributions import (
+    _CANTOR_BLOCK,
+    DEFAULT_CONFIG,
     _GK_X,
     KINDS,
     _ndtr,
     _ndtri,
     _piece_tail,
+    _start_plan,
     cantor_in_support,
     cantor_points,
     cantor_survival_upper_mean,
@@ -310,6 +313,26 @@ def test_ndtri_is_within_4_eps_of_the_mpmath_root():
     assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
 
 
+def test_ndtri_is_bitwise_normal_dist_inv_cdf():
+    import statistics
+    rng = np.random.default_rng(241)
+    ps = np.concatenate([rng.uniform(0.0, 1.0, 200_000), 10.0 ** rng.uniform(-300.0, 0.0, 200_000),
+                         [0.5, 0.075, 0.925, 1e-300, 1.0 - 2.0 ** -53]])
+    ps = ps[(ps > 0.0) & (ps < 1.0)].tolist()
+    inv_cdf = statistics.NormalDist().inv_cdf
+    assert [_ndtri(p) for p in ps] == [inv_cdf(p) for p in ps]
+    assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+
+
+def test_import_leaves_the_statistics_module_out():
+    import subprocess
+    import sys
+    code = ("import sys, steinkit.cli; "
+            "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # -- partial expectations ----------------------------------------------------
 
 def test_partial_expectation_examples():
@@ -441,6 +464,40 @@ def test_cantor_against_cell_oracle():
         s, m = cantor_survival_upper_mean(u)
         assert s == pytest.approx(float(np.mean(pts >= u)), abs=1e-4)
         assert m == pytest.approx(float(np.mean(pts * (pts >= u))), abs=1e-4)
+
+
+def _uniform_cantor_start_nodes():
+    spec = KERNEL_SPECS["uniform_cantor"]
+    (_, x, _, _), _, _ = _start_plan(spec, (), None, DEFAULT_CONFIG)[0]
+    return spec, np.array(x)
+
+
+def test_cantor_walk_in_blocks_is_elementwise():
+    # the walk takes its points a block at a time: any split of the points,
+    # and every point on its own, gives the same bits
+    _, x = _uniform_cantor_start_nodes()
+    assert len(x) > 4 * _CANTOR_BLOCK
+    s, m = cantor_survival_upper_mean(x)
+    parts = [cantor_survival_upper_mean(x[k:k + 1000]) for k in range(0, len(x), 1000)]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), s)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), m)
+    rev = cantor_survival_upper_mean(x[::-1].reshape(-1, 8))
+    assert np.array_equal(rev[0].ravel()[::-1], s) and np.array_equal(rev[1].ravel()[::-1], m)
+    for k in np.random.default_rng(13).integers(0, len(x), 300):
+        assert cantor_survival_upper_mean(float(x[k])) == (s[k], m[k])
+
+
+def test_partial_expectation_on_the_cantor_start_nodes_keeps_a_small_peak():
+    import tracemalloc
+    spec, x = _uniform_cantor_start_nodes()
+    partial_expectation(spec, x[:8])
+    tracemalloc.start()
+    try:
+        partial_expectation(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, f"{len(x)} points: peak {peak / 1e6:.2f} MB"
 
 
 def test_cantor_points_are_built_once_per_depth():

@@ -642,6 +642,33 @@ def test_certification_evaluates_the_kernel_once_on_the_starting_nodes(name):
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_certification_plans_each_starting_pass_once(name, monkeypatch):
+    # kernel_stats and the 7 residuals share one plan of the starting pass;
+    # discrepancy_bounds, on its own crossings, makes exactly one more
+    import steinkit.distributions as dist
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 256)
+    builds = []
+    plan = dist._start_plan
+    monkeypatch.setattr(dist, "_start_plan", lambda *args: builds.append(args) or plan(*args))
+    kernel_stats(spec, kernel)
+    for tf in _tfs(spec):
+        stein_residual(spec, kernel, tf)
+    assert len(builds) == 1
+    discrepancy_bounds(spec, kernel)
+    assert len(builds) == 2
+
+
+def test_a_plan_is_read_only():
+    kernel = stein_kernel(MIXED, 64)
+    kernel_stats(MIXED, kernel)
+    (_, nodes, values), = kernel._start_pass.values()
+    (panels, x, _, half), (xs, masses), _ = nodes
+    for arr in (*panels, x, half, xs, masses, *values[:3]):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_mean_tau_equals_variance(name):
     spec = KERNEL_SPECS[name]
     mean_tau, _ = kernel_stats(spec, stein_kernel(spec, 128))

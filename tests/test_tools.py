@@ -47,3 +47,18 @@ def test_parent_worktree_is_removed_on_sigterm(tmp_path):
         child.stdout.close()
     assert not parent.parent.exists()
     assert _git(repo, "worktree", "list").count("\n") == 1
+
+
+def test_class_times_prints_every_class_of_a_certify_round():
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
+    try:
+        import rounds
+    finally:
+        sys.path.remove(str(TOOLS.parent / "perfbench"))
+    out = subprocess.run([sys.executable, str(TOOLS / "class_times.py"), "--workload", "certify",
+                          "--rounds", "1"], cwd=TOOLS.parent, capture_output=True, text=True,
+                         check=True, timeout=300).stdout
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+    for cls, *_ in rounds.MIXES["certify"]:
+        assert cls in rows and float(rows[cls][0]) > 0.0, out
+    assert "round" in rows
