@@ -231,7 +231,6 @@ class CantorPart:
         _check_weight(self.weight, "cantor")
 
 
-Component = Uniform | Normal | Exponential | Tabulated | Atom | CantorPart
 AC_FAMILIES = (Uniform, Normal, Exponential, Tabulated)
 
 
@@ -383,7 +382,7 @@ def _piece_variance(c) -> float:
 
 
 def _piece_pdf(c, t: np.ndarray) -> np.ndarray:
-    """Density of one AC piece (unweighted); atoms and Cantor parts have none."""
+    """Density of one AC piece (unweighted)."""
     match c:
         case Uniform():
             return np.where((t >= c.lo) & (t <= c.hi), 1.0 / (c.hi - c.lo), 0.0)
@@ -394,9 +393,7 @@ def _piece_pdf(c, t: np.ndarray) -> np.ndarray:
             return np.where(t >= 0.0, c.rate * np.exp(-c.rate * np.maximum(t, 0.0)), 0.0)
         case Tabulated():
             return np.interp(t, c.grid, c.values, left=0.0, right=0.0)
-        case Atom() | CantorPart():
-            return np.zeros_like(t)
-    raise TypeError(f"unknown component {c!r}")
+    raise TypeError(f"{c!r} has no density")
 
 
 def _linear_piece_mass_m1(a, b, va, vb):
@@ -921,8 +918,6 @@ def _qagi_cells(edges):
     so that the tail nodes sit where the law does at every scale."""
     e = np.asarray(edges, dtype=float)
     i, j = (1 if e[0] == -math.inf else 0), (len(e) - 1 if e[-1] == math.inf else len(e))
-    if j - i == len(e):
-        return e[:-1], e[1:], *(np.zeros(len(e) - 1),) * 2
     scale = (e[j - 1] - e[i]) / (j - 1 - i) if j - 1 > i else 1.0
     cells = np.zeros((4, max(j - 1, i) + len(e) - j))
     cells[0, i:j - 1], cells[1, i:j - 1] = e[i:j - 1], e[i + 1:j]
@@ -1073,8 +1068,8 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     _, (ac, atoms, parts), (p, tau, atom_tau, part_taus) = hit
 
     def refine(x):
-        p, tau = _ac_values(spec, kernel, x)
-        return np.asarray(g(x, tau), dtype=float) * p
+        tau = None if kernel is None else kernel.values_ae(x)
+        return np.asarray(g(x, tau), dtype=float) * ac_density(spec, x)
 
     total = 0.0
     if ac is not None:
@@ -1089,12 +1084,6 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     for (pts, weight), part_tau in zip(parts, part_taus):
         total = total + weight * np.asarray(g(pts, part_tau), dtype=float).sum(axis=-1) / len(pts)
     return total
-
-
-def _ac_values(spec: DistributionSpec, kernel, x) -> tuple:
-    """(p, tau) at AC nodes x: the AC density and the kernel's a.e. version."""
-    p = ac_density(spec, x)
-    return p, None if kernel is None else kernel._values_ae(x, spec, p)
 
 
 def _start_plan(spec: DistributionSpec, extra_breaks, kernel, config: QuadratureConfig) -> tuple:
@@ -1118,7 +1107,8 @@ def _start_plan(spec: DistributionSpec, extra_breaks, kernel, config: Quadrature
         panels = _start_panels(seams)
         x, jac, half = _gk15_nodes(*panels)
         x = x.ravel()
-        p, tau = _ac_values(spec, kernel, x)
+        p = ac_density(spec, x)
+        tau = None if kernel is None else kernel.values_ae(x)
         ac = panels, x, jac, half
     if spec.atoms:
         xs = np.array([a.location for a in spec.atoms])

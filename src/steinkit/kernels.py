@@ -225,8 +225,8 @@ class KernelFn:
     cantor_intervals: tuple = ()
     density_breaks: tuple = ()
     _fn_vec: Callable = field(default=None, repr=False)
-    _spec: DistributionSpec = field(default=None, repr=False)  # a grid kernel's own spec
-    # expect's starting pass {segments' bytes: (spec, p, tau)}, empty on a copy
+    # expect's starting-pass plan {(extra_breaks' bytes, config): (spec, nodes, values)},
+    # empty on a copy
     _start_pass: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -250,21 +250,15 @@ class KernelFn:
             zero |= cantor_in_support(ts, lo, hi)
         out = np.zeros_like(ts)  # values_ae is elementwise: bitwise the same on fewer points
         if not zero.all():
-            out[~zero] = self._values_ae(ts[~zero])
+            out[~zero] = self.values_ae(ts[~zero])
         return out
 
     def values_ae(self, ts) -> np.ndarray:
         """Vectorized evaluation of the Lebesgue-a.e. version: the pointwise
         zeros on atoms and the Cantor set (both null sets) are not applied,
         which is exactly what integrals against Lebesgue measure need."""
-        return self._values_ae(np.asarray(ts, dtype=float))
-
-    def _values_ae(self, ts, spec=None, p=None) -> np.ndarray:
-        """values_ae at the array ts, where p, if given, is spec's AC density
-        at ts: a grid kernel of that spec then takes it instead of its own."""
-        own = self._spec is not None and spec is self._spec
-        fx = self._fn_vec(ts, p) if own else self._fn_vec(ts)
-        out = np.maximum(np.asarray(fx, dtype=float), 0.0)
+        ts = np.asarray(ts, dtype=float)
+        out = np.maximum(np.asarray(self._fn_vec(ts), dtype=float), 0.0)
         return np.where((ts <= self.domain.lo) | (ts >= self.domain.hi), 0.0, out)
 
     def descriptor(self) -> dict | None:
@@ -330,11 +324,11 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
 
     grid_t = _chebyshev_interior(lo, hi, grid_size)
     if fn_vec is None:
-        def fn_vec(ts, p=None):
+        def fn_vec(ts):
             # sigma^2 * q / p with sigma^2 q written as the partial expectation;
-            # the zeros of h are left to `values`; p is the AC density, if known
+            # the zeros of h are left to `values`
             pe = np.maximum(partial_expectation(spec, ts), 0.0)
-            p = ac_density(spec, ts) if p is None else p
+            p = ac_density(spec, ts)
             return np.divide(pe, p, out=np.zeros_like(pe), where=p >= UNDERFLOW_FLOOR)
 
         form, params = "grid", {}
@@ -343,11 +337,11 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
         if len(bad):
             raise NumericsError(
                 f"AC density underflows below {UNDERFLOW_FLOOR} inside the support "
-                f"interval at t={grid_t[bad[0]]!r}")
+                f"interval at t={float(grid_t[bad[0]])!r}")
     return KernelFn(domain=SupportInterval(sup.lo, sup.hi), form=form, params=params,
                     grid_t=grid_t, atom_zeros=atom_zeros,
                     cantor_intervals=cantor_iv, density_breaks=density_breaks,
-                    _fn_vec=fn_vec, _spec=spec if form == "grid" else None)
+                    _fn_vec=fn_vec)
 
 
 # ---------------------------------------------------------------------------

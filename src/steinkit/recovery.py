@@ -140,7 +140,7 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     bad = np.nonzero(tau <= 0.0)[0]
     if len(bad):
         raise NumericsError(f"kernel is not strictly positive on the interior "
-                            f"grid (first zero at t={grid[bad[0]]!r})")
+                            f"grid (first zero at t={float(grid[bad[0]])!r})")
 
     def psi(t):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -495,6 +495,17 @@ def test_a_failed_run_prints_one_error_line(tmp_path, verb, doc, code):
     assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1, cp.stderr
 
 
+def test_an_underflowing_density_is_named_at_a_plain_number(tmp_path):
+    # between the bumps of 1/2 N(-64, 1) + 1/2 N(64, 1) the AC density
+    # underflows; the message gives the point as a float, not a numpy repr
+    doc = {"components": [{"kind": "normal", "mean": -64.0, "sd": 1.0, "weight": 0.5},
+                          {"kind": "normal", "mean": 64.0, "sd": 1.0, "weight": 0.5}]}
+    cp = run_cli("kernel", write_spec(tmp_path, "spec.json", doc))
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.startswith("error:") and cp.stderr.count("\n") == 1, cp.stderr
+    assert "t=-26.86" in cp.stderr and "np.float64" not in cp.stderr
+
+
 def test_integration_warnings_reach_stderr(tmp_path):
     cp = run_cli("bound", write_spec(tmp_path, "spec.json", NORMAL_UNIFORM), "--tol", "1e-300")
     assert cp.returncode == 0, cp.stderr

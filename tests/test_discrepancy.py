@@ -244,6 +244,17 @@ def test_tv_bounded_by_discrepancy_for_unit_scale_specs(name):
     assert rep.tv_exact <= rep.bound_l1 + 1e-7, name
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_normalized_bounds_sandwich_tv(name):
+    # the general chain d_TV <= bound_l1 / sigma^2 <= bound_sd / sigma^2
+    # holds at every variance; the report keeps the bounds without 1/sigma^2
+    spec = KERNEL_SPECS[name]
+    var = moments(spec).variance
+    rep = discrepancy_bounds(spec, stein_kernel(spec, 256))
+    assert rep.tv_exact <= rep.bound_l1 / var + 1e-7, name
+    assert rep.bound_l1 / var <= rep.bound_sd / var + 1e-7, name
+
+
 def test_bound_sd_matches_kernel_stats():
     for name in ["uniform01", "mixed_atoms_uniform", "exponential2"]:
         spec = KERNEL_SPECS[name]
@@ -365,18 +376,33 @@ def test_crossing_search_stops_on_nan():
 def test_crossing_search_finds_a_simple_root_in_a_few_passes(r, c, b):
     # (x - r)(1 + c (x - r)^2) e^(bx): smooth, one simple root at r, cubic
     # for large c; probes centred on the inverse interpolate reach r within
-    # 2e-14 in at most four passes after the scan.  (For c in the hundreds
-    # the scan spacing no longer resolves the cubic, and a few searches need
-    # a pass or two more.)
+    # 2e-14 in at most four passes after the scan
+    got, calls = _cubic_root_search(r, c, b)
+    assert len(got) == 1 and abs(got[0] - r) < 2e-14
+    assert calls <= 5
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(10.0, 1000.0), st.floats(-4.0, 4.0))
+def test_crossing_search_finds_a_root_of_a_sharply_curved_f(r, c, b):
+    # the same f with c up to 1000: the scan spacing no longer resolves the
+    # cubic, and a search may fall back on evenly spaced probes, but it still
+    # reaches r within 2e-14 in at most six passes after the scan
+    got, calls = _cubic_root_search(r, c, b)
+    assert len(got) == 1 and abs(got[0] - r) < 2e-14
+    assert calls <= 7
+
+
+def _cubic_root_search(r, c, b):
+    """The crossings `_find_crossings` reports for (x - r)(1 + c (x - r)^2)
+    e^(bx) on [-1, 2], and how many calls of f it made."""
     calls = []
 
     def f(x):
         calls.append(len(x))
         return (x - r) * (1.0 + c * (x - r) ** 2) * np.exp(b * x)
 
-    got = _crossings(_find_crossings(f, [-1.0, 2.0]), [-1.0, 2.0])
-    assert len(got) == 1 and abs(got[0] - r) < 2e-14
-    assert len(calls) <= 5
+    return _crossings(_find_crossings(f, [-1.0, 2.0]), [-1.0, 2.0]), len(calls)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))

@@ -42,7 +42,7 @@ from steinkit import (
 )
 from oracle_utils import kernel_measure_integral
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
-from steinkit.distributions import expect
+from steinkit.distributions import ac_density, expect
 from steinkit.kernels import MAX_GRID
 
 import oracle_utils as oracle
@@ -578,7 +578,7 @@ def test_a_replaced_kernel_starts_with_an_empty_memo():
     kernel = stein_kernel(MIXED, 64)
     kernel_stats(MIXED, kernel)
     assert len(kernel._start_pass) == 1
-    doubled = dataclasses.replace(kernel, _fn_vec=lambda ts, p=None: 2.0 * kernel._fn_vec(ts, p))
+    doubled = dataclasses.replace(kernel, _fn_vec=lambda ts: 2.0 * kernel._fn_vec(ts))
     assert doubled._start_pass == {}
     mean_tau, _ = kernel_stats(MIXED, doubled)
     assert mean_tau == pytest.approx(2.0 * moments(MIXED).variance, rel=1e-12)
@@ -586,7 +586,8 @@ def test_a_replaced_kernel_starts_with_an_empty_memo():
 
 def test_another_spec_reads_nothing_from_the_memo():
     # two specs on the same segments, so the same starting nodes, with
-    # different densities: the grid kernel of `a` takes b's own density on b
+    # different densities: on b, the grid kernel of `a` keeps its own values
+    # and the integral weighs them by b's density
     a = DistributionSpec((Uniform(0.0, 1.0, 0.3), Uniform(0.0, 2.0, 0.7)))
     b = DistributionSpec((Uniform(0.0, 1.0, 0.6), Uniform(0.0, 2.0, 0.4)))
     g = lambda x, tau: np.stack([tau, x * tau])
@@ -630,9 +631,9 @@ def test_certification_evaluates_the_kernel_once_on_the_starting_nodes(name):
     kernel = stein_kernel(spec, 256)
     calls = []
 
-    def fn_vec(ts, *p):
+    def fn_vec(ts):
         calls.append(ts.tobytes())
-        return kernel._fn_vec(ts, *p)
+        return kernel._fn_vec(ts)
 
     counted = dataclasses.replace(kernel, _fn_vec=fn_vec)
     kernel_stats(spec, counted)
@@ -657,6 +658,26 @@ def test_certification_plans_each_starting_pass_once(name, monkeypatch):
     assert len(builds) == 1
     discrepancy_bounds(spec, kernel)
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_a_plan_holds_the_public_evaluation(name):
+    # the starting pass a kernel keeps reads, bit for bit, what the public
+    # functions give: p and the a.e. tau at the AC nodes, the pointwise tau
+    # at the atoms, and 0 on a registered Cantor part
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 256)
+    kernel_stats(spec, kernel)
+    (_, (ac, atoms, parts), (p, tau, atom_tau, part_taus)), = kernel._start_pass.values()
+    x = ac[1]
+    assert p.tobytes() == ac_density(spec, x).tobytes()
+    assert tau.tobytes() == kernel.values_ae(x).tobytes()
+    if atoms is not None:
+        assert atom_tau.tobytes() == kernel.values(atoms[0]).tobytes()
+    assert len(parts) == len(part_taus) == len(spec.cantor_parts)
+    for (pts, _), part_tau, c in zip(parts, part_taus, spec.cantor_parts):
+        assert (c.lo, c.hi) in kernel.cantor_intervals
+        assert part_tau.tobytes() == np.zeros_like(pts).tobytes()
 
 
 def test_a_plan_is_read_only():

@@ -204,6 +204,18 @@ def test_interior_kernel_zero_raises():
         recover_density(kernel, moments(spec).mean, 256)
 
 
+def test_a_kernel_vanishing_mid_interval_names_a_plain_number():
+    # a caller-built kernel that is zero on (0.4, 0.6): the message gives its
+    # first zero on the grid as a float, not a numpy repr
+    kernel = KernelFn(domain=SupportInterval(0.0, 1.0), form="polynomial-over-interval",
+                      params={"lo": 0.0, "hi": 1.0}, grid_t=np.linspace(0.01, 0.99, 16),
+                      atom_zeros=(),
+                      _fn_vec=lambda ts: np.where(abs(ts - 0.5) < 0.1, 0.0, 0.5 * ts * (1.0 - ts)))
+    with pytest.raises(NumericsError, match=r"\(first zero at t=0\.4\d*\)$") as exc:
+        recover_density(kernel, 0.5, 256)
+    assert "np.float64" not in str(exc.value)
+
+
 def test_boundary_atom_kernel_recovers_ac_shape():
     # atoms at the support edges leave the kernel positive inside; recovery
     # then returns the absolutely continuous part's shape, renormalized
