@@ -27,18 +27,18 @@ from .distributions import (
     DistributionSpec,
     Normal,
     QuadratureConfig,
-    _ndtri,
+    _cut_pass,
+    _first_pass,
+    _ndtr,
     _piece_pdf,
+    _piece_support,
     ac_density,
     expect,
-    integrate,
     moments,
-    truncated_support,
 )
 from .errors import DegenerateError, NumericsError
 from .kernels import KernelFn, _r_rows
 
-BRACKETS_PER_PANEL = 64
 PROBES = 8  # points a refinement pass evaluates in each live bracket
 XTOL, RTOL = 1e-14, 4.0 * np.finfo(float).eps  # brentq's stopping rule
 MAX_PASSES = 100  # so that a NaN or a flat bracket cannot loop forever
@@ -58,51 +58,38 @@ class DiscrepancyReport:
         return {"tv": self.tv_exact, "bound_l1": self.bound_l1, "bound_sd": self.bound_sd}
 
 
-def _find_crossings(f, edges) -> np.ndarray:
-    """The sorted edges plus the sign changes of the array function f in
-    each panel between them: the panel points for integrating |f|.
+def _find_crossings(f, xs, fx) -> np.ndarray:
+    """The sorted sign changes of the array function f among the sorted
+    points xs, where it takes the values fx.
 
-    One call of f scans every panel on BRACKETS_PER_PANEL brackets, from
-    just inside its edges, where f may jump: a crossing next to a jump would
-    otherwise cancel against it.  A NaN or an exact zero carries no sign:
-    each nonzero scan value is bracketed with the previous nonzero one in
-    its panel, and the brackets whose ends differ in sign are refined
-    together by probe passes, one call of f each: PROBES probes in every
-    live bracket, which shrinks to the first neighbouring signed points of
-    opposite sign, or ends at an exact zero between them.  The probes are
-    centred on the inverse interpolate (Brent 1973) through the bracket's
-    ends and the points beside them that run monotone with them, spaced by
-    half its change when one point is dropped but no closer than half the
-    stopping width; they are evenly spaced where fewer than three points
-    (of the scan, at first) run monotone, and after an interpolated pass
-    that shrank the bracket less than (PROBES + 1)-fold.  A bracket stops
-    once narrower than XTOL min(w, 1) + RTOL |x|, w the total width; as in
-    brentq, the crossing is the end of the final bracket where |f| is
-    smaller.  Signs are compared, never through a product of values, which
-    overflows once |f| passes ~1e154.  A crossing within 1e-12 w of an edge
-    (where a jump makes the scan report the edge itself) or of the crossing
-    before it is dropped.  The length floors scale with min(w, 1), so that
-    a narrow scan keeps its brackets inside its panels, and no inset
-    exceeds a quarter of its panel.  A pair of crossings inside one bracket
-    is missed, which only callers that integrate |f| tolerate.
+    A NaN or an exact zero carries no sign: each nonzero value is bracketed
+    with the previous nonzero one, so a NaN, which callers put at each jump
+    of f, ends a bracket.  The brackets whose ends differ in sign are
+    refined together by probe passes, one call of f each: PROBES probes in
+    every live bracket, which shrinks to the first neighbouring signed
+    points of opposite sign, or ends at an exact zero between them.  The
+    probes are centred on the inverse interpolate (Brent 1973) through the
+    bracket's ends and the points beside them that run monotone with them,
+    spaced by half its change when one point is dropped but no closer than
+    half the stopping width; they are evenly spaced where fewer than three
+    points run monotone, and after an interpolated pass that shrank the
+    bracket less than (PROBES + 1)-fold.  A bracket stops once narrower
+    than XTOL min(w, 1) + RTOL |x|, w the width of xs; as in brentq, the
+    crossing is the end of the final bracket where |f| is smaller.  Signs
+    are compared, never through a product of values, which overflows once
+    |f| passes ~1e154.  A pair of crossings between neighbouring points is
+    missed.
     """
-    edges = np.asarray(edges, dtype=float)
-    width = edges[-1] - edges[0]
-    unit = min(width, 1.0)
-    xtol = XTOL * unit
-    lo, hi = edges[:-1], edges[1:]
-    xs = np.linspace(lo, hi, BRACKETS_PER_PANEL + 1, axis=1)
-    inset = np.minimum(np.maximum(1e-12 * (hi - lo),
-                                  1e-13 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), unit)),
-                       0.25 * (hi - lo))
-    xs[:, 0], xs[:, -1] = lo + inset, hi - inset
-    vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    prev = np.maximum.accumulate(np.where(vals != 0.0, np.arange(xs.shape[1]), 0), axis=1)
-    va = np.take_along_axis(vals, prev[:, :-1], axis=1)
-    rows, cols = np.nonzero(np.sign(va) * np.sign(vals[:, 1:]) < 0.0)
-    scans = {r: list(zip(xs[r].tolist(), vals[r].tolist())) for r in set(rows.tolist())}
-    brackets = [_bracket(scans[r], int(prev[r, j]), True, math.inf)
-                for r, j in zip(rows.tolist(), cols.tolist())]
+    xs, fx = np.asarray(xs, dtype=float), np.asarray(fx, dtype=float)
+    xtol = XTOL * min(xs[-1] - xs[0], 1.0)
+    nonzero = np.flatnonzero(fx != 0.0)
+    sign = np.sign(fx[nonzero])
+    brackets = []
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0).tolist():
+        # from the nonzero point before the bracket to the one after it
+        lo, hi = nonzero[max(i - 1, 0)], nonzero[min(i + 2, len(nonzero) - 1)] + 1
+        pts = list(zip(xs[lo:hi].tolist(), fx[lo:hi].tolist()))
+        brackets.append(_bracket(pts, int(nonzero[i] - lo), True, math.inf))
     live = brackets
     for _ in range(MAX_PASSES):
         live = [br for br in live
@@ -113,12 +100,30 @@ def _find_crossings(f, edges) -> np.ndarray:
         vals = np.asarray(f(np.array(probes).ravel()), dtype=float).reshape(len(live), PROBES)
         for br, ps, vs in zip(live, probes, vals.tolist()):
             br[:] = _bracket([(br[0], br[2]), *zip(ps, vs), (br[1], br[3])], 0, br[5], br[1] - br[0])
-    roots = np.array([a if abs(fa) < abs(fb) else b for a, b, fa, fb, *_ in brackets])
-    tol = 1e-12 * width
-    i = np.searchsorted(edges, roots)
-    near = np.minimum(roots - edges[i - 1], edges[i] - roots) <= tol
-    near |= np.diff(roots, prepend=-math.inf) <= tol
-    return np.sort(np.concatenate([edges, roots[~near]]))
+    return np.array([a if abs(fa) < abs(fb) else b for a, b, fa, fb, *_ in brackets])
+
+
+def _node_crossings(f, spec: DistributionSpec, ac, fx) -> np.ndarray:
+    """`_find_crossings` of f on the finite panels' nodes of the starting
+    pass ac, fx f there, and at each kernel break among them, where f may
+    jump, one point inset on each side (all in one call of f) with a NaN
+    between them, so that no bracket spans the jump."""
+    (_, _, side, _), x, _, _ = ac
+    finite = np.repeat(side == 0.0, len(x) // len(side))
+    xs, vs = x[finite], fx[finite]
+    if not xs.size:  # a law inside one rounding of its window has no finite panel
+        return xs
+    br = np.array(spec._kernel_breaks)
+    br = br[(xs[0] < br) & (br < xs[-1])]
+    if br.size:
+        k = np.searchsorted(xs, br)
+        gap = np.stack([br - xs[k - 1], xs[k] - br], axis=1)
+        inset = np.minimum(np.maximum(1e-10 * gap, 1e-13 * np.abs(br[:, None])), 0.5 * gap)
+        pts = np.stack([br - inset[:, 0], br, br + inset[:, 1]], axis=1)
+        vals = np.asarray(f(pts[:, ::2].ravel()), dtype=float).reshape(-1, 2)[:, [0, 0, 1]]
+        vals[:, 1] = np.nan
+        xs, vs = np.insert(np.stack([xs, vs]), np.repeat(k, 3), [pts.ravel(), vals.ravel()], axis=1)
+    return _find_crossings(f, xs, vs)
 
 
 def _probes(bracket, xtol: float) -> list:
@@ -161,31 +166,36 @@ def tv_to_normal(spec: DistributionSpec,
     """Exact total-variation distance from the spec to N(m, sigma^2) with the
     spec's own mean and variance.
 
-    Half the L1 distance of the AC density to the normal density over the
-    whole line (split at the density crossings `_find_crossings` locates in
-    the tail_quantile window of both laws, so |p - phi| is smooth on every
-    quadrature panel), plus half the singular mass.
+    Half the L1 distance of the AC density p to the normal density phi,
+    plus half the singular mass.  On the hull of the AC pieces |p - phi| is
+    integrated over `expect`'s starting pass, cut at the crossings of p and
+    phi that `_node_crossings` finds from its nodes, so |p - phi| is smooth
+    on every panel; beyond the hull p = 0, and the normal's mass there is
+    closed form.
     """
+    return _tv(spec, None, config)
+
+
+def _tv(spec: DistributionSpec, kernel, config: QuadratureConfig) -> float:
+    """`tv_to_normal` on the kernel's starting pass, or a p-only one."""
     mom = moments(spec)
     if mom.variance <= 0.0:
         if spec.is_single_atom():
             raise DegenerateError("TV distance to the matched normal needs sigma^2 > 0")
         raise NumericsError("the variance underflows to 0 on a support that is not a point")
     m, sd = mom.mean, math.sqrt(mom.variance)
-
-    slo, shi = truncated_support(spec, config.tail_quantile)
-    z = abs(_ndtri(config.tail_quantile))
-    lo = min(slo, m - z * sd)
-    hi = max(shi, m + z * sd)
-
-    edges = sorted({lo, hi, *(b for b in spec.density_breaks if lo < b < hi)})
     normal = Normal(m, sd, 1.0)
+    (ac, _, _), (p, *_) = _first_pass(spec, kernel, config)
+    total = 1.0  # the normal's mass beyond an empty hull
+    if ac is not None:
+        def diff(t):
+            return ac_density(spec, t) - _piece_pdf(normal, t)
 
-    def diff(t):
-        return ac_density(spec, t) - _piece_pdf(normal, t)
-
-    pts = [-math.inf, *_find_crossings(diff, edges), math.inf]
-    total, _ = integrate(lambda t: np.abs(diff(t)), pts, config)
+        fx = p - _piece_pdf(normal, ac[1])
+        pts = _node_crossings(diff, spec, ac, fx)
+        value, _, _ = _cut_pass(lambda t: np.abs(diff(t)), ac, np.abs(fx), pts, config)
+        los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
+        total = float(value.sum()) + _ndtr((min(los) - m) / sd) + _ndtr((m - max(his)) / sd)
     return min(1.0, 0.5 * (total + spec.singular_mass))
 
 
@@ -195,17 +205,16 @@ def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
 
     With r = tau(X) / sigma^2 - 1 as in `kernel_stats`, bound_l1 =
     2 sigma^2 E|r| and bound_sd = 2 sigma^2 sqrt(Var r), from one `expect`
-    over the rows [|r|, r, r^2], split at the points of the truncated
-    support where tau crosses sigma^2.
+    over the rows [|r|, r, r^2], cut where tau crosses sigma^2.  Those
+    crossings, and the distance, read the kernel's starting pass.
     """
     var = moments(spec).variance
-    slo, shi = truncated_support(spec, config.tail_quantile)
-    edges = [slo, *(b for b in spec._kernel_breaks if slo < b < shi), shi]
-    pts = _find_crossings(lambda t: kernel.values_ae(t) - var, edges)
+    (ac, _, _), (_, tau, _, _) = _first_pass(spec, kernel, config)
+    pts = _node_crossings(lambda t: kernel.values_ae(t) - var, spec, ac, tau - var)
     l1, mean_r, sq = expect(spec, lambda x, tau: _r_rows(tau, var), extra_breaks=pts,
                             kernel=kernel, config=config)
     return DiscrepancyReport(
-        tv_exact=tv_to_normal(spec, config=config),
+        tv_exact=_tv(spec, kernel, config),
         bound_l1=2.0 * var * float(l1),
         bound_sd=2.0 * var * math.sqrt(max(float(sq) - float(mean_r) ** 2, 0.0)),
     )

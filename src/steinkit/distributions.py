@@ -382,17 +382,19 @@ def _piece_variance(c) -> float:
 
 
 def _piece_pdf(c, t: np.ndarray) -> np.ndarray:
-    """Density of one AC piece (unweighted)."""
+    """Density of one AC piece (unweighted), right-continuous at every break:
+    a uniform's on [lo, hi), a tabulated piece's on [g_0, g_N)."""
     match c:
         case Uniform():
-            return np.where((t >= c.lo) & (t <= c.hi), 1.0 / (c.hi - c.lo), 0.0)
+            return np.where((t >= c.lo) & (t < c.hi), 1.0 / (c.hi - c.lo), 0.0)
         case Normal():
             z = (t - c.mean) / c.sd
             return np.exp(-0.5 * z * z) / (c.sd * _SQRT2PI)
         case Exponential():
             return np.where(t >= 0.0, c.rate * np.exp(-c.rate * np.maximum(t, 0.0)), 0.0)
         case Tabulated():
-            return np.interp(t, c.grid, c.values, left=0.0, right=0.0)
+            return np.where(t == c.grid[-1], 0.0,
+                            np.interp(t, c.grid, c.values, left=0.0, right=0.0))
     raise TypeError(f"{c!r} has no density")
 
 
@@ -433,10 +435,11 @@ def _piece_tail(c, t: np.ndarray, lower):
             g, v = c.grid, c.values
             tc = np.clip(np.asarray(t, dtype=float), g[0], g[-1])
             i = np.clip(np.searchsorted(g, tc, side="right") - 1, 0, len(g) - 2)
-            vt = v[i] + (v[i + 1] - v[i]) * (tc - g[i]) / (g[i + 1] - g[i])
+            ga, gb, va, vb = g[i], g[i + 1], v[i], v[i + 1]
+            vt = va + (vb - va) * (tc - ga) / (gb - ga)
             # the linear piece below tc on the lower side, above it otherwise
-            mass, m1 = _linear_piece_mass_m1(*np.where(lower, (g[i], tc, v[i], vt),
-                                                       (tc, g[i + 1], vt, v[i + 1])))
+            mass, m1 = _linear_piece_mass_m1(np.where(lower, ga, tc), np.where(lower, tc, gb),
+                                             np.where(lower, va, vt), np.where(lower, vt, vb))
             p = np.where(lower, c._pre_mass[i] + mass, mass + c._suf_mass[i + 1])
             return p, np.where(lower, _piece_mean(c) * p - (c._pre_m1[i] + m1),
                                m1 + c._suf_m1[i + 1] - _piece_mean(c) * p)
@@ -1037,12 +1040,13 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     The AC part is one `integrate` call of g times the mixture's AC density,
     over the union of the pieces' supports, so its tolerance holds for the
     whole AC integral.  Its segments are split at the spec's density
-    breaks, atoms, extra_breaks, and the edges of each Cantor part's 2^D
-    construction cells (its exact ends included), so every segment is
-    smooth; `integrate` cuts a few segments into its starting panels.  The
-    ends of the tail_quantile window and its midpoint split them too, so
-    the nodes find a law however narrow it is or far from 0, and an
-    infinite tail is scaled to the window's segments.
+    breaks, atoms, and the edges of each Cantor part's 2^D construction
+    cells (its exact ends included), so every segment is smooth;
+    `integrate` cuts a few segments into its starting panels.  The ends of
+    the tail_quantile window and its midpoint split them too, so the nodes
+    find a law however narrow it is or far from 0, and an infinite tail is
+    scaled to the window's segments.  Each starting panel that holds one of
+    extra_breaks is then cut there (`_cut_pass`).
     On the gaps between those cells the Cantor CDF and partial mean are
     constant, so a kernel there is as smooth as the AC density; D is
     `config.cantor_depth`.  Atoms add their mass times g.  A Cantor part
@@ -1051,31 +1055,21 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     window [lo, hi] is that of g times its indicator, with lo and hi among
     extra_breaks.
 
-    Every point of the first pass (the starting panels' GK15 nodes, the
-    atoms and the Cantor midpoints) depends on the spec, extra_breaks and
-    config alone, so a kernel keeps that pass's plan, with p and tau at its
-    points, for the last ones it met (the spec checked by identity): a later
-    `expect` on them only evaluates g there and reduces it, and refinement
-    is evaluated as before.
+    The starting pass (the starting panels' GK15 nodes, the atoms and the
+    Cantor midpoints) depends on the spec and config alone, so a kernel
+    keeps it with p and tau at its points (`_first_pass`): g is evaluated
+    there, and p and tau only on cut panels' nodes and in refinement.
     """
-    memo = {} if kernel is None else kernel._start_pass
-    key = np.asarray(extra_breaks, dtype=float).tobytes(), config
-    hit = memo.get(key)
-    if hit is None or hit[0] is not spec:
-        hit = spec, *_start_plan(spec, extra_breaks, kernel, config)
-        memo.clear()
-        memo[key] = hit
-    _, (ac, atoms, parts), (p, tau, atom_tau, part_taus) = hit
+    (ac, atoms, parts), (p, tau, atom_tau, part_taus) = _first_pass(spec, kernel, config)
 
-    def refine(x):
+    def f(x):
         tau = None if kernel is None else kernel.values_ae(x)
         return np.asarray(g(x, tau), dtype=float) * ac_density(spec, x)
 
     total = 0.0
     if ac is not None:
-        panels, x, jac, half = ac
-        first = _gk15_reduce(np.asarray(g(x, tau), dtype=float) * p, jac, half)
-        value, _, _ = _adapt(refine, config, *panels, first=first)
+        fx = np.asarray(g(ac[1], tau), dtype=float) * p
+        value, _, _ = _cut_pass(f, ac, fx, extra_breaks, config)
         total = value.sum(axis=-1)
         total = float(total) if value.ndim == 1 else total
     if atoms is not None:
@@ -1086,15 +1080,52 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     return total
 
 
-def _start_plan(spec: DistributionSpec, extra_breaks, kernel, config: QuadratureConfig) -> tuple:
-    """(nodes, values) of `expect`'s first pass, every array read-only:
+def _first_pass(spec: DistributionSpec, kernel, config: QuadratureConfig) -> tuple:
+    """`_start_plan(spec, kernel, config)`, kept by the kernel for the last
+    spec (by identity) and config it met."""
+    memo = {} if kernel is None else kernel._start_pass
+    hit = memo.get(config)
+    if hit is None or hit[0] is not spec:
+        memo.clear()
+        hit = memo[config] = spec, *_start_plan(spec, kernel, config)
+    return hit[1:]
+
+
+def _cut_pass(f, ac, fx, breaks, config: QuadratureConfig):
+    """`_adapt`'s (value, error, origin) of f over the starting pass ac, f
+    fx at its nodes, each panel that holds a break cut there (a `qagi` tail
+    panel in its variable u = s / (x - anchor + s), s its side): only the
+    new panels' nodes are evaluated, in one call."""
+    (a, b, side, anchor), _, jac, half = ac
+    first = _gk15_reduce(fx, jac, half)
+    x = np.asarray(breaks, dtype=float)
+    if x.size:
+        s = side[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(s == 0.0, x, s / (x - anchor[:, None] + s))
+        inside = (a[:, None] < t) & (t < b[:, None])
+        cut = inside.any(axis=1)
+        if cut.any():
+            ends = [_sorted_distinct(np.append(t[k, inside[k]], (a[k], b[k])))
+                    for k in np.flatnonzero(cut)]
+            n = [len(e) - 1 for e in ends]
+            new = (np.concatenate([e[:-1] for e in ends]), np.concatenate([e[1:] for e in ends]),
+                   np.repeat(side[cut], n), np.repeat(anchor[cut], n))
+            a, b, side, anchor = (np.append(v[~cut], w) for v, w in zip((a, b, side, anchor), new))
+            first = tuple(np.append(v[..., ~cut], w, axis=-1)
+                          for v, w in zip(first, _gk15(f, *new)))
+    return _adapt(f, config, a, b, side, anchor, first=first)
+
+
+def _start_plan(spec: DistributionSpec, kernel, config: QuadratureConfig) -> tuple:
+    """(nodes, values) of `expect`'s starting pass, every array read-only:
     nodes (ac, atoms, parts) holds the starting panels, their GK15 nodes x,
     Jacobians and half-widths, the atoms and masses, and each Cantor part's
     midpoints and weight; values p and tau at x, and tau at the others."""
     depth = config.cantor_depth
     left = cantor_points(depth) if spec.cantor_parts else None
     lo, hi = truncated_support(spec, config.tail_quantile)
-    breaks = np.concatenate((spec._kernel_breaks, extra_breaks, (lo, 0.5 * lo + 0.5 * hi, hi)))
+    breaks = np.concatenate((spec._kernel_breaks, (lo, 0.5 * lo + 0.5 * hi, hi)))
     if spec.cantor_parts:
         ends = np.concatenate((left[1:], left[:-1] + 3.0 ** -depth))
         breaks = np.concatenate([breaks] + [np.concatenate((

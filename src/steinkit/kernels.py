@@ -225,8 +225,7 @@ class KernelFn:
     cantor_intervals: tuple = ()
     density_breaks: tuple = ()
     _fn_vec: Callable = field(default=None, repr=False)
-    # expect's starting-pass plan {(extra_breaks' bytes, config): (spec, nodes, values)},
-    # empty on a copy
+    # expect's starting-pass plan {config: (spec, nodes, values)}, empty on a copy
     _start_pass: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -243,7 +242,9 @@ class KernelFn:
     def values(self, ts) -> np.ndarray:
         """Vectorized pointwise evaluation with all version rules applied:
         zero at the atoms and on the registered Cantor supports, the null
-        sets on which the Radon-Nikodym factor h vanishes."""
+        sets on which the Radon-Nikodym factor h vanishes; at a density
+        break, the right-continuous AC density (each piece's on [lo, hi)),
+        which no rewrite of the spec's pieces changes."""
         ts = np.asarray(ts, dtype=float)
         zero = np.isin(ts, self.atom_zeros)
         for lo, hi in self.cantor_intervals:

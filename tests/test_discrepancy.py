@@ -293,15 +293,32 @@ def test_report_to_dict_keys():
 
 # -- crossing search ---------------------------------------------------------
 
-def _crossings(pts, edges):
-    return [float(x) for x in pts if x not in edges]
+def _scan(f, edges):
+    """The points and values of a scan of f for `_find_crossings`: 65
+    points a panel between the edges, the ends inset from them, and a NaN at
+    each interior edge, where f may jump, as the library puts one at each
+    kernel break."""
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    unit = min(edges[-1] - edges[0], 1.0)
+    xs = np.linspace(lo, hi, 65, axis=1)
+    inset = np.minimum(np.maximum(1e-12 * (hi - lo),
+                                  1e-13 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), unit)),
+                       0.25 * (hi - lo))
+    xs[:, 0], xs[:, -1] = lo + inset, hi - inset
+    fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    nan = np.full(len(hi), np.nan)
+    return np.column_stack([xs, hi]).ravel()[:-1], np.column_stack([fx, nan]).ravel()[:-1]
+
+
+def _crossings(f, edges):
+    return [float(x) for x in _find_crossings(f, *_scan(f, edges))]
 
 
 def test_crossing_search_finds_roots_over_several_panels():
     edges = [0.5, 4.0, 7.0, 10.0]
-    pts = _find_crossings(np.sin, edges)
-    assert list(pts) == sorted(pts) and set(edges) <= set(pts)
-    got = _crossings(pts, edges)
+    got = _crossings(np.sin, edges)
+    assert got == sorted(got)
     want = [math.pi, 2.0 * math.pi, 3.0 * math.pi]
     assert np.max(np.abs(np.array(got) - want)) < 2e-14
     oracle = [optimize.brentq(np.sin, r - 0.03, r + 0.02, xtol=1e-14) for r in want]
@@ -311,41 +328,39 @@ def test_crossing_search_finds_roots_over_several_panels():
 def test_crossing_search_root_next_to_panel_edge():
     root = 1.0 + 1e-9
     f = lambda x: np.exp(x) - math.exp(root)  # noqa: E731
-    got = _crossings(_find_crossings(f, [0.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+    got = _crossings(f, [0.0, 1.0, 2.0])
     assert len(got) == 1 and abs(got[0] - root) < 2e-14
     assert abs(got[0] - optimize.brentq(f, 1.0, 1.5, xtol=1e-14)) < 2e-14
 
 
 def test_crossing_search_crossing_next_to_jump():
     # f jumps from +1 to -1e-6 at the edge 1 and crosses zero 1e-6 later;
-    # the edge itself is no crossing
+    # the NaN at the edge keeps the jump itself from being a crossing
     root = 1.0 + 1e-6
     f = lambda x: np.where(x < 1.0, 1.0, x - root)  # noqa: E731
-    got = _crossings(_find_crossings(f, [0.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+    got = _crossings(f, [0.0, 1.0, 2.0])
     assert len(got) == 1 and abs(got[0] - root) < 2e-14
     assert abs(got[0] - optimize.brentq(f, 1.0 + 1e-12, 1.5, xtol=1e-14)) < 2e-14
 
 
 def test_crossing_search_finds_nothing_in_an_exact_zero():
     # an exact zero carries no sign: f = 0 everywhere has no crossing
-    edges = [0.0, 1.0, 2.0]
-    assert list(_find_crossings(np.zeros_like, edges)) == edges
+    assert _crossings(np.zeros_like, [0.0, 1.0, 2.0]) == []
 
 
 def test_crossing_search_returns_an_exact_zero_between_opposite_signs_once():
     # x - 0.5 vanishes exactly at the scan point 0.5 of [0, 1]
-    got = _crossings(_find_crossings(lambda x: x - 0.5, [0.0, 1.0]), [0.0, 1.0])
+    got = _crossings(lambda x: x - 0.5, [0.0, 1.0])
     assert len(got) == 1 and abs(got[0] - 0.5) < 2e-14
     # and on a flat run of exact zeros between opposite signs
     f = lambda x: np.where(np.abs(x - 0.5) < 0.02, 0.0, x - 0.5)  # noqa: E731
-    got = _crossings(_find_crossings(f, [0.0, 1.0]), [0.0, 1.0])
+    got = _crossings(f, [0.0, 1.0])
     assert len(got) == 1 and abs(got[0] - 0.5) <= 0.02
 
 
 def test_tv_holds_where_two_crossings_share_a_bracket():
-    # p - phi changes sign at 0.959 and 1.084, inside one 0.184-wide scan
-    # bracket: the crossing search misses both, and the integral of |p - phi|
-    # must still match a quadrature split at a dense scan's crossings
+    # p - phi changes sign at 0.959 and 1.084, 0.125 apart: the integral of
+    # |p - phi| must match a quadrature split at a dense scan's crossings
     spec = DistributionSpec((
         Normal(1.3705338877569138, 0.7400068196225158, 0.16610166912422483),
         Exponential(2.9927737241751426, 0.14133032588524455),
@@ -356,6 +371,24 @@ def test_tv_holds_where_two_crossings_share_a_bracket():
     assert tv_to_normal(spec) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
+def test_tv_finds_a_crossing_pair_closer_than_a_scan_bracket():
+    # the pair at 0.959 and 1.084 lies between neighbouring starting nodes
+    # of its own; the reference is a 30-digit mpmath integral of |p - phi|
+    spec = DistributionSpec((
+        Normal(1.3705338877569138, 0.7400068196225158, 0.16610166912422483),
+        Exponential(2.9927737241751426, 0.14133032588524455),
+        Normal(0.8138503312837142, 1.827879623325489, 0.6925680049905306)))
+    assert abs(tv_to_normal(spec) - 0.098256870129793411354) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_the_report_reads_the_distance_on_the_kernels_pass(name):
+    # the kernel's starting pass holds the same nodes and p as the p-only
+    # pass tv_to_normal builds, so the two distances agree bit for bit
+    spec = KERNEL_SPECS[name]
+    assert discrepancy_bounds(spec, stein_kernel(spec, 256)).tv_exact == tv_to_normal(spec)
+
+
 def test_crossing_search_stops_on_nan():
     # finite on the scan, NaN at every refinement point
     calls = []
@@ -364,9 +397,8 @@ def test_crossing_search_stops_on_nan():
         calls.append(len(x))
         return x - 0.3 if len(calls) == 1 else np.full_like(x, np.nan)
 
-    pts = _find_crossings(f, [0.0, 1.0])
+    got = _crossings(f, [0.0, 1.0])
     assert len(calls) <= 1 + MAX_PASSES
-    got = _crossings(pts, [0.0, 1.0])
     assert len(got) == 1 and 19 / 64 <= got[0] <= 20 / 64
 
 
@@ -395,33 +427,33 @@ def test_crossing_search_finds_a_root_of_a_sharply_curved_f(r, c, b):
 
 def _cubic_root_search(r, c, b):
     """The crossings `_find_crossings` reports for (x - r)(1 + c (x - r)^2)
-    e^(bx) on [-1, 2], and how many calls of f it made."""
+    e^(bx) on [-1, 2], and how many calls of f it and the scan made."""
     calls = []
 
     def f(x):
         calls.append(len(x))
         return (x - r) * (1.0 + c * (x - r) ** 2) * np.exp(b * x)
 
-    return _crossings(_find_crossings(f, [-1.0, 2.0]), [-1.0, 2.0]), len(calls)
+    return _crossings(f, [-1.0, 2.0]), len(calls)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_certificate_crossing_searches_take_few_calls(name, monkeypatch):
-    # the tau search of discrepancy_bounds, then tv_to_normal's density
-    # search, each counted with its scan; the Cantor staircase in
-    # uniform_cantor's tau is not smooth, and its search falls back on
-    # evenly spaced probes
+    # the tau search of discrepancy_bounds, then the distance's density
+    # search, each counted in calls of f after the scan of the starting
+    # nodes; the Cantor staircase in uniform_cantor's tau is not smooth,
+    # and its search falls back on evenly spaced probes
     import steinkit.discrepancy as disc
     counts = []
     search = disc._find_crossings
 
-    def counted(f, edges):
+    def counted(f, xs, fx):
         counts.append(0)
 
         def g(x):
             counts[-1] += 1
             return f(x)
-        return search(g, edges)
+        return search(g, xs, fx)
 
     monkeypatch.setattr(disc, "_find_crossings", counted)
     spec = KERNEL_SPECS[name]
@@ -454,7 +486,7 @@ def test_crossing_search_finds_each_bracketed_sign_change_once(pieces):
         scans.append(np.array(x))
         return f(x)
 
-    got = np.array(_crossings(_find_crossings(traced, [0.0, 1.0]), [0.0, 1.0]))
+    got = np.array(_crossings(traced, [0.0, 1.0]))
     xs, vals = scans[0], f(scans[0])
     brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     exact = xs[1:][vals[1:] == 0.0]

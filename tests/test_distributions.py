@@ -468,7 +468,7 @@ def test_cantor_against_cell_oracle():
 
 def _uniform_cantor_start_nodes():
     spec = KERNEL_SPECS["uniform_cantor"]
-    (_, x, _, _), _, _ = _start_plan(spec, (), None, DEFAULT_CONFIG)[0]
+    (_, x, _, _), _, _ = _start_plan(spec, None, DEFAULT_CONFIG)[0]
     return spec, np.array(x)
 
 
@@ -696,6 +696,18 @@ def test_expect_reads_the_mass_of_a_narrow_or_far_law(piece):
     assert expect(spec, lambda x, _: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("cut", [-7.5, -6.5, -3.0, 0.3, 6.5, 7.5])
+def test_expect_cuts_the_starting_panel_that_holds_a_break(cut):
+    # a break cuts its starting panel, a qagi tail panel (beyond the window's
+    # +-6.1) in its variable u, so the indicator of the side past the break
+    # is smooth on every panel; uncut, the tails read up to 13% off
+    from steinkit.distributions import _ndtr, expect
+    spec = DistributionSpec((Normal(0.0, 1.0, 1.0),))
+    g = lambda x, _: (x < cut if cut < 0 else x >= cut).astype(float)  # noqa: E731
+    want = _ndtr(-abs(cut))
+    assert expect(spec, g, extra_breaks=(cut,)) == pytest.approx(want, rel=1e-13)
+
+
 # several AC pieces over the same seams, which `expect` integrates as one
 # mixture density
 MULTI_PIECE_SPECS = {
@@ -735,18 +747,19 @@ def test_multi_piece_kernel_certifies(name):
 @pytest.mark.parametrize("name", ["normal_std", "exponential1"])
 def test_few_edge_integrals_close_in_a_few_passes(name, monkeypatch):
     # integrate starts from equal panels rather than the bare edges, so a
-    # certificate integral needs at most a few adaptive passes of _gk15
+    # certificate integral needs at most a few GK15 passes, each reduced by
+    # _gk15_reduce: the starting pass, the panels cut at breaks, refinement
     import steinkit.distributions as dist
     from steinkit import kernel_stats, standard_test_functions, stein_kernel, stein_residual
     from steinkit.discrepancy import tv_to_normal
     passes = []
-    gk15 = dist._gk15
+    reduce = dist._gk15_reduce
 
     def counting(*args):
         passes[-1] += 1
-        return gk15(*args)
+        return reduce(*args)
 
-    monkeypatch.setattr(dist, "_gk15", counting)
+    monkeypatch.setattr(dist, "_gk15_reduce", counting)
     spec = KERNEL_SPECS[name]
     kernel = stein_kernel(spec, 1024)
     jobs = [lambda tf=tf: stein_residual(spec, kernel, tf)

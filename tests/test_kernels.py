@@ -22,6 +22,7 @@ from steinkit import (
     Reason,
     SpecError,
     SupportInterval,
+    Tabulated,
     TestFunction,
     Uniform,
     Verdict,
@@ -261,6 +262,34 @@ def test_kernel_zero_on_cantor_support():
     for t in [0.0, 0.25, 1.0 / 3.0, 1.0]:
         assert kernel.evaluate(t) == 0.0
     assert kernel.evaluate(0.5) > 0.0
+
+
+# -- one density version at a break: each piece's on [lo, hi) ----------------
+
+def test_a_split_uniform_reads_the_uniform_at_its_seam():
+    halves = DistributionSpec((Uniform(0.0, 0.5, 0.5), Uniform(0.5, 1.0, 0.5)))
+    assert ac_density(halves, 0.5) == 1.0
+    assert stein_kernel(halves, 64).evaluate(0.5) == pytest.approx(0.125, rel=1e-14)
+    assert stein_kernel(U01, 64).evaluate(0.5) == pytest.approx(0.125, rel=1e-14)
+
+
+def test_a_triangle_in_two_tabulated_halves_reads_the_triangle_at_its_peak():
+    whole = DistributionSpec((Tabulated(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]),
+                                        1.0),))
+    halves = DistributionSpec((Tabulated(np.array([0.0, 1.0]), np.array([0.0, 2.0]), 0.5),
+                               Tabulated(np.array([1.0, 2.0]), np.array([2.0, 0.0]), 0.5)))
+    want = stein_kernel(whole, 64).evaluate(1.0)
+    assert want == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert stein_kernel(halves, 64).evaluate(1.0) == pytest.approx(want, rel=1e-14)
+
+
+def test_a_split_uniform_beside_a_cantor_part_reads_the_uniform_at_its_seam():
+    whole = DistributionSpec((CantorPart(0.0, 1.0, 0.5), Uniform(0.0, 1.0, 0.5)))
+    split = DistributionSpec((CantorPart(0.0, 1.0, 0.5), Uniform(0.0, 0.5, 0.25),
+                              Uniform(0.5, 1.0, 0.25)))
+    want = stein_kernel(whole, 64).evaluate(0.5)
+    assert want == pytest.approx(0.2916666666666667, rel=1e-14)
+    assert stein_kernel(split, 64).evaluate(0.5) == pytest.approx(want, rel=1e-14)
 
 
 def test_kernel_requires_existence():
@@ -644,8 +673,9 @@ def test_certification_evaluates_the_kernel_once_on_the_starting_nodes(name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_certification_plans_each_starting_pass_once(name, monkeypatch):
-    # kernel_stats and the 7 residuals share one plan of the starting pass;
-    # discrepancy_bounds, on its own crossings, makes exactly one more
+    # kernel_stats, the 7 residuals and discrepancy_bounds share one plan of
+    # the starting pass: the bounds cut it at their crossings, and the
+    # distance reads its p
     import steinkit.distributions as dist
     spec = KERNEL_SPECS[name]
     kernel = stein_kernel(spec, 256)
@@ -657,7 +687,7 @@ def test_certification_plans_each_starting_pass_once(name, monkeypatch):
         stein_residual(spec, kernel, tf)
     assert len(builds) == 1
     discrepancy_bounds(spec, kernel)
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))

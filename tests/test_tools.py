@@ -1,4 +1,5 @@
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -62,3 +63,27 @@ def test_class_times_prints_every_class_of_a_certify_round():
     for cls, *_ in rounds.MIXES["certify"]:
         assert cls in rows and float(rows[cls][0]) > 0.0, out
     assert "round" in rows
+
+
+def test_distance_diff_finds_a_checkout_identical_to_its_own_head(tmp_path):
+    # the program and its benchmark committed as their own parent: every
+    # case of a certify round and of the corpus is bitwise identical
+    from steinkit.corpus import KERNEL_SPECS
+    repo = tmp_path / "repo"
+    for part in ("src", "perfbench", "tools"):
+        shutil.copytree(TOOLS.parent / part, repo / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "copy")
+    out = subprocess.run([sys.executable, str(repo / "tools" / "distance_diff.py"), "--seeds", "1"],
+                         cwd=repo, capture_output=True, text=True, check=True, timeout=300,
+                         env={**os.environ, "TMPDIR": str(tmp_path)}).stdout
+    sys.path.insert(0, str(repo / "perfbench"))
+    try:
+        import rounds
+    finally:
+        sys.path.remove(str(repo / "perfbench"))
+    cases = len(rounds.build("certify", 1)) + len(KERNEL_SPECS)
+    assert f"{cases} of {cases} cases bitwise identical" in out, out
+    assert "largest tv difference (absolute): 0\n" in out, out
