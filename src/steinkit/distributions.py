@@ -9,11 +9,11 @@ mixture-level quantities (mean, variance, density, partial expectations)
 are exact up to floating point wherever a closed form exists.
 
 Every other expectation against the mixture goes through `expect`: the AC
-pieces through `integrate`, a vectorized globally adaptive Gauss-Kronrod
-7-15 rule, over segments split at the spec's density breaks and atoms
-(computed once per spec) and at the edges of each Cantor part's
-construction cells; atoms through their masses; the Cantor part, whatever
-the kernel, through the midpoints of the same equal-mass cells.
+pieces through `_adapt`, a vectorized globally adaptive Gauss-Kronrod 7-15
+rule started on `_start_panels`, over segments split at the spec's density
+breaks and atoms (computed once per spec) and at the edges of each Cantor
+part's construction cells; atoms through their masses; the Cantor part,
+whatever the kernel, through the midpoints of the same equal-mass cells.
 """
 
 from __future__ import annotations
@@ -716,7 +716,7 @@ class QuadratureConfig:
     """Tolerances for the adaptive quadrature engine and tail truncation.
 
     Both tolerances must be positive and finite.  max_subdivisions caps the
-    intervals one `integrate` call adds to its starting panels, in total."""
+    intervals one `_adapt` call adds to its starting intervals, in total."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -855,8 +855,8 @@ def affine_transform(spec: DistributionSpec, scale: float, shift: float) -> Dist
 # ---------------------------------------------------------------------------
 
 MAX_CELL_DEPTH = 14
-# `integrate` cuts each of its m intervals into 2^j equal panels, j the largest
-# with m 2^j <= PANELS, so that few-edge integrals close in a pass or two
+# `_start_panels` cuts each of its m intervals into 2^j equal panels, j the
+# largest with m 2^j <= PANELS, so that few-edge integrals close in a pass or two
 PANELS = 64
 
 # Gauss-Kronrod 7-15, QUADPACK's qk15 (Piessens et al. 1983): the Kronrod
@@ -882,26 +882,34 @@ def _gk15(f, a, b, side=None, anchor=None):
     estimates |K15 - G7|, from one call of f on all nodes.
 
     f maps a 1-D array of points to values or to a (k, n) stack.  Where
-    side_i is positive (negative), [a_i, b_i] lies in (0, 1] and stands for
-    [anchor_i, inf) ((-inf, anchor_i]) under QUADPACK's qagi substitution
-    scaled by |side_i|, x = anchor_i + side_i (1 - t)/t.
+    side_i is positive (negative) and finite, [a_i, b_i] lies in (0, 1] and
+    stands for [anchor_i, inf) ((-inf, anchor_i]) under QUADPACK's qagi
+    substitution scaled by |side_i|, x = anchor_i + side_i (1 - t)/t.  Where
+    side_i is +inf (-inf), [a_i, b_i] is a span of s = log|x - anchor_i|,
+    x = anchor_i + e^s (anchor_i - e^s), whose Jacobian |x - anchor_i| is
+    taken from the rounded node: an f ~ 1/(x - anchor_i) times it tends to
+    a constant at anchor_i, the nodes' rounding cancelling out of it.
     """
     x, jac, half = _gk15_nodes(a, b, side, anchor)
     return _gk15_reduce(f(x.ravel()), jac, half)
 
 
 def _gk15_nodes(a, b, side=None, anchor=None):
-    """(x, jac, half) of `_gk15`: its (n, 15) nodes, their Jacobians (1.0 on
-    finite intervals only) and the intervals' half-widths."""
+    """(x, jac, half) of `_gk15`: its (n, 15) nodes in x, their Jacobians
+    (1.0 on finite intervals only; on a log span |x - anchor| of the node
+    as rounded) and the intervals' half-widths."""
     half = 0.5 * (b - a)
     t = (0.5 * (a + b))[:, None] + half[:, None] * _GK_X
     x, jac = t, 1.0
     if side is not None and side.any():
-        tail = side != 0.0
-        u = t[tail]
         x, jac = t.copy(), np.ones_like(t)
+        log = np.isinf(side)
+        tail = (side != 0.0) & ~log
+        u = t[tail]
         x[tail] = anchor[tail, None] + side[tail, None] * (1.0 - u) / u
         jac[tail] = np.abs(side[tail, None]) / (u * u)
+        x[log] = anchor[log, None] + np.copysign(np.exp(t[log]), side[log, None])
+        jac[log] = np.abs(x[log] - anchor[log, None])
     return x, jac, half
 
 
@@ -934,7 +942,8 @@ def _qagi_cells(edges):
 def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None, first=None):
     """Globally adaptive Gauss-Kronrod 7-15 over the starting intervals
     [a_i, b_i] (with `_gk15`'s side and anchor), under one error budget;
-    `first`, if given, is `_gk15`'s result on them.
+    `first`, if given, is `_gk15`'s result on them.  Every interval is
+    bisected in its own variable: x, a qagi tail's t, or a log span's s.
 
     Returns (value, error, origin): the K15 integral and |K15 - G7| of
     every final interval, shaped like f's output per node, and the index
@@ -991,29 +1000,11 @@ def _adapt(f, config: QuadratureConfig, a, b, side=None, anchor=None, first=None
     return value, error, origin
 
 
-def integrate(f, edges, config: QuadratureConfig = DEFAULT_CONFIG):
-    """(value, abserr) of the integral of f from edges[0] to edges[-1].
-
-    Each of the m intervals between sorted edges (an infinite end under
-    QUADPACK's qagi substitution, in its variable t in (0, 1], scaled by the
-    mean panel width of the finite intervals) is cut into 2^j equal panels,
-    j the largest with m 2^j <= PANELS (or 0), and the panels start
-    `_adapt`'s globally adaptive Gauss-Kronrod 7-15; value and abserr are
-    the sums over its final intervals.  f maps a 1-D array of
-    points to values, or to a (k, n) stack of k integrands, which then share
-    every node and are refined until the hardest meets max(abs_tol, rel_tol
-    |value|); value and abserr then have shape (k,).  Past the subdivision
-    cap the best value comes with an IntegrationWarning.
-    """
-    value, error, _ = _adapt(f, config, *_start_panels(edges))
-    total, abserr = value.sum(axis=-1), error.sum(axis=-1)
-    if value.ndim == 1:
-        return float(total), float(abserr)
-    return total, abserr
-
-
 def _start_panels(edges) -> tuple:
-    """(a, b, side, anchor) of `integrate`'s starting panels between edges."""
+    """(a, b, side, anchor) of `_adapt`'s starting panels between sorted
+    edges: each of the m intervals between them (an infinite end under
+    QUADPACK's qagi substitution, `_qagi_cells`) cut into 2^j equal panels,
+    j the largest with m 2^j <= PANELS (or 0)."""
     a, b, side, anchor = _qagi_cells(edges)
     k = 1 << max((PANELS // max(len(a), 1)).bit_length() - 1, 0)
     ends = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, k + 1)
@@ -1037,12 +1028,12 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     the Lebesgue-a.e. version at AC nodes, the pointwise version at atoms
     and Cantor samples (zero at atoms and for a registered Cantor part).
 
-    The AC part is one `integrate` call of g times the mixture's AC density,
+    The AC part is one `_adapt` call of g times the mixture's AC density,
     over the union of the pieces' supports, so its tolerance holds for the
     whole AC integral.  Its segments are split at the spec's density
     breaks, atoms, and the edges of each Cantor part's 2^D construction
     cells (its exact ends included), so every segment is smooth;
-    `integrate` cuts a few segments into its starting panels.  The ends of
+    `_start_panels` cuts a few segments into starting panels.  The ends of
     the tail_quantile window and its midpoint split them too, so the nodes
     find a law however narrow it is or far from 0, and an infinite tail is
     scaled to the window's segments.  Each starting panel that holds one of

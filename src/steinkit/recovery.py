@@ -52,9 +52,9 @@ class RecoveredDensity:
     unit mass; `normalizer` is the constant C and `anchor` the zero of gamma.
     `error_estimate` is the total |K15 - G7| of the one adaptive integral
     over all cells, so it bounds the estimated error of the accumulated
-    exponent at every grid point.  It leaves out a rounding floor of ~1e-8
-    on the last cell, where the rule's nodes within 1e-9 of the span from
-    the domain end are rounded in t."""
+    exponent at every grid point, the end cells included: those next to a
+    finite domain end are integrated in log|t - end|, where the rounding
+    of their nodes in t cancels."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -95,11 +95,13 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     cell.  The grid is split a hair on each side of every density break,
     and the cell across a break starts as its two sides, so psi is smooth
     under every rule; a cell next to a finite domain end that holds no
-    atom, where psi ~ 1/(t - lo), starts on edges graded geometrically
-    toward it.  An absolute error in the exponent is the density's relative
-    error, so the whole integral is held to `config.abs_tol` alone.
-    Cumulative sums outward from x0 give the exponent; once it falls below
-    the underflow floor the density is pinned to zero beyond.
+    atom, where psi ~ 1/(t - end), starts in s = log|t - end| on panels at
+    most 1 wide, where psi times its Jacobian |t - end| is smooth and the
+    rounding of the nodes in t cancels out of it.  An absolute error in
+    the exponent is the density's relative error, so the whole integral is
+    held to `config.abs_tol` alone.  Cumulative sums outward from x0 give
+    the exponent; once it falls below the underflow floor the density is
+    pinned to zero beyond.
     The grid spans the kernel's domain, falling back to the kernel's sampled
     range when the domain is unbounded, with a hair of inset so tau stays
     positive at the first and last points.  Kernels with an interior zero
@@ -150,24 +152,32 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     k = int(np.searchsorted(grid, x0))
     nodes = np.insert(grid, k, x0)
     # the grid steps over each density break by 2 * _BREAK_GAP, so the cell
-    # that straddles one starts as its two smooth sides; an end cell at a
-    # finite domain end, where psi ~ 1/(t - lo), starts on edges graded by
-    # about 2 toward that end; an atom at the end keeps tau(end+) > 0 and
-    # psi bounded, so its cell needs no grading
-    cuts = [np.asarray(kernel.density_breaks, dtype=float)]
-    for end, near, far in ((kernel.domain.lo, nodes[0], nodes[1]),
-                           (kernel.domain.hi, nodes[-1], nodes[-2])):
+    # that straddles one starts as its two smooth sides
+    breaks = np.asarray(kernel.density_breaks, dtype=float)
+    inner = breaks[(nodes[0] < breaks) & (breaks < nodes[-1])]
+    edges = _sorted_distinct(np.concatenate((nodes, inner)))
+    a, b = edges[:-1], edges[1:]
+    cell = np.searchsorted(nodes, a, side="right") - 1
+    # an end cell at a finite domain end that holds no atom, where psi ~
+    # 1/(t - end), starts in s = log|t - end| (`_gk15_nodes`) on panels at
+    # most 1 wide, so that psi times its Jacobian is smooth to the end; an
+    # atom at the end keeps tau(end+) > 0 and psi bounded, so its cell stays in t
+    keep, logs = np.ones(len(a), dtype=bool), []
+    for i, end in ((0, kernel.domain.lo), (len(a) - 1, kernel.domain.hi)):
         if math.isfinite(end) and end not in kernel.atom_zeros:
-            ratio = (far - end) / (near - end)
-            steps = math.ceil(math.log2(ratio))
-            cuts.append(end + (near - end) * ratio ** (np.arange(1, steps) / steps))
-    cuts = np.concatenate(cuts)
-    edges = _sorted_distinct(np.concatenate((nodes, cuts[(nodes[0] < cuts) & (cuts < nodes[-1])])))
-    cell = np.searchsorted(nodes, edges[:-1], side="right") - 1
+            s0, s1 = sorted(math.log(abs(t - end)) for t in (a[i], b[i]))
+            s = np.linspace(s0, s1, math.ceil(s1 - s0) + 1)
+            n = len(s) - 1
+            logs.append((s[:-1], s[1:], np.full(n, math.copysign(math.inf, a[i] - end)),
+                         np.full(n, end), np.full(n, cell[i])))
+            keep[i] = False
+    kept = np.count_nonzero(keep)
+    starts = [(a[keep], b[keep], np.zeros(kept), np.zeros(kept), cell[keep]), *logs]
+    a, b, side, anchor, cell = (np.concatenate(column) for column in zip(*starts))
     # an absolute error in the exponent is the density's relative error, so
     # the whole integral is held to abs_tol alone
     value, error, origin = _adapt(psi, replace(config, rel_tol=np.finfo(float).tiny),
-                                  edges[:-1], edges[1:])
+                                  a, b, side, anchor)
     expo = _outward_exponent(np.bincount(cell[origin], value, len(nodes) - 1), k)
 
     raw = np.exp(expo) / tau

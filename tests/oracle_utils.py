@@ -4,9 +4,9 @@ Everything here recomputes library quantities by an independent route:
 plain quadrature against component densities, exact moments by sympy
 (imported on first use), atom sums, and equal-mass Cantor construction
 cells.  Nothing imports the library's closed forms
-beyond the raw component parameters.  The one exception is
-`kernel_measure_integral`, a helper only tests use, which runs on the
-library's own expectation engine.
+beyond the raw component parameters.  The exceptions are
+`kernel_measure_integral` and `engine_integrate`, helpers only tests use,
+which run on the library's own expectation and quadrature engines.
 """
 
 import math
@@ -24,6 +24,8 @@ from steinkit.distributions import (
     Normal,
     Tabulated,
     Uniform,
+    _adapt,
+    _start_panels,
     cantor_points,
 )
 from steinkit.distributions import expect as engine_expect
@@ -92,6 +94,18 @@ def kernel_measure_integral(spec, kernel, lo, hi, config=DEFAULT_CONFIG):
     times the window's indicator, with the window's ends as breaks."""
     return float(engine_expect(spec, lambda x, tau: tau * ((lo <= x) & (x <= hi)),
                                extra_breaks=(lo, hi), kernel=kernel, config=config))
+
+
+def engine_integrate(f, edges, config=DEFAULT_CONFIG):
+    """(value, abserr) of the integral of f from edges[0] to edges[-1] by
+    the library's globally adaptive Gauss-Kronrod engine, `_adapt` started
+    on `_start_panels(edges)`: the sums over its final intervals, of shape
+    (k,) when f maps points to a (k, n) stack."""
+    value, error, _ = _adapt(f, config, *_start_panels(edges))
+    total, abserr = value.sum(axis=-1), error.sum(axis=-1)
+    if value.ndim == 1:
+        return float(total), float(abserr)
+    return total, abserr
 
 
 def _piece_central_moments(c):

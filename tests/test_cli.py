@@ -326,7 +326,7 @@ def test_runtime_loads_no_scipy_module(tmp_path):
             "import numpy as np\n"
             "from steinkit import IntegrationWarning, QuadratureConfig\n"
             "from steinkit.cli import dispatch\n"
-            "from steinkit.distributions import integrate\n"
+            "from steinkit.distributions import _adapt, _start_panels\n"
             f"spec = {spec!r}\n"
             "for argv in (['check', spec], ['kernel', spec], ['bound', spec],\n"
             "             ['clt', spec, '--n', '1,4,64'], ['recover', spec], ['corpus']):\n"
@@ -335,7 +335,8 @@ def test_runtime_loads_no_scipy_module(tmp_path):
             "    assert 'numpy.ma' not in sys.modules, argv\n"
             "with warnings.catch_warnings(record=True) as caught:\n"
             "    warnings.simplefilter('always')\n"
-            "    integrate(lambda x: np.abs(x - 0.3), [0.0, 1.0], QuadratureConfig(max_subdivisions=1))\n"
+            "    _adapt(lambda x: np.abs(x - 0.3), QuadratureConfig(max_subdivisions=1),\n"
+            "           *_start_panels([0.0, 1.0]))\n"
             "assert [w.category for w in caught] == [IntegrationWarning], caught\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -42,7 +42,6 @@ from steinkit.distributions import (
     cantor_in_support,
     cantor_points,
     cantor_survival_upper_mean,
-    integrate,
     spec_from_dict,
 )
 
@@ -272,7 +271,8 @@ def test_ac_density_values():
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_ac_density_total_mass(name):
     spec = KERNEL_SPECS[name]
-    mass, _ = integrate(lambda t: ac_density(spec, t), [-math.inf, *spec.density_breaks, math.inf])
+    mass, _ = oracle.engine_integrate(lambda t: ac_density(spec, t),
+                                      [-math.inf, *spec.density_breaks, math.inf])
     assert mass == pytest.approx(spec.ac_weight, abs=1e-8)
 
 
@@ -674,12 +674,26 @@ def test_gk15_is_exact_on_polynomials_up_to_degree_22():
     assert error[0] < 1e-11
 
 
+@pytest.mark.parametrize("end", [0.0, 3.7, -1000.0])
+def test_gk15_takes_a_log_span_at_an_end_in_the_rounded_distance(end):
+    # side +-inf: [s0, s1] stands for x = end +- e^s with the Jacobian
+    # |x - end| of the rounded node, so 1/|x - end| reads s1 - s0 even where
+    # the nodes, 1e-11 from a far end, are rounded by 1e-2 of that distance;
+    # a finite interval in the same call is taken in x
+    from steinkit.distributions import _gk15
+    a, b = np.array([-25.0, -25.0, end + 1.0]), np.array([-24.0, -24.0, end + 2.0])
+    side, anchor = np.array([math.inf, -math.inf, 0.0]), np.full(3, end)
+    value, error = _gk15(lambda x: 1.0 / np.abs(x - end), a, b, side, anchor)
+    np.testing.assert_allclose(value[:2], 1.0, rtol=1e-14)
+    assert error[:2].max() < 1e-14
+    assert value[2] == pytest.approx(math.log(2.0), rel=1e-8)
+
+
 def test_integrate_gaussian_over_the_whole_line():
-    from steinkit.distributions import integrate
-    value, abserr = integrate(lambda x: np.exp(-x * x), [-math.inf, math.inf])
+    value, abserr = oracle.engine_integrate(lambda x: np.exp(-x * x), [-math.inf, math.inf])
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     assert abserr <= 1e-9
-    half, _ = integrate(lambda x: np.exp(-x * x), [-math.inf, 0.0])
+    half, _ = oracle.engine_integrate(lambda x: np.exp(-x * x), [-math.inf, 0.0])
     assert half == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
 
 
@@ -746,9 +760,10 @@ def test_multi_piece_kernel_certifies(name):
 
 @pytest.mark.parametrize("name", ["normal_std", "exponential1"])
 def test_few_edge_integrals_close_in_a_few_passes(name, monkeypatch):
-    # integrate starts from equal panels rather than the bare edges, so a
-    # certificate integral needs at most a few GK15 passes, each reduced by
-    # _gk15_reduce: the starting pass, the panels cut at breaks, refinement
+    # the quadrature starts on equal panels (`_start_panels`) rather than the
+    # bare edges, so a certificate integral needs at most a few GK15 passes,
+    # each reduced by _gk15_reduce: the starting pass, the panels cut at
+    # breaks, refinement
     import steinkit.distributions as dist
     from steinkit import kernel_stats, standard_test_functions, stein_kernel, stein_residual
     from steinkit.discrepancy import tv_to_normal
@@ -771,14 +786,13 @@ def test_few_edge_integrals_close_in_a_few_passes(name, monkeypatch):
 
 
 def test_stacked_rows_match_separate_calls():
-    from steinkit.distributions import integrate
     rows = [lambda x: np.exp(-x * x), lambda x: np.cos(3.0 * x) * np.exp(-0.5 * x * x),
             lambda x: x ** 4 * np.exp(-np.abs(x))]
     edges = [-math.inf, -1.0, 0.0, 2.0, math.inf]
-    stacked, errors = integrate(lambda x: np.stack([r(x) for r in rows]), edges)
+    stacked, errors = oracle.engine_integrate(lambda x: np.stack([r(x) for r in rows]), edges)
     assert stacked.shape == errors.shape == (3,)
     for row, value in zip(rows, stacked):
-        alone, _ = integrate(row, edges)
+        alone, _ = oracle.engine_integrate(row, edges)
         assert value == pytest.approx(alone, rel=1e-12, abs=1e-12)
 
 
@@ -791,20 +805,18 @@ def test_stacked_rows_match_separate_calls():
 def test_abserr_meets_the_tolerance_when_the_engine_converges(f, edges):
     import warnings
     from steinkit import QuadratureConfig
-    from steinkit.distributions import integrate
     config = QuadratureConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, abserr = integrate(f, edges, config)
+        value, abserr = oracle.engine_integrate(f, edges, config)
     assert abserr <= max(config.abs_tol, config.rel_tol * abs(value))
 
 
 def test_integrate_warns_when_the_subdivision_cap_is_hit():
     from steinkit import IntegrationWarning, QuadratureConfig
-    from steinkit.distributions import integrate
     with pytest.warns(IntegrationWarning):
-        value, abserr = integrate(lambda x: np.abs(x - 0.3), [0.0, 1.0],
-                                  QuadratureConfig(max_subdivisions=1))
+        value, abserr = oracle.engine_integrate(lambda x: np.abs(x - 0.3), [0.0, 1.0],
+                                                QuadratureConfig(max_subdivisions=1))
     assert value == pytest.approx(0.29, abs=1e-2)
     assert abserr > 1e-9
 
@@ -820,7 +832,7 @@ def test_subdivision_cap_counts_the_starting_panels_as_starting_intervals():
         return np.abs(x - 0.3)
 
     with pytest.warns(IntegrationWarning):
-        integrate(f, [0.0, 1.0], QuadratureConfig(max_subdivisions=1))
+        oracle.engine_integrate(f, [0.0, 1.0], QuadratureConfig(max_subdivisions=1))
     assert nodes[0] == 15 * PANELS
     assert sum(nodes[1:]) <= 15 * 2
 
@@ -829,7 +841,6 @@ def test_subdivision_cap_counts_the_intervals_added_in_total():
     # a square-root cusp inside one of 1000 starting cells needs more than
     # two bisections, however many starting cells there are
     from steinkit import IntegrationWarning, QuadratureConfig
-    from steinkit.distributions import integrate
     with pytest.warns(IntegrationWarning, match="1002 intervals"):
-        integrate(lambda x: np.sqrt(np.abs(x - 0.3001)), np.linspace(0.0, 1.0, 1001),
-                  QuadratureConfig(max_subdivisions=2))
+        oracle.engine_integrate(lambda x: np.sqrt(np.abs(x - 0.3001)),
+                                np.linspace(0.0, 1.0, 1001), QuadratureConfig(max_subdivisions=2))

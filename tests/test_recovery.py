@@ -13,6 +13,7 @@ from steinkit import (
     NumericsError,
     SpecError,
     SupportInterval,
+    Tabulated,
     TestFunction,
     ac_density,
     moments,
@@ -72,10 +73,11 @@ def test_round_trip_l1(name):
 
 # (grid size, anchor as a fraction of the way from the mean to the upper end)
 # The density is compared relative to its value at the anchor's grid point,
-# away from the two end points: on the end cells every rule in t is off by
-# ~1e-8, as the grid nodes within 1e-9 of a domain end are rounded, and the
-# normalizer would spread that to every point.  The end cells are checked
-# against the exact exponent in test_end_cells_match_exact_exponent.
+# away from the two end points: on an end cell the reference's rule in t is
+# off by ~1e-8, as its nodes within 1e-9 of the span from the domain end are
+# rounded in t, and the normalizer would spread that to every point.  The
+# library takes those cells in log|t - end|, where the rounding cancels; they
+# are checked against the exact exponent in test_end_cells_match_exact_exponent.
 @pytest.mark.parametrize("grid_size,anchor_shift", [(16, 0.0), (512, 0.0), (2048, 0.0),
                                                     (512, 0.3)])
 @pytest.mark.parametrize("name", RECOVERABLE)
@@ -133,7 +135,8 @@ EXACT_EXPONENTS = {
 def test_end_cells_match_exact_exponent(name, grid_size):
     # log(p tau) is the exponent up to a constant, so across a cell its
     # difference is the cell's integral of psi; the end cells are where psi
-    # is steepest and the adaptive rule works hardest
+    # is steepest, and in log|t - end| the rounding of their nodes in t
+    # cancels, so they read the closed form to a few ulps of the exponent
     spec = KERNEL_SPECS[name]
     kernel = stein_kernel(spec, 64)
     den = recover_density(kernel, moments(spec).mean, grid_size)
@@ -142,7 +145,7 @@ def test_end_cells_match_exact_exponent(name, grid_size):
     for i in (0, len(den.grid) - 2):
         got = log_p_tau[i + 1] - log_p_tau[i]
         want = exponent(float(den.grid[i + 1])) - exponent(float(den.grid[i]))
-        assert abs(got - want) <= 5e-8, (i, got, want)
+        assert abs(got - want) <= 1e-12, (i, got, want)
 
 
 # The bound covers every grid, down to grid 16 where the end cells are widest.
@@ -170,6 +173,45 @@ def test_recovery_evaluates_the_kernel_a_few_times(grid_size):
                       atom_zeros=(), _fn_vec=fn_vec)
     recover_density(kernel, 0.5, grid_size)
     assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("grid_size", [16, 512, 2048])
+@pytest.mark.parametrize("name", sorted(EXACT_EXPONENTS))
+def test_end_cells_at_a_finite_end_close_in_one_pass(name, grid_size):
+    # psi ~ 1/(t - end) on the end cells; in log|t - end| it times its
+    # Jacobian is smooth, so every cell closes on the starting pass: the
+    # kernel is evaluated on the grid and once on all starting nodes
+    spec = KERNEL_SPECS[name]
+    kernel = stein_kernel(spec, 64)
+    calls = []
+
+    def fn_vec(ts):
+        calls.append(np.size(ts))
+        return kernel._fn_vec(ts)
+
+    recover_density(dataclasses.replace(kernel, _fn_vec=fn_vec), moments(spec).mean, grid_size)
+    assert len(calls) == 2, calls
+
+
+# a tabulated law on knots lo + 0.3 i: moved away from 0, its density reads
+# the same relative to itself, and the end cells' nodes, rounded at the
+# scale of lo, do not cost the quadrature its tolerance
+def _five_knot_law(lo):
+    knots = lo + 0.3 * np.arange(5)
+    return DistributionSpec((Tabulated(knots, np.array([0.7, 1.2, 0.5, 0.9, 1.1]), 1.0),))
+
+
+@pytest.mark.parametrize("lo", [3.7, 1000.0])
+def test_a_law_far_from_zero_recovers_as_at_zero(lo):
+    import warnings
+    base = _five_knot_law(0.0)
+    want = recover_density(stein_kernel(base), moments(base).mean, 512)
+    spec = _five_knot_law(lo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        den = recover_density(stein_kernel(spec), moments(spec).mean, 512)
+    assert den.error_estimate <= DEFAULT_CONFIG.abs_tol
+    np.testing.assert_allclose(den.values, want.values, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("grid_size", [64, 4096])

@@ -65,10 +65,9 @@ def test_class_times_prints_every_class_of_a_certify_round():
     assert "round" in rows
 
 
-def test_distance_diff_finds_a_checkout_identical_to_its_own_head(tmp_path):
-    # the program and its benchmark committed as their own parent: every
-    # case of a certify round and of the corpus is bitwise identical
-    from steinkit.corpus import KERNEL_SPECS
+def _distance_diff_on_own_head(tmp_path, *args):
+    """distance_diff's report on a copy of the program and its benchmark
+    committed as their own parent."""
     repo = tmp_path / "repo"
     for part in ("src", "perfbench", "tools"):
         shutil.copytree(TOOLS.parent / part, repo / part,
@@ -76,14 +75,35 @@ def test_distance_diff_finds_a_checkout_identical_to_its_own_head(tmp_path):
     _git(repo, "init", "-q")
     _git(repo, "add", ".")
     _git(repo, "commit", "-q", "-m", "copy")
-    out = subprocess.run([sys.executable, str(repo / "tools" / "distance_diff.py"), "--seeds", "1"],
-                         cwd=repo, capture_output=True, text=True, check=True, timeout=300,
-                         env={**os.environ, "TMPDIR": str(tmp_path)}).stdout
-    sys.path.insert(0, str(repo / "perfbench"))
+    return subprocess.run([sys.executable, str(repo / "tools" / "distance_diff.py"), *args],
+                          cwd=repo, capture_output=True, text=True, check=True, timeout=300,
+                          env={**os.environ, "TMPDIR": str(tmp_path)}).stdout
+
+
+def _round_size(workload, seed):
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
     try:
         import rounds
     finally:
-        sys.path.remove(str(repo / "perfbench"))
-    cases = len(rounds.build("certify", 1)) + len(KERNEL_SPECS)
+        sys.path.remove(str(TOOLS.parent / "perfbench"))
+    return len(rounds.build(workload, seed))
+
+
+def test_distance_diff_finds_a_checkout_identical_to_its_own_head(tmp_path):
+    # every case of a certify round and of the corpus is bitwise identical
+    from steinkit.corpus import KERNEL_SPECS
+    out = _distance_diff_on_own_head(tmp_path, "--seeds", "1")
+    cases = _round_size("certify", 1) + len(KERNEL_SPECS)
     assert f"{cases} of {cases} cases bitwise identical" in out, out
     assert "largest tv difference (absolute): 0\n" in out, out
+
+
+def test_distance_diff_compares_recovered_densities(tmp_path):
+    # a recover round and the recoverable corpus specs (all but the one with
+    # an atom inside its support and the Cantor one) at three grids
+    from steinkit.corpus import KERNEL_SPECS
+    out = _distance_diff_on_own_head(tmp_path, "--workload", "recover", "--seeds", "1")
+    cases = _round_size("recover", 1) + 3 * (len(KERNEL_SPECS) - 2)
+    assert f"{cases} of {cases} cases bitwise identical" in out, out
+    assert "largest end point value difference (relative): 0\n" in out, out
+    assert "largest inside value difference (relative): 0\n" in out, out

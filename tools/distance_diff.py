@@ -1,23 +1,34 @@
 #!/usr/bin/env python3
-"""Compare the distances and discrepancy bounds of the working tree with a
-parent revision's, case by case.
+"""Compare the distances, discrepancy bounds or recovered densities of the
+working tree with a parent revision's, case by case.
 
     python3 tools/distance_diff.py --seeds 1-10
     python3 tools/distance_diff.py --parent HEAD~1 --seeds 3
+    python3 tools/distance_diff.py --workload recover --seeds 1-10
 
 Run from the root of a steinkit checkout.  The parent revision (default
 HEAD, the commit an uncommitted change sits on; HEAD~1 once it is
-committed) is checked out with `ab_bench.parent_worktree`.  The cases are
-the operations of the certify round of each seed (`perfbench/rounds.py`,
-its known faults included) and the specs of `corpus.KERNEL_SPECS`.  One
-child process per checkout imports that checkout's `src/steinkit` and
-`perfbench/`, and runs `stein_kernel`, `kernel_stats` and then
-`discrepancy_bounds` on every case, recording tv, bound_l1 and bound_sd,
-the exception raised, if any, and the warnings issued.  The script prints
-how many cases are bitwise identical, the largest absolute tv difference
-and the largest relative bound_l1 and bound_sd differences with their
-case, and every case whose exception or warning count differs.  The
-worktree is removed at the end.  Standard library only.
+committed) is checked out with `ab_bench.parent_worktree`.  One child
+process per checkout imports that checkout's `src/steinkit` and
+`perfbench/` and runs every case, recording its result, the exception
+raised, if any, and the warnings issued.
+
+With --workload certify (the default) the cases are the operations of the
+certify round of each seed (`perfbench/rounds.py`, its known faults
+included) and the specs of `corpus.KERNEL_SPECS`; each runs `stein_kernel`,
+`kernel_stats` and then `discrepancy_bounds`, recording tv, bound_l1 and
+bound_sd.  With --workload recover the cases are the operations of the
+recover round of each seed, at their grids, and the `corpus.KERNEL_SPECS`
+with no Cantor part and no atom inside the support, at grids 16, 512 and
+4096; each runs `stein_kernel` and then `recover_density` at its grid,
+recording the density's grid and values.
+
+The script prints how many cases are bitwise identical, the largest
+difference of each recorded quantity with its case (tv absolute, the
+bounds relative; a density's values relative, the two end points apart
+from the points inside), every case whose density grids differ, and every
+case whose exception or warning count differs.  The worktree is removed at
+the end.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,11 +41,9 @@ from pathlib import Path
 
 from ab_bench import parent_worktree
 
-FIELDS = ("tv", "bound_l1", "bound_sd")
-
-# argv: the seeds; prints one JSON list of [case, values or None, exception
-# or None, warning count]
-CHILD = """
+# argv: the seeds; each child prints one JSON list of [case, result or None,
+# exception or None, warning count]
+CERTIFY_CHILD = """
 import json, os, sys, warnings
 sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
 import rounds
@@ -59,6 +68,62 @@ for case, text in cases:
 print(json.dumps(out))
 """
 
+RECOVER_CHILD = """
+import json, os, sys, warnings
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
+import rounds
+from steinkit import moments, parse_spec, recover_density, spec_to_dict, stein_kernel, support
+from steinkit.corpus import KERNEL_SPECS
+cases = [(f"recover seed {seed} op {i} ({op.cls})", op.text, op.args["grid"])
+         for seed in map(int, sys.argv[1:]) for i, op in enumerate(rounds.build("recover", seed))]
+cases += [(f"corpus {name} grid {grid}", json.dumps(spec_to_dict(spec)), grid)
+          for name, spec in KERNEL_SPECS.items() if not spec.cantor_parts
+          and all(a.location in (support(spec).lo, support(spec).hi) for a in spec.atoms)
+          for grid in (16, 512, 4096)]
+out = []
+for case, text, grid in cases:
+    values = error = None
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            spec = parse_spec(text)
+            density = recover_density(stein_kernel(spec, grid), moments(spec).mean, grid)
+            values = [density.grid.tolist(), density.values.tolist()]
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    out.append([case, values, error, len(seen)])
+print(json.dumps(out))
+"""
+
+
+def _relative(x: float, y: float) -> float:
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
+def certify_diffs(a: dict, b: dict) -> dict:
+    """The differences of one certify case's two reports."""
+    return {"tv": abs(a["tv"] - b["tv"]), "bound_l1": _relative(a["bound_l1"], b["bound_l1"]),
+            "bound_sd": _relative(a["bound_sd"], b["bound_sd"])}
+
+
+def recover_diffs(a: list, b: list):
+    """The differences of one recover case's two densities, or why they
+    cannot be paired."""
+    (grid_a, va), (grid_b, vb) = a, b
+    if grid_a != grid_b:
+        return f"grids differ ({len(grid_a)} -> {len(grid_b)} points)"
+    rel = [_relative(x, y) for x, y in zip(va, vb)]
+    return {"end point value": max(rel[0], rel[-1]), "inside value": max(rel[1:-1], default=0.0)}
+
+
+# per workload: the child, the differences of a case and their kinds
+WORKLOADS = {
+    "certify": (CERTIFY_CHILD, certify_diffs,
+                {"tv": "absolute", "bound_l1": "relative", "bound_sd": "relative"}),
+    "recover": (RECOVER_CHILD, recover_diffs,
+                {"end point value": "relative", "inside value": "relative"}),
+}
+
 
 def seed_range(text: str) -> list:
     """The seeds of "A-B" (inclusive) or of a single "A"."""
@@ -69,9 +134,9 @@ def seed_range(text: str) -> list:
     return seeds
 
 
-def run_cases(tree: Path, seeds: list) -> list:
+def run_cases(tree: Path, child: str, seeds: list) -> list:
     """The child's records for the checkout `tree`."""
-    cp = subprocess.run([sys.executable, "-c", CHILD, *map(str, seeds)], cwd=tree,
+    cp = subprocess.run([sys.executable, "-c", child, *map(str, seeds)], cwd=tree,
                         capture_output=True, text=True, stdin=subprocess.DEVNULL)
     if cp.returncode != 0:
         raise RuntimeError(f"the child in {tree} failed (exit {cp.returncode}):\n"
@@ -79,9 +144,9 @@ def run_cases(tree: Path, seeds: list) -> list:
     return json.loads(cp.stdout)
 
 
-def compare(old: list, new: list) -> list:
+def compare(old: list, new: list, diffs, kinds: dict) -> list:
     """The report's lines for the records of the parent and the change."""
-    same, worst, lines = 0, {f: (0.0, None) for f in FIELDS}, []
+    same, worst, lines = 0, {f: (0.0, None) for f in kinds}, []
     for (case, a, ea, wa), (case_b, b, eb, wb) in zip(old, new):
         if case != case_b:
             raise RuntimeError(f"the cases differ: {case!r} against {case_b!r}")
@@ -92,16 +157,16 @@ def compare(old: list, new: list) -> list:
             continue
         if a is None or b is None:
             continue
-        for f in FIELDS:
-            d = abs(a[f] - b[f])
-            if f != "tv":
-                d = d / max(abs(a[f]), abs(b[f])) if d else 0.0
+        found = diffs(a, b)
+        if isinstance(found, str):
+            lines.append(f"  {case}: {found}")
+            continue
+        for f, d in found.items():
             if d != d or d > worst[f][0]:
                 worst[f] = (d, case)
     head = [f"{same} of {len(old)} cases bitwise identical"]
-    for f in FIELDS:
+    for f, kind in kinds.items():
         d, case = worst[f]
-        kind = "absolute" if f == "tv" else "relative"
         head.append(f"  largest {f} difference ({kind}): {d:.3g}" + (f" ({case})" if case else ""))
     return head + lines
 
@@ -109,15 +174,18 @@ def compare(old: list, new: list) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), default="certify",
+                    help="the round whose cases are compared (default certify)")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
-                    help="certify seeds, A-B or A (default 1-10)")
+                    help="round seeds, A-B or A (default 1-10)")
     args = ap.parse_args(argv)
 
+    child, diffs, kinds = WORKLOADS[args.workload]
     root = Path.cwd().resolve()
     with parent_worktree(root, args.parent) as parent:
-        old = run_cases(parent, args.seeds)
-    new = run_cases(root, args.seeds)
-    print("\n".join(compare(old, new)))
+        old = run_cases(parent, child, args.seeds)
+    new = run_cases(root, child, args.seeds)
+    print("\n".join(compare(old, new, diffs, kinds)))
     return 0
 
 
