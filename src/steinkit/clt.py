@@ -19,11 +19,16 @@ as a Fourier series on a fixed window [-Z, Z], at a cost set by how fast
 psi decays rather than by n.  The FFT route self-convolves the exact cell
 masses of the law on a grid n times; it runs where psi decays too slowly,
 such as small n on a density with jumps.
+
+A curve evaluates the law once for all its n, and inverts every n with the
+same number of frequencies together; n = 1 takes no transform.  A single n
+is the curve of that one n, and its value is the same in any curve.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +83,9 @@ _ENVELOPE_KS = np.geomspace(CF_MIN_FREQS // 2 - 1, 1e3 * CF_MAX_FREQS,
 _ENVELOPE_DLOG = np.diff(np.log(_ENVELOPE_KS))
 _HALF_CUT = np.searchsorted(_ENVELOPE_KS, _FREQS // 2 - 1, side="right") - 1
 _FULL_CUT = np.searchsorted(_ENVELOPE_KS, _FREQS - 1, side="right") - 1
+# A curve's ns go through the characteristic-function route in groups of
+# this many, so that its working arrays do not grow with the curve's length
+_CF_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,14 @@ class ConvolutionResult:
     route: str = "fft"
 
 
+def _integer(name: str, value) -> int:
+    """value as an int by operator.index; SpecError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SpecError(f"{name} must be an integer, got {value!r}") from None
+
+
 def clt_bound(spec: DistributionSpec, n: int,
               kernel: KernelFn = None,
               config: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -134,9 +150,21 @@ def _fft_len(n: int, grid_size: int) -> int:
     return 1 << (n * (grid_size - 1)).bit_length()
 
 
-def _fft_tv(spec: DistributionSpec, n: int, grid_size: int,
-            config: QuadratureConfig) -> tuple:
-    """(d_TV, mass defect) by the FFT route (see convolution_tv_result)."""
+def _power_by_squaring(f: np.ndarray, n: int) -> np.ndarray:
+    """f^n elementwise for an integer n >= 1, by repeated squaring."""
+    if n == 1:
+        return f
+    half = _power_by_squaring(f * f, n >> 1)
+    return half * f if n & 1 else half
+
+
+def _fft_tvs(spec: DistributionSpec, ns, grid_size: int,
+             config: QuadratureConfig) -> list:
+    """[(d_TV, mass defect)] by the FFT route for each n in ns, from one set
+    of cell masses (see convolution_tv_result): n = 1 takes the masses as
+    they are, a larger n the n-th power of their transform."""
+    if not ns:
+        return []
     lo, hi = truncated_support(spec, config.tail_quantile)
     edges = np.linspace(lo, hi, grid_size + 1)
     cdf = sum(c.weight * _piece_tail(c, edges, lower=True)[0] for c in spec.ac_pieces)
@@ -146,19 +174,27 @@ def _fft_tv(spec: DistributionSpec, n: int, grid_size: int,
         raise NumericsError(
             f"cell mass {mass:.6f} is too far from 1; "
             f"the support [{lo!r}, {hi!r}] is too narrow for the grid")
-
-    fft_len = _fft_len(n, grid_size)
-    out_len = n * (grid_size - 1) + 1
-    conv = np.fft.irfft(np.fft.rfft(w / mass, fft_len) ** n, fft_len)[:out_len]
+    w /= mass
     mom = moments(spec)
     dx = (hi - lo) / grid_size
-    scale = math.sqrt(n * (mom.variance + dx * dx / 12.0))
-    zs = (n * (lo + 0.5 * dx - mom.mean) + np.arange(out_len) * dx) / scale
-    dz = dx / scale
-    phi = np.exp(-0.5 * zs * zs) / _SQRT2PI
-    tv = 0.5 * float(np.sum(np.abs(conv - phi * dz)))
-    tv += 0.5 * (_ndtr(zs[0] - 0.5 * dz) + _ndtr(-(zs[-1] + 0.5 * dz)))
-    return min(1.0, tv), abs(1.0 - mass)
+    out = []
+    for n in ns:
+        fft_len, out_len = _fft_len(n, grid_size), n * (grid_size - 1) + 1
+        if fft_len > FFT_MAX_LEN:
+            raise NumericsError(f"n={n} is out of reach: the characteristic-function route "
+                                f"declines it and the FFT route would need {fft_len} points, "
+                                f"above its limit of {FFT_MAX_LEN}")
+        conv = w
+        if n > 1:
+            conv = np.fft.irfft(_power_by_squaring(np.fft.rfft(w, fft_len), n), fft_len)[:out_len]
+        scale = math.sqrt(n * (mom.variance + dx * dx / 12.0))
+        zs = (n * (lo + 0.5 * dx - mom.mean) + np.arange(out_len) * dx) / scale
+        dz = dx / scale
+        phi = np.exp(-0.5 * zs * zs) / _SQRT2PI
+        tv = 0.5 * float(np.sum(np.abs(conv - phi * dz)))
+        tv += 0.5 * (_ndtr(zs[0] - 0.5 * dz) + _ndtr(-(zs[-1] + 0.5 * dz)))
+        out.append((min(1.0, tv), abs(1.0 - mass)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +215,10 @@ def _centered_cf_minus_one(spec: DistributionSpec, t) -> np.ndarray:
     return out
 
 
-def _power(x: np.ndarray, n: int) -> np.ndarray:
-    """(1 + x)^n for complex x as exp(n log|1 + x|) e^(i n arg(1 + x)), 0
-    where 1 + x = 0; log1p(|1 + x|^2 - 1) keeps relative precision at small
-    |x|, and log|1 + x| is direct below |1 + x|^2 = 1/2, where that rounds to -1."""
+def _power(x: np.ndarray, n) -> np.ndarray:
+    """(1 + x)^n for complex x (n a scalar or like x) as exp(n log|1 + x|)
+    e^(i n arg(1 + x)), 0 where 1 + x = 0; log1p(|1 + x|^2 - 1) keeps relative
+    precision at small |x|, and log|1 + x| is direct below |1 + x|^2 = 1/2."""
     re, im = x.real, x.imag
     sq = re * (2.0 + re) + im * im
     near = sq < -0.5
@@ -193,29 +229,31 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     return modulus * np.exp(1j * (n * np.arctan2(im, 1.0 + re)))
 
 
-def _window(spec: DistributionSpec, n: int, scale: float):
-    """(Z, bound) for the first window in CF_WINDOWS whose Chernoff bound
+def _windows(spec: DistributionSpec, ns: np.ndarray, scales: np.ndarray) -> tuple:
+    """(Z, bound) per n: the first window in CF_WINDOWS whose Chernoff bound
     min_theta exp(n K(+-theta / scale) - theta Z), summed over both tails,
-    is below CF_TOL; K is the centred cumulant generating function of X.
-    None when no window qualifies."""
+    is below CF_TOL, and that bound; Z is nan where no window qualifies.  K
+    is the centred cumulant generating function of X, evaluated once for
+    every n."""
     thetas = _CHERNOFF_THETAS
-    u = np.concatenate([thetas, -thetas]) / scale
+    u = np.concatenate([thetas, -thetas]) / scales[:, None]
     with np.errstate(all="ignore"):
         x = _centered_cf_minus_one(spec, -1j * u).real
-        cgf = n * np.log1p(x)
+        cgf = ns[:, None] * np.log1p(x)
         cgf = np.where((x > -1.0) & np.isfinite(cgf), cgf, np.inf)
     zs = np.asarray(CF_WINDOWS)
-    exponents = cgf.reshape(2, -1, 1) - thetas[None, :, None] * zs
-    bounds = np.exp(exponents.min(axis=1)).sum(axis=0)
-    ok = np.flatnonzero(bounds <= CF_TOL)
-    if not ok.size:
-        return None
-    return float(zs[ok[0]]), float(bounds[ok[0]])
+    exponents = cgf.reshape(len(ns), 2, len(thetas), 1) - thetas[:, None] * zs
+    bounds = np.exp(exponents.min(axis=2)).sum(axis=1)
+    ok = bounds <= CF_TOL
+    rows, first = np.arange(len(ns)), ok.argmax(axis=1)
+    return np.where(ok[rows, first], zs[first], np.nan), bounds[rows, first]
 
 
-def _frequencies(spec: DistributionSpec, n: int, scale: float, zwin: float):
-    """(M, truncation bound at M) for the first M in _FREQS whose M/2
-    frequencies already meet CF_TOL; None when none does.
+def _frequencies(spec: DistributionSpec, ns: np.ndarray, scales: np.ndarray,
+                 zwins: np.ndarray) -> tuple:
+    """(M, truncation bound at M) per n: the first M in _FREQS whose M/2
+    frequencies of the window Z already meet CF_TOL; M is inf where none
+    does.
 
     Dropping the frequencies s >= S changes the windowed density by at most
     (1/pi) int_S^inf |psi|, so d_TV by at most (Z/pi) int_S^inf |psi|, with
@@ -223,145 +261,197 @@ def _frequencies(spec: DistributionSpec, n: int, scale: float, zwin: float):
     trapezoid in log s up to the top of _ENVELOPE_KS, plus E(s) s / (n - 1)
     above it, which bounds the rest of a tail decaying like s^-n.
     """
-    step = math.pi / zwin
-    s = _ENVELOPE_KS * step
+    s = _ENVELOPE_KS * (math.pi / zwins)[:, None]
     pieces = spec.ac_pieces
     total = math.fsum(c.weight for c in pieces)
-    env = sum(c.weight / total * _piece_cf_envelope(c, s / scale) for c in pieces)
-    with np.errstate(divide="ignore", under="ignore"):
-        e = np.exp(n * np.log(np.minimum(env, 1.0)))
-    if n > 1:
-        beyond = e[-1] * s[-1] / (n - 1)
-    else:
-        beyond = 0.0 if e[-1] == 0.0 else math.inf
+    env = sum(c.weight / total * _piece_cf_envelope(c, s / scales[:, None]) for c in pieces)
+    with np.errstate(divide="ignore", under="ignore", invalid="ignore"):
+        e = np.exp(ns[:, None] * np.log(np.minimum(env, 1.0)))
+        beyond = np.where(ns > 1, e[:, -1] * s[:, -1] / (ns - 1),
+                          np.where(e[:, -1] == 0.0, 0.0, np.inf))
     g = e * s
-    parts = 0.5 * (g[1:] + g[:-1]) * _ENVELOPE_DLOG
-    tails = np.concatenate([np.cumsum(parts[::-1])[::-1], [0.0]]) + beyond
-    ok = np.flatnonzero(tails[_HALF_CUT] <= CF_TOL * math.pi / zwin)
-    if not ok.size:
-        return None
-    return int(_FREQS[ok[0]]), zwin / math.pi * float(tails[_FULL_CUT[ok[0]]])
+    parts = 0.5 * (g[:, 1:] + g[:, :-1]) * _ENVELOPE_DLOG
+    tails = np.cumsum(parts[:, ::-1], axis=1)[:, ::-1]
+    tails = np.concatenate([tails, np.zeros((len(ns), 1))], axis=1) + beyond[:, None]
+    ok = tails[:, _HALF_CUT] <= CF_TOL * math.pi / zwins[:, None]
+    rows, first = np.arange(len(ns)), ok.argmax(axis=1)
+    return (np.where(ok[rows, first], _FREQS[first], np.inf),
+            zwins / math.pi * tails[rows, _FULL_CUT[first]])
 
 
-def _phases(x: np.ndarray, count: int, zwin: float) -> np.ndarray:
-    """e^(-i s_k x) for s_k = k pi / Z, k < count (a multiple of 32), as
-    products of two short tables of exponentials."""
-    base = (-1j * math.pi / zwin) * x[:, None]
+def _phases(x: np.ndarray, count: int, zwin: np.ndarray) -> np.ndarray:
+    """e^(-i s_k x) for s_k = k pi / Z, k < count (a multiple of 32), Z the
+    window of each point, as products of two short tables of exponentials."""
+    base = (-1j * (math.pi / zwin) * x)[:, None]
     coarse = np.exp(base * (32.0 * np.arange(count // 32)))
     fine = np.exp(base * np.arange(32.0))
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), count)
 
 
-def _fourier_sums(phases: np.ndarray, weights: np.ndarray, x: np.ndarray,
-                  zwin: float):
-    """d = f - phi, d' and G(x) = int_{-Z}^x (f - phi) at points x, for the
-    density f whose Fourier coefficients on [-Z, Z) are psi_k / (2Z);
-    weights holds psi_k, s_k psi_k and psi_k / s_k (zero at k = 0)."""
-    count = len(weights)
-    sums = phases[:, :count] @ weights
-    re, im_up, im_down = sums[:, 0].real, sums[:, 1].imag, sums[:, 2].imag
-    edge = float(np.sum(weights[::2, 2].imag) - np.sum(weights[1::2, 2].imag))
-    phi = np.exp(-0.5 * x * x) / _SQRT2PI
-    f = (1.0 + 2.0 * re) / (2.0 * zwin)
-    cdf = (x + zwin) / (2.0 * zwin) - (im_down - edge) / zwin
-    return f - phi, im_up / zwin + x * phi, cdf - (_ndtr(x) - _ndtr(-zwin))
+def _inverted_tvs(psi: np.ndarray, zwin: np.ndarray) -> list:
+    """Per row of psi, (d_TV, d_TV from the first half of the row, window
+    mass) of the Fourier-series density against phi; every row holds psi at
+    the same number M of frequencies k pi / Z of its own window [-Z, Z).
 
-
-def _inverted_tv(psi: np.ndarray, zwin: float) -> tuple:
-    """(d_TV, d_TV from the first half of psi, window mass) of the
-    Fourier-series density against phi.
-
-    One FFT gives f on len(psi) points of [-Z, Z).  Sign changes of f - phi
-    between points where |f - phi| is above rounding level bracket the
-    crossings; a Newton step on the Fourier sums refines them.  Then d_TV is
-    half the sum of |G| increments between consecutive crossings, plus half
-    the normal mass beyond +-Z.  The half-resolution value reuses the
+    One FFT along the rows gives each density f on M points of its window.
+    Sign changes of f - phi between points where |f - phi| is above
+    rounding level bracket the crossings; a Newton step on the Fourier sums
+    refines them.  Then d_TV is half the sum of |G| increments between
+    consecutive crossings, plus half the normal mass beyond +-Z, where G(x)
+    = int_{-Z}^x (f - phi).  The half-resolution value reuses the
     crossings: G is stationary there, so moving them changes it only to
-    second order.
+    second order.  The sums at every row's crossings come from one matrix
+    of phases, and those at every row's G points from one more.
     """
-    count = len(psi)
+    rows, count = psi.shape
+    z = zwin[:, None]
     alt = psi.copy()
-    alt[1::2] *= -1.0
-    zs = -zwin + (2.0 * zwin / count) * np.arange(count)
-    dens = (2.0 * np.fft.fft(alt).real - 1.0) / (2.0 * zwin)
+    alt[:, 1::2] *= -1.0
+    zs = -z + (2.0 * z / count) * np.arange(count)
+    dens = (2.0 * np.fft.fft(alt).real - 1.0) / (2.0 * z)
     diff = dens - np.exp(-0.5 * zs * zs) / _SQRT2PI
-    noise = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(psi))) / zwin
+    noise = 64.0 * np.finfo(float).eps * np.array([np.abs(r).sum() for r in psi])[:, None] / z
     sign = np.where(np.abs(diff) > noise, np.sign(diff), 0.0)
-    live = np.flatnonzero(sign)
-    flips = np.flatnonzero(sign[live[1:]] != sign[live[:-1]])
-    left, right = live[flips], live[flips + 1]
-    a, b = zs[left], zs[right]
-    x = a + (b - a) * diff[left] / (diff[left] - diff[right])
+    row, col = np.nonzero(sign)
+    flips = np.flatnonzero((row[1:] == row[:-1])
+                           & (sign[row[1:], col[1:]] != sign[row[:-1], col[:-1]]))
+    owner, left, right = row[flips], col[flips], col[flips + 1]
+    a, b = zs[owner, left], zs[owner, right]
+    x = a + (b - a) * diff[owner, left] / (diff[owner, left] - diff[owner, right])
 
-    sk = np.arange(count) * (math.pi / zwin)
-    sk[0] = 1.0
-    weights = np.stack([psi, sk * psi, psi / sk], axis=1)
-    weights[0] = 0.0
-    d, slope, _ = _fourier_sums(_phases(x, count, zwin), weights, x, zwin)
+    # f = (1 + 2 Re sum psi_k e^(-i s_k x)) / (2Z), f' from the s_k psi_k
+    # and G from the psi_k / s_k (zero at k = 0)
+    sk = np.arange(count) * (math.pi / z)
+    sk[:, 0] = 1.0
+    weights = np.stack([psi, sk * psi, psi / sk], axis=2)
+    weights[:, 0] = 0.0
+
+    def sums(pts, owner, phases, count):
+        """The first count weights of each point's row (the rows `owner`,
+        in order) summed against its phases."""
+        cuts = np.searchsorted(owner, np.arange(rows + 1))
+        return np.concatenate([phases[i:j, :count] @ weights[r, :count]
+                               for r, (i, j) in enumerate(zip(cuts[:-1], cuts[1:]))])
+
+    zw = zwin[owner]
+    found = sums(x, owner, _phases(x, count, zw), count)
+    phi = np.exp(-0.5 * x * x) / _SQRT2PI
+    d = (1.0 + 2.0 * found[:, 0].real) / (2.0 * zw) - phi
+    slope = found[:, 1].imag / zw + x * phi
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.clip(np.where(slope != 0.0, x - d / slope, x), a, b)
-    pts = np.concatenate([[-zwin], x, [zwin]])
-    phases = _phases(pts, count, zwin)
-    gaps = [_fourier_sums(phases, w, pts, zwin)[2] for w in (weights, weights[:count // 2])]
-    tail = _ndtr(-zwin)
-    tv, tv_half = (min(1.0, 0.5 * float(np.sum(np.abs(np.diff(g)))) + tail) for g in gaps)
-    mass = float(np.sum(dens)) * (2.0 * zwin / count)
-    return tv, tv_half, mass
+    ends = np.arange(rows)
+    order = np.argsort(np.concatenate([ends, owner, ends]), kind="stable")
+    pts = np.concatenate([-zwin, x, zwin])[order]
+    owner = np.concatenate([ends, owner, ends])[order]
+    zw = zwin[owner]
+    phases = _phases(pts, count, zw)
+    normal = _ndtr(pts) - _ndtr(-zw)
+    gaps = []
+    for m in (count, count // 2):
+        edge = np.array([w[:m:2, 2].imag.sum() - w[1:m:2, 2].imag.sum() for w in weights])
+        im_down = sums(pts, owner, phases, m)[:, 2].imag
+        gaps.append((pts + zw) / (2.0 * zw) - (im_down - edge[owner]) / zw - normal)
+    cuts = np.searchsorted(owner, np.arange(rows + 1))
+    out = []
+    for r, zr in enumerate(zwin.tolist()):
+        tail = _ndtr(-zr)
+        tv, tv_half = (min(1.0, 0.5 * float(np.abs(np.diff(g[cuts[r]:cuts[r + 1]])).sum()) + tail)
+                       for g in gaps)
+        out.append((tv, tv_half, float(dens[r].sum()) * (2.0 * zr / count)))
+    return out
 
 
-def _cf_result(spec: DistributionSpec, n: int, grid_size: int):
-    """The characteristic-function route's result, or None when its error
-    bound needs M frequencies with M * terms + CF_FIXED_POINTS at least the
-    FFT route's transform length for this n and grid, or when its own check
-    fails."""
+def _cf_results(spec: DistributionSpec, ns, grid_size: int) -> list:
+    """Per n in ns, the characteristic-function route's result, or None
+    when its error bound needs M frequencies with M * terms +
+    CF_FIXED_POINTS at least the FFT route's transform length for that n
+    and grid, or when its own check fails.  The characteristic function is
+    evaluated once at every n's Chernoff arguments and once at every n's
+    frequencies, and the n with the same M are inverted together."""
     terms = sum(len(c.grid) - 1 if isinstance(c, Tabulated) else 1
                 for c in spec.ac_pieces)
-    budget = (_fft_len(n, grid_size) - CF_FIXED_POINTS) / terms
-    if budget <= CF_MIN_FREQS:
-        return None
-    scale = math.sqrt(moments(spec).variance) * math.sqrt(n)
+    budgets = np.array([(_fft_len(n, grid_size) - CF_FIXED_POINTS) / terms for n in ns])
+    out = [None] * len(ns)
+    # as floats, as the closed forms take them; n may exceed the int64 range
+    ns = np.array(ns, dtype=float)
+    scales = math.sqrt(moments(spec).variance) * np.sqrt(ns)
+    live = np.flatnonzero(budgets > CF_MIN_FREQS)
+    if not live.size:
+        return out
     # M only grows with the window, so the smallest one rules out most
-    # hopeless cases before the Chernoff bound is computed
-    freqs = _frequencies(spec, n, scale, CF_WINDOWS[0])
-    if freqs is None or freqs[0] >= budget:
-        return None
-    window = _window(spec, n, scale)
-    if window is None:
-        return None
-    zwin, window_bound = window
-    if zwin != CF_WINDOWS[0]:
-        freqs = _frequencies(spec, n, scale, zwin)
-        if freqs is None or freqs[0] >= budget:
-            return None
-    m_freqs, truncation = freqs
-    s = np.arange(m_freqs) * (math.pi / zwin)
-    psi = _power(_centered_cf_minus_one(spec, s / scale), n)
-    tv, tv_half, mass = _inverted_tv(psi, zwin)
-    err = truncation + window_bound + abs(tv - tv_half)
-    if not err <= CF_ERROR_LIMIT:
-        return None
-    return ConvolutionResult(tv=tv, mass_defect=abs(1.0 - mass),
-                             error_estimate=err, route="cf")
+    # hopeless n before the Chernoff bounds are computed
+    m_freqs, _ = _frequencies(spec, ns[live], scales[live], np.full(live.size, CF_WINDOWS[0]))
+    live = live[m_freqs < budgets[live]]
+    if not live.size:
+        return out
+    zwins, window_bounds = _windows(spec, ns[live], scales[live])
+    m_freqs, truncations = _frequencies(spec, ns[live], scales[live], zwins)
+    ok = m_freqs < budgets[live]
+    live, zwins, m_freqs = live[ok], zwins[ok], m_freqs[ok].astype(int)
+    bounds = (truncations + window_bounds)[ok]
+    if not live.size:
+        return out
+    s = np.concatenate([np.arange(m) * (math.pi / zwin) / scale
+                        for m, zwin, scale in zip(m_freqs, zwins, scales[live])])
+    psi = _power(_centered_cf_minus_one(spec, s), np.repeat(ns[live], m_freqs))
+    psi = np.split(psi, np.cumsum(m_freqs)[:-1])
+    for m in sorted(set(m_freqs.tolist())):
+        group = np.flatnonzero(m_freqs == m)
+        inverted = _inverted_tvs(np.array([psi[k] for k in group]), zwins[group])
+        for k, (tv, tv_half, mass) in zip(group, inverted):
+            err = float(bounds[k]) + abs(tv - tv_half)
+            if err <= CF_ERROR_LIMIT:
+                out[live[k]] = ConvolutionResult(tv=tv, mass_defect=abs(1.0 - mass),
+                                                 error_estimate=err, route="cf")
+    return out
+
+
+def _convolutions(spec: DistributionSpec, ns, grid_size, config: QuadratureConfig,
+                  error_estimate: bool) -> list:
+    """ConvolutionResult per n in ns (see convolution_tv_result): the
+    characteristic-function route on the ns in groups of _CF_GROUP, so
+    that its working arrays do not grow with len(ns), then the FFT route on
+    the n it declines, from one set of cell masses per grid."""
+    grid_size = _integer("grid_size", grid_size)
+    if grid_size < 1024 or grid_size & (grid_size - 1):
+        raise SpecError(f"grid_size must be a power of two >= 1024, got {grid_size}")
+    results = []
+    for start in range(0, len(ns), _CF_GROUP):
+        results += _cf_results(spec, ns[start:start + _CF_GROUP], grid_size)
+    fft_ns = [n for n, res in zip(ns, results) if res is None]
+    fine = _fft_tvs(spec, fft_ns, grid_size, config)
+    coarse = [None] * len(fine)
+    if error_estimate and grid_size >= 2048:
+        coarse = _fft_tvs(spec, fft_ns, grid_size // 2, config)
+    fft = iter(ConvolutionResult(tv=tv, mass_defect=defect,
+                                 error_estimate=None if c is None else abs(tv - c[0]))
+               for (tv, defect), c in zip(fine, coarse))
+    return [res if res is not None else next(fft) for res in results]
 
 
 def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
                           config: QuadratureConfig = DEFAULT_CONFIG,
                           error_estimate: bool = True) -> ConvolutionResult:
-    """Exact d_TV(S_n^*, Z) for a purely AC spec.
+    """Exact d_TV(S_n^*, Z) for a purely AC spec: the curve of the one n.
 
     Characteristic-function route ("cf"): psi is sampled at M frequencies
-    k pi / Z and inverted on [-Z, Z] (see `_inverted_tv`).  It runs when its
-    error bound holds within fewer transform points than the FFT route
+    k pi / Z and inverted on [-Z, Z] (see `_inverted_tvs`).  It runs when
+    its error bound holds within fewer transform points than the FFT route
     would use for this n and grid_size, its fixed work counted as
     CF_FIXED_POINTS points.  Its error estimate is the truncation bound
     plus the window's Chernoff bound plus the change against M/2
     frequencies (always computed); the mass defect is |1 - integral of f
-    over the window|.
+    over the window|.  A curve evaluates the characteristic function once
+    at every n's Chernoff arguments and once at every n's frequencies, and
+    inverts every n with the same M together.
 
     FFT route ("fft"): every cell of a uniform grid over the
     (tail-truncated) support gets its exact mass, the CDF difference at its
-    edges, and the masses are convolved n-fold with zero-padding past the
-    full output length so cyclic wrap-around is structurally impossible.
+    edges, once per curve, and the masses are convolved n-fold with
+    zero-padding past the full output length so cyclic wrap-around is
+    structurally impossible; n = 1 takes the masses with no transform, and
+    a larger n raises their transform to the n-th power by squaring.
     The distance is half the sum over the sum grid's cells of
     |mass - phi(z) dz|, with z standardized by sqrt(n (sigma^2 + dx^2 / 12))
     (Sheppard's variance of a law held as cell masses), plus half the
@@ -375,25 +465,10 @@ def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
     if spec.atoms or spec.cantor_parts:
         raise SpecError("exact convolution distance requires a purely "
                         "absolutely continuous spec")
+    n = _integer("n", n)
     if n < 1:
         raise SpecError(f"n must be >= 1, got {n}")
-    if grid_size < 1024 or grid_size & (grid_size - 1):
-        raise SpecError(f"grid_size must be a power of two >= 1024, got {grid_size}")
-
-    cf = _cf_result(spec, n, grid_size)
-    if cf is not None:
-        return cf
-    fft_len = _fft_len(n, grid_size)
-    if fft_len > FFT_MAX_LEN:
-        raise NumericsError(f"n={n} is out of reach: the characteristic-function route "
-                            f"declines it and the FFT route would need {fft_len} points, "
-                            f"above its limit of {FFT_MAX_LEN}")
-    tv, defect = _fft_tv(spec, n, grid_size, config)
-    err = None
-    if error_estimate and grid_size >= 2048:
-        coarse, _ = _fft_tv(spec, n, grid_size // 2, config)
-        err = abs(tv - coarse)
-    return ConvolutionResult(tv=tv, mass_defect=defect, error_estimate=err)
+    return _convolutions(spec, (n,), grid_size, config, error_estimate)[0]
 
 
 def convolution_tv(spec: DistributionSpec, n: int, grid_size: int = 4096,
@@ -432,8 +507,9 @@ def rate_fit(curve: CltCurve) -> tuple:
 def clt_curve(spec: DistributionSpec, ns, grid_size: int = 4096,
               config: QuadratureConfig = DEFAULT_CONFIG) -> CltCurve:
     """Assemble the bound series, the empirical series when the spec is
-    purely AC, and the fitted slopes when the n-range supports a fit."""
-    ns = tuple(int(n) for n in ns)
+    purely AC (every n in one pass, see convolution_tv_result), and the
+    fitted slopes when the n-range supports a fit."""
+    ns = tuple(_integer("n", n) for n in ns)
     if not ns or any(n < 1 for n in ns):
         raise SpecError("ns must be positive integers")
     kernel = stein_kernel(spec, config=config)
@@ -442,7 +518,8 @@ def clt_curve(spec: DistributionSpec, ns, grid_size: int = 4096,
 
     empirical = None
     if not spec.atoms and not spec.cantor_parts:
-        empirical = tuple(convolution_tv(spec, n, grid_size, config) for n in ns)
+        empirical = tuple(r.tv for r in _convolutions(spec, ns, grid_size, config,
+                                                     error_estimate=False))
 
     curve = CltCurve(ns=ns, bounds=bounds, empirical=empirical)
     try:

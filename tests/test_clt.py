@@ -178,10 +178,10 @@ def test_fft_route_matches_gamma_oracle(n):
 
 def test_fft_route_refuses_a_collapsed_grid():
     # the support rounds to one point, so every cell mass is 0
-    from steinkit.clt import _fft_tv
+    from steinkit.clt import _fft_tvs
     from steinkit.distributions import DEFAULT_CONFIG
     with pytest.raises(NumericsError):
-        _fft_tv(DistributionSpec((Normal(1.0, 1e-20, 1.0),)), 1, 1024, DEFAULT_CONFIG)
+        _fft_tvs(DistributionSpec((Normal(1.0, 1e-20, 1.0),)), (1,), 1024, DEFAULT_CONFIG)
 
 
 def test_convolution_refuses_an_oversized_transform():
@@ -281,6 +281,102 @@ def test_convolution_result_reports_error_estimate():
     assert res.error_estimate is not None
     assert res.error_estimate < 1e-4
     assert res.mass_defect < 1e-8
+
+
+def test_convolution_takes_numpy_integers():
+    assert convolution_tv(U01, np.int64(4), 1024) == convolution_tv(U01, 4, 1024)
+    assert convolution_tv(E1, 64, grid_size=np.int64(1024)) == convolution_tv(E1, 64, 1024)
+    assert clt_curve(E1, np.array([4, 64]), 1024).empirical == clt_curve(E1, (4, 64), 1024).empirical
+
+
+def test_cf_route_takes_n_beyond_the_int64_range():
+    # 10^20 summands: the Edgeworth limit sqrt(n) d_TV -> |k3|/6 E|He3(Z)|/2
+    k3, _ = oracle.standardized_cumulants(E1)
+    res = convolution_tv_result(E1, 10 ** 20)
+    assert res.route == "cf"
+    assert res.tv * 1e10 == pytest.approx(abs(k3) / 6.0 * oracle.half_mean_abs_hermite(3), rel=1e-3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: convolution_tv(U01, 4.5),
+    lambda: convolution_tv(U01, 4.0),
+    lambda: convolution_tv(U01, 4, 1024.0),
+    lambda: clt_curve(U01, [4.5], 1024),
+    lambda: clt_curve(U01, [4, 16, 64], 1024.5),
+], ids=["n", "integral_float_n", "grid", "curve_n", "curve_grid"])
+def test_non_integer_n_or_grid_raises_spec_error(call):
+    with pytest.raises(SpecError, match=r"must be an integer, got (4\.5|4\.0|1024\.0|1024\.5)"):
+        call()
+
+
+# the purely absolutely continuous corpus specs
+AC_SPECS = [name for name, spec in KERNEL_SPECS.items()
+            if not spec.atoms and not spec.cantor_parts]
+
+
+@pytest.mark.parametrize("grid", [1024, 4096])
+@pytest.mark.parametrize("name", AC_SPECS)
+def test_curve_is_bitwise_its_ns_taken_one_at_a_time(name, grid):
+    # unsorted, repeated within and across groups, both routes in a group
+    spec = KERNEL_SPECS[name]
+    ns = (256, 1, 16, 16, 1024, 4, 64, 8, 3, 256)
+    curve = clt_curve(spec, ns, grid)
+    assert curve.empirical == tuple(convolution_tv(spec, n, grid) for n in ns)
+
+
+@pytest.mark.parametrize("ns", [(16,), (1024, 16), (16, 64, 256), (16, 64, 256, 1024),
+                                (1024, 16, 1024, 64)])
+def test_cf_curve_evaluates_the_law_twice_and_transforms_once(ns, monkeypatch):
+    # every n takes the CF route with the same M, so the whole curve makes
+    # one Chernoff evaluation, one frequency evaluation and one FFT
+    import steinkit.clt as clt
+    assert all(convolution_tv_result(E1, n, 1024).route == "cf" for n in ns)
+    calls = {"cf": 0, "fft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(clt, "_centered_cf_minus_one", counted("cf", clt._centered_cf_minus_one))
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    clt_curve(E1, ns, 1024)
+    assert calls == {"cf": 2, "fft": 1}
+
+
+@pytest.mark.parametrize("spec", [U01, KERNEL_SPECS["normal_uniform_mix"]], ids=["uniform", "mix"])
+def test_fft_curve_builds_its_cell_masses_once(spec, monkeypatch):
+    # one CDF per piece on the grid's edges, whatever the number of n
+    import steinkit.clt as clt
+    assert all(convolution_tv_result(spec, n, 1024).route == "fft" for n in (1, 2, 4, 8))
+    edges = []
+
+    def counted(c, t, lower):
+        edges.append(len(t))
+        return piece_tail(c, t, lower)
+
+    piece_tail = clt._piece_tail
+    monkeypatch.setattr(clt, "_piece_tail", counted)
+    clt_curve(spec, (1, 2, 4, 8), 1024)
+    assert edges == [1025] * len(spec.ac_pieces)
+
+
+def test_curve_memory_does_not_grow_with_its_length():
+    import tracemalloc
+    ns = tuple(range(16, 1025, 16))
+    clt_curve(E1, ns[:4], 4096)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = max(peak(lambda: convolution_tv(E1, n, 4096)) for n in ns)
+    assert peak(lambda: clt_curve(E1, ns, 4096)) <= single + 2e6
 
 
 def test_rate_fit_trivial_series():

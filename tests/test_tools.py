@@ -107,3 +107,14 @@ def test_distance_diff_compares_recovered_densities(tmp_path):
     assert f"{cases} of {cases} cases bitwise identical" in out, out
     assert "largest end point value difference (relative): 0\n" in out, out
     assert "largest inside value difference (relative): 0\n" in out, out
+
+
+def test_distance_diff_compares_clt_curves(tmp_path):
+    # a clt round and the purely absolutely continuous corpus specs at two grids
+    from steinkit.corpus import KERNEL_SPECS
+    out = _distance_diff_on_own_head(tmp_path, "--workload", "clt", "--seeds", "1")
+    ac = sum(not spec.atoms and not spec.cantor_parts for spec in KERNEL_SPECS.values())
+    cases = _round_size("clt", 1) + 2 * ac
+    assert f"{cases} of {cases} cases bitwise identical" in out, out
+    assert "largest empirical difference (absolute): 0\n" in out, out
+    assert "routes differ" not in out, out

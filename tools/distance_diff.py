@@ -5,6 +5,7 @@ working tree with a parent revision's, case by case.
     python3 tools/distance_diff.py --seeds 1-10
     python3 tools/distance_diff.py --parent HEAD~1 --seeds 3
     python3 tools/distance_diff.py --workload recover --seeds 1-10
+    python3 tools/distance_diff.py --workload clt --seeds 1-10
 
 Run from the root of a steinkit checkout.  The parent revision (default
 HEAD, the commit an uncommitted change sits on; HEAD~1 once it is
@@ -21,13 +22,19 @@ bound_sd.  With --workload recover the cases are the operations of the
 recover round of each seed, at their grids, and the `corpus.KERNEL_SPECS`
 with no Cantor part and no atom inside the support, at grids 16, 512 and
 4096; each runs `stein_kernel` and then `recover_density` at its grid,
-recording the density's grid and values.
+recording the density's grid and values.  With --workload clt the cases
+are the operations of the clt round of each seed, at their ns and grids,
+and the purely absolutely continuous `corpus.KERNEL_SPECS` at grids 1024
+and 4096 with ns (1, 2, 3, 4, 8, 16, 64, 256, 1024); each runs `clt_curve`,
+recording its empirical distances, and `convolution_tv_result` per n,
+recording its route.
 
 The script prints how many cases are bitwise identical, the largest
 difference of each recorded quantity with its case (tv absolute, the
 bounds relative; a density's values relative, the two end points apart
-from the points inside), every case whose density grids differ, and every
-case whose exception or warning count differs.  The worktree is removed at
+from the points inside; the empirical distances absolute and relative),
+every case whose density grids or routes differ, and every case whose
+exception or warning count differs.  The worktree is removed at
 the end.  Standard library only.
 """
 
@@ -95,6 +102,34 @@ for case, text, grid in cases:
 print(json.dumps(out))
 """
 
+CLT_CHILD = """
+import json, os, sys, warnings
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
+import rounds
+from steinkit import clt_curve, convolution_tv_result, parse_spec, spec_to_dict
+from steinkit.corpus import KERNEL_SPECS
+cases = [(f"clt seed {seed} op {i} ({op.cls})", op.text, op.args["ns"], op.args["grid"])
+         for seed in map(int, sys.argv[1:]) for i, op in enumerate(rounds.build("clt", seed))]
+cases += [(f"corpus {name} grid {grid}", json.dumps(spec_to_dict(spec)),
+           (1, 2, 3, 4, 8, 16, 64, 256, 1024), grid)
+          for name, spec in KERNEL_SPECS.items() if not spec.atoms and not spec.cantor_parts
+          for grid in (1024, 4096)]
+out = []
+for case, text, ns, grid in cases:
+    values = error = None
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            spec = parse_spec(text)
+            empirical = list(clt_curve(spec, ns, grid).empirical)
+            values = [empirical, [convolution_tv_result(spec, n, grid, error_estimate=False).route
+                                  for n in ns]]
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    out.append([case, values, error, len(seen)])
+print(json.dumps(out))
+"""
+
 
 def _relative(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
@@ -116,12 +151,23 @@ def recover_diffs(a: list, b: list):
     return {"end point value": max(rel[0], rel[-1]), "inside value": max(rel[1:-1], default=0.0)}
 
 
+def clt_diffs(a: list, b: list):
+    """The differences of one clt case's two curves, or why they cannot be
+    paired."""
+    (ea, routes_a), (eb, routes_b) = a, b
+    if routes_a != routes_b:
+        return f"routes differ ({','.join(routes_a)} -> {','.join(routes_b)})"
+    return {"empirical": max(abs(x - y) for x, y in zip(ea, eb)),
+            "relative empirical": max(_relative(x, y) for x, y in zip(ea, eb))}
+
+
 # per workload: the child, the differences of a case and their kinds
 WORKLOADS = {
     "certify": (CERTIFY_CHILD, certify_diffs,
                 {"tv": "absolute", "bound_l1": "relative", "bound_sd": "relative"}),
     "recover": (RECOVER_CHILD, recover_diffs,
                 {"end point value": "relative", "inside value": "relative"}),
+    "clt": (CLT_CHILD, clt_diffs, {"empirical": "absolute", "relative empirical": "relative"}),
 }
 
 
