@@ -28,7 +28,6 @@ is the curve of that one n, and its value is the same in any curve.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +38,7 @@ from .distributions import (
     DistributionSpec,
     QuadratureConfig,
     Tabulated,
+    _count,
     _expi_minus_one,
     _ndtr,
     _piece_cf_centered,
@@ -120,21 +120,12 @@ class ConvolutionResult:
     route: str = "fft"
 
 
-def _integer(name: str, value) -> int:
-    """value as an int by operator.index; SpecError naming it otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise SpecError(f"{name} must be an integer, got {value!r}") from None
-
-
 def clt_bound(spec: DistributionSpec, n: int,
               kernel: KernelFn = None,
               config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """2 sqrt(Var tau(X)) / (sigma^2 sqrt(n)) as 2 sqrt(Var r / n), r =
-    tau / sigma^2 - 1, which forms no sigma^4; requires a Stein kernel."""
-    if n < 1:
-        raise SpecError(f"n must be >= 1, got {n}")
+    tau / sigma^2 - 1, which forms no sigma^4; requires a Stein kernel, n >= 1."""
+    n = _count("n", n, 1)
     if kernel is None:
         kernel = stein_kernel(spec, config=config)
     _, var_r = _tau_moments(spec, kernel, config)
@@ -366,9 +357,9 @@ def _cf_results(spec: DistributionSpec, ns, grid_size: int) -> list:
     """Per n in ns, the characteristic-function route's result, or None
     when its error bound needs M frequencies with M * terms +
     CF_FIXED_POINTS at least the FFT route's transform length for that n
-    and grid, or when its own check fails.  The characteristic function is
-    evaluated once at every n's Chernoff arguments and once at every n's
-    frequencies, and the n with the same M are inverted together."""
+    and grid, or when its own check fails.  phi_X is evaluated once at
+    every n's Chernoff arguments and frequencies, its envelope once at every
+    n's window, and the n with the same M are inverted together."""
     terms = sum(len(c.grid) - 1 if isinstance(c, Tabulated) else 1
                 for c in spec.ac_pieces)
     budgets = np.array([(_fft_len(n, grid_size) - CF_FIXED_POINTS) / terms for n in ns])
@@ -377,12 +368,6 @@ def _cf_results(spec: DistributionSpec, ns, grid_size: int) -> list:
     ns = np.array(ns, dtype=float)
     scales = math.sqrt(moments(spec).variance) * np.sqrt(ns)
     live = np.flatnonzero(budgets > CF_MIN_FREQS)
-    if not live.size:
-        return out
-    # M only grows with the window, so the smallest one rules out most
-    # hopeless n before the Chernoff bounds are computed
-    m_freqs, _ = _frequencies(spec, ns[live], scales[live], np.full(live.size, CF_WINDOWS[0]))
-    live = live[m_freqs < budgets[live]]
     if not live.size:
         return out
     zwins, window_bounds = _windows(spec, ns[live], scales[live])
@@ -413,8 +398,8 @@ def _convolutions(spec: DistributionSpec, ns, grid_size, config: QuadratureConfi
     characteristic-function route on the ns in groups of _CF_GROUP, so
     that its working arrays do not grow with len(ns), then the FFT route on
     the n it declines, from one set of cell masses per grid."""
-    grid_size = _integer("grid_size", grid_size)
-    if grid_size < 1024 or grid_size & (grid_size - 1):
+    grid_size = _count("grid_size", grid_size, 1024)
+    if grid_size & (grid_size - 1):
         raise SpecError(f"grid_size must be a power of two >= 1024, got {grid_size}")
     results = []
     for start in range(0, len(ns), _CF_GROUP):
@@ -465,9 +450,7 @@ def convolution_tv_result(spec: DistributionSpec, n: int, grid_size: int = 4096,
     if spec.atoms or spec.cantor_parts:
         raise SpecError("exact convolution distance requires a purely "
                         "absolutely continuous spec")
-    n = _integer("n", n)
-    if n < 1:
-        raise SpecError(f"n must be >= 1, got {n}")
+    n = _count("n", n, 1)
     return _convolutions(spec, (n,), grid_size, config, error_estimate)[0]
 
 
@@ -509,8 +492,8 @@ def clt_curve(spec: DistributionSpec, ns, grid_size: int = 4096,
     """Assemble the bound series, the empirical series when the spec is
     purely AC (every n in one pass, see convolution_tv_result), and the
     fitted slopes when the n-range supports a fit."""
-    ns = tuple(_integer("n", n) for n in ns)
-    if not ns or any(n < 1 for n in ns):
+    ns = tuple(_count("n", n, 1) for n in ns)
+    if not ns:
         raise SpecError("ns must be positive integers")
     kernel = stein_kernel(spec, config=config)
     _, var_r = _tau_moments(spec, kernel, config)

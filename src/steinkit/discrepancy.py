@@ -32,11 +32,11 @@ from .distributions import (
     _ndtr,
     _piece_pdf,
     _piece_support,
+    _positive_variance,
     ac_density,
     expect,
     moments,
 )
-from .errors import DegenerateError, NumericsError
 from .kernels import KernelFn, _r_rows
 
 PROBES = 8  # points a refinement pass evaluates in each live bracket
@@ -178,12 +178,8 @@ def tv_to_normal(spec: DistributionSpec,
 
 def _tv(spec: DistributionSpec, kernel, config: QuadratureConfig) -> float:
     """`tv_to_normal` on the kernel's starting pass, or a p-only one."""
-    mom = moments(spec)
-    if mom.variance <= 0.0:
-        if spec.is_single_atom():
-            raise DegenerateError("TV distance to the matched normal needs sigma^2 > 0")
-        raise NumericsError("the variance underflows to 0 on a support that is not a point")
-    m, sd = mom.mean, math.sqrt(mom.variance)
+    var = _positive_variance(spec, "the TV distance to the matched normal")
+    m, sd = moments(spec).mean, math.sqrt(var)
     normal = Normal(m, sd, 1.0)
     (ac, _, _), (p, *_) = _first_pass(spec, kernel, config)
     total = 1.0  # the normal's mass beyond an empty hull

@@ -21,13 +21,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationWarning, SpecError
+from .errors import DegenerateError, IntegrationWarning, NumericsError, SpecError
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -711,6 +712,18 @@ class SupportInterval:
         return self.lo == self.hi
 
 
+def _count(name: str, value, lo: int, hi: int = None) -> int:
+    """value as an int by operator.index in [lo, hi]; SpecError naming it otherwise."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise SpecError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo or hi is not None and value > hi:
+        bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise SpecError(f"{name} must {bound}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances for the adaptive quadrature engine and tail truncation.
@@ -726,8 +739,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise SpecError("quadrature tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise SpecError("max_subdivisions must be >= 1")
+        _count("max_subdivisions", self.max_subdivisions, 1)
         if not (0.0 < self.tail_quantile <= 1e-6):
             raise SpecError("tail_quantile must lie in (0, 1e-6]")
 
@@ -745,6 +757,16 @@ DEFAULT_CONFIG = QuadratureConfig()
 def moments(spec: DistributionSpec) -> Moments:
     """Mean and variance of the mixture, from closed forms per component."""
     return spec._moments
+
+
+def _positive_variance(spec: DistributionSpec, what: str) -> float:
+    """sigma^2 > 0 for `what`: DegenerateError at a point mass, else NumericsError."""
+    var = moments(spec).variance
+    if not var > 0.0:
+        if spec.is_single_atom():
+            raise DegenerateError(f"{what} is undefined for a point mass")
+        raise NumericsError(f"sigma^2 = {var!r} underflows to 0 on a law that is not a point mass")
+    return var
 
 
 def _closed_form_moments(spec: DistributionSpec) -> Moments:

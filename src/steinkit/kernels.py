@@ -42,6 +42,8 @@ from .distributions import (
     partial_expectation,
     support,
     truncated_support,
+    _count,
+    _positive_variance,
     _positivity_intervals,
 )
 from .errors import DegenerateError, ExistenceError, NumericsError, SpecError
@@ -184,15 +186,13 @@ def nz_density(spec: DistributionSpec, t):
     """Density q(t) = sigma^-2 E[(X - m) 1{X >= t}] of the non-zero-biased
     distribution; vanishes outside the closed support interval.
 
-    Defined for every non-degenerate spec, whether or not a kernel exists.
-    Accepts scalars or arrays.
+    Defined for every law with sigma^2 > 0 (`_positive_variance`), whether
+    or not a kernel exists.  Accepts scalars or arrays.
     """
-    mom = moments(spec)
-    if mom.variance <= 0.0:
-        raise DegenerateError("non-zero-bias density undefined for a point mass")
+    var = _positive_variance(spec, "the non-zero-bias density")
     sup = support(spec)
     arr = np.asarray(t, dtype=float)
-    q = partial_expectation(spec, arr) / mom.variance
+    q = partial_expectation(spec, arr) / var
     q = np.where((arr < sup.lo) | (arr > sup.hi), 0.0, np.maximum(q, 0.0))
     if np.ndim(t) == 0:
         return float(q)
@@ -290,8 +290,7 @@ def stein_kernel(spec: DistributionSpec, grid_size: int = 4096,
     support, less the atoms of a grid kernel, where its AC density must not
     underflow; the rule itself is evaluated only when the kernel is.
     """
-    if not 16 <= grid_size <= MAX_GRID:
-        raise SpecError(f"grid_size must lie in [16, {MAX_GRID}], got {grid_size}")
+    grid_size = _count("grid_size", grid_size, 16, MAX_GRID)
     report = existence_check(spec)
     if report.verdict is Verdict.DEGENERATE:
         raise DegenerateError("a point mass admits the trivial kernel only; "
@@ -400,19 +399,17 @@ def _r_rows(tau, var: float) -> np.ndarray:
 
 def nz_mass(spec: DistributionSpec, lo: float, hi: float,
             config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral of the non-zero-bias density q over [lo, hi].
+    """integral of the non-zero-bias density q over [lo, hi], for sigma^2 > 0 as in nz_density.
 
     Computed without quadrature of q itself: Fubini turns the integral into
     sigma^-2 E[(X - m) (clamp(X, lo, hi) - lo)], an expectation of a
     piecewise-smooth function that every component evaluates accurately.
     """
-    mom = moments(spec)
-    if mom.variance <= 0.0:
-        raise DegenerateError("non-zero-bias density undefined for a point mass")
-    m = mom.mean
+    var = _positive_variance(spec, "the non-zero-bias density")
+    m = moments(spec).mean
     total = expect(spec, lambda x, _: (x - m) * (np.clip(x, lo, hi) - lo),
                    extra_breaks=(lo, hi), config=config)
-    return float(total) / mom.variance
+    return float(total) / var
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DEFAULT_CONFIG, QuadratureConfig, _adapt, _sorted_distinct
+from .distributions import DEFAULT_CONFIG, QuadratureConfig, _adapt, _count, _sorted_distinct
 from .errors import NumericsError, SpecError
 from .kernels import MAX_GRID, KernelFn, TestFunction, _require_finite
 
@@ -104,9 +104,9 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     pinned to zero beyond.
     The grid spans the kernel's domain, falling back to the kernel's sampled
     range when the domain is unbounded, with a hair of inset so tau stays
-    positive at the first and last points.  Kernels with an interior zero
-    (an atom, or the Cantor support on which the canonical kernel vanishes)
-    raise NumericsError before any quadrature.
+    positive at the first and last points.  A kernel with an interior zero
+    (at an atom or on a Cantor support) or a grid that repeats points (as on
+    [1e14, 1e14 + 4] at grid_size 512) raises NumericsError before quadrature.
     """
     if not len(kernel.grid_t):
         raise NumericsError("the kernel's support is too narrow to sample off its atoms")
@@ -117,8 +117,7 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
     x0 = m if anchor is None else anchor
     if not lo < x0 < hi:
         raise SpecError(f"anchor x0={x0} lies outside the kernel domain ({lo}, {hi})")
-    if not 16 <= grid_size <= MAX_GRID:
-        raise SpecError(f"grid_size must lie in [16, {MAX_GRID}], got {grid_size}")
+    grid_size = _count("grid_size", grid_size, 16, MAX_GRID)
 
     for loc in kernel.atom_zeros:
         if lo < loc < hi:
@@ -131,6 +130,8 @@ def recover_density(kernel: KernelFn, m: float, grid_size: int = 4096,
                                 "integral diverges there")
 
     grid = _segmented_grid(lo, hi, kernel.density_breaks, grid_size)
+    if not np.all(np.diff(grid) > 0.0):
+        raise NumericsError(f"{grid_size} grid points on [{lo!r}, {hi!r}] do not strictly increase")
     tau = kernel.values(grid)
     # a density vanishing at an endpoint drives tau to zero faster than the
     # partial expectation can be resolved in floats; shave those edge points

@@ -345,6 +345,22 @@ def test_cf_curve_evaluates_the_law_twice_and_transforms_once(ns, monkeypatch):
     assert calls == {"cf": 2, "fft": 1}
 
 
+@pytest.mark.parametrize("ns", [(64, 256, 1024), (64, 256, 1024, 16, 64)])
+def test_cf_curve_bounds_its_truncation_once_per_group(ns, monkeypatch):
+    # the decay envelope is computed once, at every n's own window
+    import steinkit.clt as clt
+    calls = []
+
+    def counted(spec, ns, scales, zwins):
+        calls.append(len(ns))
+        return frequencies(spec, ns, scales, zwins)
+
+    frequencies = clt._frequencies
+    monkeypatch.setattr(clt, "_frequencies", counted)
+    clt_curve(E1, ns, 1024)
+    assert calls == [len(ns[i:i + clt._CF_GROUP]) for i in range(0, len(ns), clt._CF_GROUP)]
+
+
 @pytest.mark.parametrize("spec", [U01, KERNEL_SPECS["normal_uniform_mix"]], ids=["uniform", "mix"])
 def test_fft_curve_builds_its_cell_masses_once(spec, monkeypatch):
     # one CDF per piece on the grid's edges, whatever the number of n

@@ -17,15 +17,21 @@ from steinkit import (
     DistributionSpec,
     Exponential,
     Normal,
+    QuadratureConfig,
     SpecError,
     Tabulated,
     Uniform,
     ac_density,
     affine_transform,
+    clt_bound,
+    clt_curve,
+    convolution_tv_result,
     moments,
     parse_spec,
     partial_expectation,
+    recover_density,
     spec_to_dict,
+    stein_kernel,
     support,
     truncated_support,
 )
@@ -325,12 +331,57 @@ def test_ndtri_is_bitwise_normal_dist_inv_cdf():
 
 
 def test_import_leaves_the_statistics_module_out():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import steinkit
+    # the child imports this checkout's source, which pytest's pythonpath
+    # setting does not reach
+    paths = [str(Path(steinkit.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     code = ("import sys, steinkit.cli; "
             "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
     assert out.stdout.strip() == "[]"
+
+
+# every count argument of the library: the name it is refused by, a call
+# taking it, and a valid value
+_U01 = KERNEL_SPECS["uniform01"]
+COUNT_CALLS = {
+    "stein_kernel grid_size": ("grid_size", lambda v: stein_kernel(_U01, v).grid_t, 64),
+    "recover_density grid_size": (
+        "grid_size", lambda v: recover_density(stein_kernel(_U01, 64), 0.5, v).values, 64),
+    "clt_bound n": ("n", lambda v: clt_bound(_U01, v), 4),
+    "convolution_tv_result n": ("n", lambda v: convolution_tv_result(_U01, v, 1024), 4),
+    "convolution_tv_result grid_size": (
+        "grid_size", lambda v: convolution_tv_result(_U01, 4, v), 1024),
+    "clt_curve ns": ("n", lambda v: clt_curve(_U01, (4, v), 1024), 16),
+    "clt_curve grid_size": ("grid_size", lambda v: clt_curve(_U01, (4, 16), v), 1024),
+    "QuadratureConfig max_subdivisions": (
+        "max_subdivisions", lambda v: QuadratureConfig(max_subdivisions=v), 200),
+}
+
+
+@pytest.mark.parametrize("bad", [16.5, 2.5, 4.0, 100.0, "64"])
+@pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+def test_every_count_argument_takes_integers_only(call, bad):
+    name, fn, _ = COUNT_CALLS[call]
+    with pytest.raises(SpecError, match=rf"^{name} must be an integer, got {bad!r}$"):
+        fn(bad)
+
+
+@pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+def test_every_count_argument_takes_a_numpy_integer(call):
+    _, fn, good = COUNT_CALLS[call]
+    want, got = fn(good), fn(np.int64(good))
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
 
 
 # -- partial expectations ----------------------------------------------------

@@ -40,6 +40,7 @@ from steinkit import (
     stein_residual,
     support,
     truncated_support,
+    tv_to_normal,
 )
 from oracle_utils import kernel_measure_integral
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
@@ -139,6 +140,16 @@ def test_nz_density_vanishes_off_support():
 def test_nz_density_degenerate_raises():
     with pytest.raises(DegenerateError):
         nz_density(NO_KERNEL_SPECS["dirac"][0], 0.0)
+
+
+@pytest.mark.parametrize("call", [lambda s: nz_density(s, 0.0), lambda s: nz_mass(s, -1.0, 1.0),
+                                  tv_to_normal],
+                         ids=["nz_density", "nz_mass", "tv_to_normal"])
+def test_an_underflowed_variance_is_no_point_mass(call):
+    # sigma^2 = 1e-400 rounds to 0, but the law is no point mass: every
+    # operation that needs sigma^2 > 0 names it, as a numerical failure
+    with pytest.raises(NumericsError, match=r"^sigma\^2 = 0\.0 underflows"):
+        call(DistributionSpec((Normal(0.0, 1e-200, 1.0),)))
 
 
 def test_nz_density_integrates_to_one():

@@ -15,6 +15,7 @@ from steinkit import (
     SupportInterval,
     Tabulated,
     TestFunction,
+    Uniform,
     ac_density,
     moments,
     recover_density,
@@ -212,6 +213,16 @@ def test_a_law_far_from_zero_recovers_as_at_zero(lo):
         den = recover_density(stein_kernel(spec), moments(spec).mean, 512)
     assert den.error_estimate <= DEFAULT_CONFIG.abs_tol
     np.testing.assert_allclose(den.values, want.values, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("lo", [1e14, 1e15])
+def test_a_grid_finer_than_the_floats_at_its_domain_raises(lo):
+    # at 1e14 the floats are 1/64 apart, so 512 points across [lo, lo + 4]
+    # repeat and the density would be read off a collapsed grid
+    spec = DistributionSpec((Uniform(lo, lo + 4.0, 1.0),))
+    want = rf"^512 grid points on \[{lo!r}, {lo + 4.0!r}\] do not strictly increase$"
+    with pytest.raises(NumericsError, match=want):
+        recover_density(stein_kernel(spec, 512), moments(spec).mean, 512)
 
 
 @pytest.mark.parametrize("grid_size", [64, 4096])

@@ -117,4 +117,24 @@ def test_distance_diff_compares_clt_curves(tmp_path):
     cases = _round_size("clt", 1) + 2 * ac
     assert f"{cases} of {cases} cases bitwise identical" in out, out
     assert "largest empirical difference (absolute): 0\n" in out, out
+    assert "largest error estimate difference (absolute): 0\n" in out, out
+    assert "largest mass defect difference (absolute): 0\n" in out, out
     assert "routes differ" not in out, out
+
+
+def test_distance_diff_reports_a_changed_clt_error_estimate():
+    # each n's record is [route, error estimate, mass defect]; the FFT
+    # route's estimate is None below grid 2048
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import distance_diff
+    finally:
+        sys.path.remove(str(TOOLS))
+    old = [[0.1, 0.01], [["fft", None, 2e-9], ["cf", 3e-11, 1e-12]]]
+    new = [[0.1, 0.01], [["fft", None, 2e-9], ["cf", 5e-11, 1e-12]]]
+    _, diffs, kinds = distance_diff.WORKLOADS["clt"]
+    lines = distance_diff.compare([["n=2", old, None, 0]], [["n=2", new, None, 0]], diffs, kinds)
+    assert lines[0] == "0 of 1 cases bitwise identical"
+    assert "  largest error estimate difference (absolute): 2e-11 (n=2)" in lines, lines
+    assert "  largest mass defect difference (absolute): 0" in lines, lines
+    assert "  largest empirical difference (absolute): 0" in lines, lines

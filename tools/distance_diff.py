@@ -27,12 +27,13 @@ are the operations of the clt round of each seed, at their ns and grids,
 and the purely absolutely continuous `corpus.KERNEL_SPECS` at grids 1024
 and 4096 with ns (1, 2, 3, 4, 8, 16, 64, 256, 1024); each runs `clt_curve`,
 recording its empirical distances, and `convolution_tv_result` per n,
-recording its route.
+recording its route, error estimate and mass defect.
 
 The script prints how many cases are bitwise identical, the largest
 difference of each recorded quantity with its case (tv absolute, the
 bounds relative; a density's values relative, the two end points apart
-from the points inside; the empirical distances absolute and relative),
+from the points inside; the empirical distances absolute and relative,
+the error estimates and mass defects absolute),
 every case whose density grids or routes differ, and every case whose
 exception or warning count differs.  The worktree is removed at
 the end.  Standard library only.
@@ -122,8 +123,8 @@ for case, text, ns, grid in cases:
         try:
             spec = parse_spec(text)
             empirical = list(clt_curve(spec, ns, grid).empirical)
-            values = [empirical, [convolution_tv_result(spec, n, grid, error_estimate=False).route
-                                  for n in ns]]
+            results = [convolution_tv_result(spec, n, grid) for n in ns]
+            values = [empirical, [[r.route, r.error_estimate, r.mass_defect] for r in results]]
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
     out.append([case, values, error, len(seen)])
@@ -154,11 +155,16 @@ def recover_diffs(a: list, b: list):
 def clt_diffs(a: list, b: list):
     """The differences of one clt case's two curves, or why they cannot be
     paired."""
-    (ea, routes_a), (eb, routes_b) = a, b
+    (ea, na), (eb, nb) = a, b
+    (routes_a, est_a, defect_a), (routes_b, est_b, defect_b) = zip(*na), zip(*nb)
     if routes_a != routes_b:
         return f"routes differ ({','.join(routes_a)} -> {','.join(routes_b)})"
+    # the FFT route gives no estimate below grid 2048, on both sides alike
     return {"empirical": max(abs(x - y) for x, y in zip(ea, eb)),
-            "relative empirical": max(_relative(x, y) for x, y in zip(ea, eb))}
+            "relative empirical": max(_relative(x, y) for x, y in zip(ea, eb)),
+            "error estimate": max((abs(x - y) for x, y in zip(est_a, est_b)
+                                   if x is not None and y is not None), default=0.0),
+            "mass defect": max(abs(x - y) for x, y in zip(defect_a, defect_b))}
 
 
 # per workload: the child, the differences of a case and their kinds
@@ -167,7 +173,8 @@ WORKLOADS = {
                 {"tv": "absolute", "bound_l1": "relative", "bound_sd": "relative"}),
     "recover": (RECOVER_CHILD, recover_diffs,
                 {"end point value": "relative", "inside value": "relative"}),
-    "clt": (CLT_CHILD, clt_diffs, {"empirical": "absolute", "relative empirical": "relative"}),
+    "clt": (CLT_CHILD, clt_diffs, {"empirical": "absolute", "relative empirical": "relative",
+                                   "error estimate": "absolute", "mass defect": "absolute"}),
 }
 
 
