@@ -27,17 +27,15 @@ from .distributions import (
     DistributionSpec,
     Normal,
     QuadratureConfig,
-    _cut_pass,
     _first_pass,
     _ndtr,
     _piece_pdf,
-    _piece_support,
     _positive_variance,
+    _tail_sums,
     ac_density,
-    expect,
     moments,
 )
-from .kernels import KernelFn, _r_rows
+from .kernels import KernelFn, _tau_moments
 
 PROBES = 8  # points a refinement pass evaluates in each live bracket
 XTOL, RTOL = 1e-14, 4.0 * np.finfo(float).eps  # brentq's stopping rule
@@ -104,15 +102,18 @@ def _find_crossings(f, xs, fx) -> np.ndarray:
 
 
 def _node_crossings(f, spec: DistributionSpec, ac, fx) -> np.ndarray:
-    """`_find_crossings` of f on the finite panels' nodes of the starting
-    pass ac, fx f there, and at each kernel break among them, where f may
-    jump, one point inset on each side (all in one call of f) with a NaN
-    between them, so that no bracket spans the jump."""
+    """`_find_crossings` of f on the nodes of the starting pass ac in x
+    order, qagi tails included (a crossing beyond the tail_quantile window
+    still bounds a lobe of the closed-form sums), fx f there, and at each
+    kernel break among them, where f may jump, one point inset on each side
+    (all in one call of f) with a NaN between them, so that no bracket
+    spans the jump."""
     (_, _, side, _), x, _, _ = ac
-    finite = np.repeat(side == 0.0, len(x) // len(side))
-    xs, vs = x[finite], fx[finite]
-    if not xs.size:  # a law inside one rounding of its window has no finite panel
-        return xs
+    # the left tail's nodes run up to the window in x, then the finite
+    # panels', and the right tail's run down to the window
+    right = np.repeat(side > 0.0, len(x) // len(side))
+    order = np.concatenate((np.flatnonzero(~right), np.flatnonzero(right)[::-1]))
+    xs, vs = x[order], fx[order]
     br = np.array(spec._kernel_breaks)
     br = br[(xs[0] < br) & (br < xs[-1])]
     if br.size:
@@ -167,50 +168,83 @@ def tv_to_normal(spec: DistributionSpec,
     spec's own mean and variance.
 
     Half the L1 distance of the AC density p to the normal density phi,
-    plus half the singular mass.  On the hull of the AC pieces |p - phi| is
-    integrated over `expect`'s starting pass, cut at the crossings of p and
-    phi that `_node_crossings` finds from its nodes, so |p - phi| is smooth
-    on every panel; beyond the hull p = 0, and the normal's mass there is
-    closed form.
+    plus half the singular mass.  p - phi = G' for G = F_ac - Phi, so the
+    L1 distance is the sum of |Delta G| between neighbouring points of the
+    crossings of p and phi that `_node_crossings` finds from `expect`'s
+    starting pass, the density breaks (the AC hull's finite ends among
+    them), the mean and +-inf, where the limits are exact: no quadrature.
+    G is read from the AC tails of `_tail_sums`, each point on its side of
+    the mean, so deep-tail terms keep their precision.
     """
-    return _tv(spec, None, config)
+    return _distances(spec, None, config)[0]
 
 
-def _tv(spec: DistributionSpec, kernel, config: QuadratureConfig) -> float:
-    """`tv_to_normal` on the kernel's starting pass, or a p-only one."""
+def _sides(m: float, pts) -> tuple:
+    """The distinct finite points pts below the mean m in order, m twice,
+    and those above it, with the mask of the lower side: m closes each
+    side's run."""
+    pts = np.sort(np.asarray(pts, dtype=float))
+    pts = pts[np.diff(pts, prepend=-math.inf) > 0.0]
+    low, high = pts[pts < m], pts[pts > m]
+    xs = np.concatenate((low, [m, m], high))
+    return xs, np.arange(len(xs)) <= len(low)
+
+
+def _variation(v, lower) -> float:
+    """sum |Delta v| along each side's run, from v = 0 at -inf to m and from
+    m to v = 0 at +inf: the L1 norm of v' where v' keeps its sign between
+    neighbouring points."""
+    low, high = np.concatenate(([0.0], v[lower])), np.concatenate((v[~lower], [0.0]))
+    return float(np.abs(low[1:] - low[:-1]).sum() + np.abs(high[1:] - high[:-1]).sum())
+
+
+def _distances(spec: DistributionSpec, kernel, config: QuadratureConfig) -> tuple:
+    """(tv, bound_l1, or None without a kernel), from one `_tail_sums` call
+    at both sums' points.  On the AC part (tau - sigma^2) p = sigma^2 q -
+    sigma^2 p, whose antiderivative on each side of the mean is A = K -
+    sigma^2 F (up to sign and a constant, H = -M - sigma^2 F_ac), so
+    bound_l1 = 2 (sum |Delta A| + sigma^2 singular mass), summed between the
+    crossings of tau and sigma^2 and the kernel breaks, where tau may jump;
+    the canonical tau is 0 at atoms and on a Cantor part.  Each sum reads
+    only its own points, so tv is the same with or without a kernel."""
     var = _positive_variance(spec, "the TV distance to the matched normal")
     m, sd = moments(spec).mean, math.sqrt(var)
-    normal = Normal(m, sd, 1.0)
-    (ac, _, _), (p, *_) = _first_pass(spec, kernel, config)
-    total = 1.0  # the normal's mass beyond an empty hull
+    (ac, _, _), (p, tau, _, _) = _first_pass(spec, kernel, config)
+    tv_pts, l1_pts = [spec.density_breaks], [spec._kernel_breaks]
     if ac is not None:
-        def diff(t):
-            return ac_density(spec, t) - _piece_pdf(normal, t)
-
-        fx = p - _piece_pdf(normal, ac[1])
-        pts = _node_crossings(diff, spec, ac, fx)
-        value, _, _ = _cut_pass(lambda t: np.abs(diff(t)), ac, np.abs(fx), pts, config)
-        los, his = zip(*(_piece_support(c) for c in spec.ac_pieces))
-        total = float(value.sum()) + _ndtr((min(los) - m) / sd) + _ndtr((m - max(his)) / sd)
-    return min(1.0, 0.5 * (total + spec.singular_mass))
+        normal = Normal(m, sd, 1.0)
+        if kernel is not None:
+            # where tau reads 0 on the support its density underflowed far out
+            # in a tail: a jump that bounds no lobe, so it carries no sign
+            l1_pts.append(_node_crossings(lambda t: kernel.values_ae(t) - var, spec, ac,
+                                          np.where(tau > 0.0, tau - var, np.nan)))
+        tv_pts.append(_node_crossings(lambda t: ac_density(spec, t) - _piece_pdf(normal, t),
+                                      spec, ac, p - _piece_pdf(normal, ac[1])))
+    xs, lower = _sides(m, np.concatenate(tv_pts))
+    n = len(xs)
+    if kernel is not None:
+        l1_xs, l1_lower = _sides(m, np.concatenate(l1_pts))
+        xs, lower = np.concatenate((xs, l1_xs)), np.concatenate((lower, l1_lower))
+    f, k = _tail_sums(spec, xs, lower)
+    z = (xs[:n] - m) / sd
+    g = f[:n] - _ndtr(np.where(lower[:n], z, -z))
+    tv = min(1.0, 0.5 * (_variation(g, lower[:n]) + spec.singular_mass))
+    if kernel is None:
+        return tv, None
+    a = k[n:] - var * f[n:]
+    return tv, 2.0 * (_variation(a, lower[n:]) + var * spec.singular_mass)
 
 
 def discrepancy_bounds(spec: DistributionSpec, kernel: KernelFn,
                        config: QuadratureConfig = DEFAULT_CONFIG) -> DiscrepancyReport:
     """Both Stein discrepancy bounds together with the exact distance.
 
-    With r = tau(X) / sigma^2 - 1 as in `kernel_stats`, bound_l1 =
-    2 sigma^2 E|r| and bound_sd = 2 sigma^2 sqrt(Var r), from one `expect`
-    over the rows [|r|, r, r^2], cut where tau crosses sigma^2.  Those
-    crossings, and the distance, read the kernel's starting pass.
+    bound_l1 = 2 E|tau - sigma^2| in closed form at the crossings of tau and
+    sigma^2 (`_distances`), and bound_sd = 2 sigma^2 sqrt(Var r), r =
+    tau / sigma^2 - 1, the `_tau_moments` that `kernel_stats` reads.  The
+    crossings, and the distance's, are found on the kernel's starting pass.
     """
     var = moments(spec).variance
-    (ac, _, _), (_, tau, _, _) = _first_pass(spec, kernel, config)
-    pts = _node_crossings(lambda t: kernel.values_ae(t) - var, spec, ac, tau - var)
-    l1, mean_r, sq = expect(spec, lambda x, tau: _r_rows(tau, var), extra_breaks=pts,
-                            kernel=kernel, config=config)
-    return DiscrepancyReport(
-        tv_exact=_tv(spec, kernel, config),
-        bound_l1=2.0 * var * float(l1),
-        bound_sd=2.0 * var * math.sqrt(max(float(sq) - float(mean_r) ** 2, 0.0)),
-    )
+    _, var_r = _tau_moments(spec, kernel, config)
+    tv, l1 = _distances(spec, kernel, config)
+    return DiscrepancyReport(tv_exact=tv, bound_l1=l1, bound_sd=2.0 * var * math.sqrt(var_r))

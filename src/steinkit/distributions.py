@@ -24,8 +24,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, fields
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DegenerateError, IntegrationWarning, NumericsError, SpecError
@@ -180,7 +178,7 @@ class Tabulated:
         _check_weight(self.weight, "tabulated")
         # Per-segment mass and first moment, second moment about the piece's
         # mean, plus suffix and prefix sums for O(log n) upper and lower
-        # partial-mean queries.
+        # partial-moment queries.
         a, b = g[:-1], g[1:]
         va, vb = v[:-1], v[1:]
         h = b - a
@@ -188,17 +186,20 @@ class Tabulated:
         suf_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
         suf_m1 = np.concatenate([np.cumsum(seg_m1[::-1])[::-1], [0.0]])
         a, b = a - suf_m1[0], b - suf_m1[0]
-        seg_m2 = h / 12.0 * (va * (3 * a * a + 2 * a * b + b * b)
-                             + vb * (a * a + 2 * a * b + 3 * b * b))
+        seg_m2 = _linear_piece_m2(h, a, b, va, vb)
+        suf_m2 = np.concatenate([np.cumsum(seg_m2[::-1])[::-1], [0.0]])
         pre_mass = np.concatenate([[0.0], np.cumsum(seg_mass)])
         pre_m1 = np.concatenate([[0.0], np.cumsum(seg_m1)])
-        for arr in (seg_mass, seg_m1, seg_m2, suf_mass, suf_m1, pre_mass, pre_m1):
+        pre_m2 = np.concatenate([[0.0], np.cumsum(seg_m2)])
+        for arr in (seg_mass, seg_m1, seg_m2, suf_mass, suf_m1, suf_m2, pre_mass, pre_m1, pre_m2):
             arr.flags.writeable = False
         object.__setattr__(self, "_seg_m2", seg_m2)
         object.__setattr__(self, "_suf_mass", suf_mass)
         object.__setattr__(self, "_suf_m1", suf_m1)
+        object.__setattr__(self, "_suf_m2", suf_m2)
         object.__setattr__(self, "_pre_mass", pre_mass)
         object.__setattr__(self, "_pre_m1", pre_m1)
+        object.__setattr__(self, "_pre_m2", pre_m2)
 
 
 @dataclass(frozen=True)
@@ -251,11 +252,15 @@ _CANTOR_BLOCK = 1 << 13  # points a Cantor walk takes at a time
 def _cantor_table():
     """3^T l_k for the left ends l_k of the standard Cantor set's 2^T cells (T =
     CANTOR_TABLE_DEPTH), in int64; the last cell k starting at or below each
-    integer 0..3^T; and the law's mass and first moment above each cell."""
+    integer 0..3^T; and the law's mass, first and second moments above each
+    cell."""
     ends = np.rint(cantor_points(CANTOR_TABLE_DEPTH) * _CELLS).astype(np.int64)
     cell = np.repeat(np.arange(len(ends), dtype=np.int16), np.diff(ends, append=int(_CELLS) + 1))
     above = np.append(np.cumsum((2 * ends + 1)[::-1])[::-1], 0)
-    return ends, cell, np.arange(len(ends), -1, -1) / len(ends), above / (2.0 * _CELLS * len(ends))
+    # a cell's E[Y^2] is l^2 + l 3^-T + (3/8) 9^-T, E Y^2 = 3/8 on [0, 1]
+    above2 = np.append(np.cumsum((8 * ends * (ends + 1) + 3)[::-1])[::-1], 0)
+    return (ends, cell, np.arange(len(ends), -1, -1) / len(ends),
+            above / (2.0 * _CELLS * len(ends)), above2 / (8.0 * _CELLS * _CELLS * len(ends)))
 
 
 def _cantor_cell(x):
@@ -268,42 +273,53 @@ def _cantor_cell(x):
     return k, w, (w > 0.0) & (w < 1.0)
 
 
-def cantor_survival_upper_mean(u):
+def cantor_survival_upper_mean(u, second: bool = False):
     """Survival P(Y >= u) and upper partial mean E[Y 1{Y >= u}] of the
-    standard Cantor distribution, evaluated elementwise.
+    standard Cantor distribution, evaluated elementwise; with `second`, the
+    upper partial second moment E[Y^2 1{Y >= u}] too.
 
     A walk over `_cantor_table`, T levels a pass: a point in a gap reads
-    both from the table; a point inside a cell goes on from its offset, by
+    each from the table; a point inside a cell goes on from its offset, by
     the self-similarity of the measure, for at most CANTOR_PASSES passes.  A
-    NaN gives NaN for both.  The walk takes _CANTOR_BLOCK points at a time,
+    NaN gives NaN for each.  The walk takes _CANTOR_BLOCK points at a time,
     which bounds its working arrays.
     """
     u = np.asarray(u, dtype=float)
-    s, m = np.empty(u.size), np.empty(u.size)
+    cols = [np.empty(u.size) for _ in range(3 if second else 2)]
     for k in range(0, u.size, _CANTOR_BLOCK):
         block = slice(k, k + _CANTOR_BLOCK)
-        _cantor_walk(u.ravel()[block], s[block], m[block])
+        _cantor_walk(u.ravel()[block], *(col[block] for col in cols))
     if u.ndim == 0:
-        return float(s[0]), float(m[0])
-    return s.reshape(u.shape), m.reshape(u.shape)
+        return tuple(float(col[0]) for col in cols)
+    return tuple(col.reshape(u.shape) for col in cols)
 
 
-def _cantor_walk(u, s, m) -> None:
-    """`cantor_survival_upper_mean` of the 1-D array u, into s and m."""
-    ends, _, s_tab, m_tab = _cantor_table()
+def _cantor_walk(u, s, m, q=None) -> None:
+    """`cantor_survival_upper_mean` of the 1-D array u, into s, m and q."""
+    ends, _, s_tab, m_tab, q_tab = _cantor_table()
     nan = np.isnan(u)
     x = np.fmin(np.fmax(u, 0.0), 1.0) * _CELLS  # a NaN walks as 0
     # M(u) = cmm*M(v) + cms*S(v) + cm1, S(u) = css*S(v) + cs1 at v = x / 3^T in
-    # a cell k: S(v) = S_k+1 + S(w)/2^T, M(v) = M_k+1 + (l_k S(w) + M(w)/3^T)/2^T
+    # a cell k: S(v) = S_k+1 + S(w)/2^T, M(v) = M_k+1 + (l_k S(w) + M(w)/3^T)/2^T;
+    # Q(u) = cqq*Q(v) + cqm*M(v) + cqs*S(v) + cq1 likewise, with
+    # Q(v) = Q_k+1 + (l_k^2 S(w) + 2 l_k M(w)/3^T + Q(w)/9^T)/2^T
     live = np.arange(len(x))
-    cms = cm1 = cs1 = 0.0
-    cmm = css = 1.0
+    cms = cm1 = cs1 = cqm = cqs = cq1 = 0.0
+    cmm = css = cqq = 1.0
     for _ in range(CANTOR_PASSES):
         k, w, inside = _cantor_cell(x)
         above = k + (w > 0.0)
         cm1 = cm1 + cmm * m_tab[above] + cms * s_tab[above]
         cs1 = cs1 + css * s_tab[above]
         s[live], m[live] = cs1, cm1
+        if q is not None:
+            cq1 = cq1 + cqq * q_tab[above] + cqm * m_tab[above] + cqs * s_tab[above]
+            q[live] = cq1
+            lk = ends[k] / _CELLS
+            cqs = (cqq * lk * lk + cqm * lk + cqs) / len(ends)
+            cqm = (2.0 * cqq * lk + cqm) / (_CELLS * len(ends))
+            cqm, cqs, cq1 = (a[inside] for a in (cqm, cqs, cq1))
+            cqq = cqq / (_CELLS * _CELLS * len(ends))
         cms = (cmm * ends[k] / _CELLS + cms) / len(ends)
         live, x, cms, cm1, cs1 = (a[inside] for a in (live, w * _CELLS, cms, cm1, cs1))
         cmm, css = cmm / (_CELLS * len(ends)), css / len(ends)
@@ -312,6 +328,10 @@ def _cantor_walk(u, s, m) -> None:
     m[live] = cmm * (5.0 / 12.0) + cms * 0.5 + cm1
     s[live] = css * 0.5 + cs1
     s[nan] = m[nan] = math.nan
+    if q is not None:
+        # a point in the middle third of its last cell: S = 1/2, M = 5/12, Q = 17/48
+        q[live] = cqq * (17.0 / 48.0) + cqm * (5.0 / 12.0) + cqs * 0.5 + cq1
+        q[nan] = math.nan
 
 
 @functools.cache
@@ -405,10 +425,19 @@ def _linear_piece_mass_m1(a, b, va, vb):
     return 0.5 * (va + vb) * w, w / 6.0 * (va * (2 * a + b) + vb * (a + 2 * b))
 
 
-def _piece_tail(c, t: np.ndarray, lower):
+def _linear_piece_m2(h, a, b, va, vb):
+    """Second moment about 0 of a linear density from (a, va) to (b, vb),
+    h = b - a as the caller rounded it."""
+    return h / 12.0 * (va * (3 * a * a + 2 * a * b + b * b) + vb * (a * a + 2 * a * b + 3 * b * b))
+
+
+def _piece_tail(c, t: np.ndarray, lower, second: bool = False):
     """(P, C) for one component, elementwise: P = P(X >= t), or P(X < t)
     where `lower` (a bool, or a bool array like t), and
-    C = E[(X - mean_c) 1{X >= t}] = -E[(X - mean_c) 1{X < t}].
+    C = E[(X - mean_c) 1{X >= t}] = -E[(X - mean_c) 1{X < t}]; with
+    `second`, (P, C, D), D the centred second partial moment on P's side,
+    E[(X - mean_c)(X - t)+] or E[(mean_c - X)(t - X)+] (which add up to
+    Var_c), at finite t.
 
     Each probability is computed directly rather than as one minus the
     other, so a CDF is exactly zero below the support and keeps full
@@ -416,22 +445,37 @@ def _piece_tail(c, t: np.ndarray, lower):
     closed form for every family, so deep-tail values scale with the local
     density instead of losing absolute precision to the subtraction of
     order-one terms; a tabulated piece sums its suffix sums on the upper
-    side and its prefix sums on the lower side.
+    side and its prefix sums on the lower side.  D is closed form too: a
+    normal's is sd^2 P exactly, a tabulated piece's its centred second
+    moment on P's side plus (mean_c - t) C or (t - mean_c) C, and a Cantor
+    part's comes from the second-moment column of its walk.
     """
     match c:
         case Uniform():
+            h = c.hi - c.lo
             tc = np.clip(t, c.lo, c.hi)
-            p = np.where(lower, tc - c.lo, c.hi - tc) / (c.hi - c.lo)
-            return p, (c.hi - tc) * (tc - c.lo) / (2.0 * (c.hi - c.lo))
+            p = np.where(lower, tc - c.lo, c.hi - tc)  # the span on P's side, then P
+            d = p * p * (3.0 * h - 2.0 * p) / (12.0 * h) if second else None
+            p /= h
+            out = p, (c.hi - tc) * (tc - c.lo) / (2.0 * h)
+            return out + (d,) if second else out
         case Normal():
             z = (t - c.mean) / c.sd
-            return _ndtr(np.where(lower, z, -z)), c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
+            p = _ndtr(np.where(lower, z, -z))
+            out = p, c.sd * np.exp(-0.5 * z * z) / _SQRT2PI
+            return out + (c.sd * c.sd * p,) if second else out
         case Exponential():
             tc = np.maximum(t, 0.0)
             s = np.exp(-c.rate * tc)
             # the largest float in place of tc = +inf keeps inf * 0 out of the
             # tail there; every finite tc is left as it is
-            return np.where(lower, -np.expm1(-c.rate * tc), s), np.minimum(tc, _FLOAT_MAX) * s
+            out = np.where(lower, -np.expm1(-c.rate * tc), s), np.minimum(tc, _FLOAT_MAX) * s
+            if second:
+                # E[(X - 1/rate)(X - t)+] = e^(-rate t)(1 + rate t) / rate^2, and
+                # its complement to 1 / rate^2 below t
+                u = c.rate * tc
+                out += (np.where(lower, -np.expm1(-u) - u * s, s + u * s) / (c.rate * c.rate),)
+            return out
         case Tabulated():
             g, v = c.grid, c.values
             tc = np.clip(np.asarray(t, dtype=float), g[0], g[-1])
@@ -439,22 +483,59 @@ def _piece_tail(c, t: np.ndarray, lower):
             ga, gb, va, vb = g[i], g[i + 1], v[i], v[i + 1]
             vt = va + (vb - va) * (tc - ga) / (gb - ga)
             # the linear piece below tc on the lower side, above it otherwise
-            mass, m1 = _linear_piece_mass_m1(np.where(lower, ga, tc), np.where(lower, tc, gb),
-                                             np.where(lower, va, vt), np.where(lower, vt, vb))
+            a, b = np.where(lower, ga, tc), np.where(lower, tc, gb)
+            fa, fb = np.where(lower, va, vt), np.where(lower, vt, vb)
+            mass, m1 = _linear_piece_mass_m1(a, b, fa, fb)
             p = np.where(lower, c._pre_mass[i] + mass, mass + c._suf_mass[i + 1])
-            return p, np.where(lower, _piece_mean(c) * p - (c._pre_m1[i] + m1),
+            centred = np.where(lower, _piece_mean(c) * p - (c._pre_m1[i] + m1),
                                m1 + c._suf_m1[i + 1] - _piece_mean(c) * p)
+            if not second:
+                return p, centred
+            mean = _piece_mean(c)
+            m2 = _linear_piece_m2(b - a, a - mean, b - mean, fa, fb)
+            m2 = np.where(lower, c._pre_m2[i] + m2, m2 + c._suf_m2[i + 1])
+            return p, centred, m2 + np.where(lower, tc - mean, mean - tc) * centred
         case Atom():
-            return np.where(lower, t > c.location, t <= c.location).astype(float), np.zeros_like(t)
+            out = np.where(lower, t > c.location, t <= c.location).astype(float), np.zeros_like(t)
+            return out + (np.zeros_like(t),) if second else out
         case CantorPart():
             span = c.hi - c.lo
-            s, m = map(np.asarray, cantor_survival_upper_mean((t - c.lo) / span))
+            u = (t - c.lo) / span
+            if second:
+                # E[(Y - 1/2)(Y - u)+] of the standard law, u clamped to [0, 1]
+                s, m, q = cantor_survival_upper_mean(u, second=True)
+                uc = np.clip(u, 0.0, 1.0)
+                up = span * span * (q - (uc + 0.5) * m + 0.5 * uc * s)
+                return (np.where(lower, 1.0 - s, s), span * (m - 0.5 * s),
+                        np.where(lower, 0.125 * span * span - up, up))
+            s, m = map(np.asarray, cantor_survival_upper_mean(u))
             # in place, since on a kernel's starting nodes these arrays set the peak
             m -= 0.5 * s
             m *= span
             np.subtract(1.0, s, out=s, where=lower)
             return s, m
     raise TypeError(f"unknown component {c!r}")
+
+
+def _tail_sums(spec: DistributionSpec, t, lower) -> tuple:
+    """(F, K) at the finite points t, each on its side of the mixture mean m
+    as `lower` says: F = sum_ac w_c P_c, the AC part's mass above t or below
+    it (`_piece_tail`), and K = E[(X - m)(X - t)+] on the upper side or
+    E[(m - X)(t - X)+] on the lower one, over the whole law.  K' is
+    -(sigma^2 q) or sigma^2 q, and K is small in its own tail; a component
+    whose mean is m adds its D alone."""
+    m = moments(spec).mean
+    f = k = np.zeros(np.shape(t))
+    for c in spec.components:
+        p, centered, d = _piece_tail(c, t, lower, second=True)
+        if isinstance(c, AC_FAMILIES):
+            f = f + c.weight * p
+        mean = _piece_mean(c)
+        shift = np.where(lower, m - mean, mean - m)
+        # E[(X - t)+] or E[(t - X)+] from P and C
+        first = centered + np.where(lower, t - mean, mean - t) * p
+        k = k + _component_weight(c) * (d + shift * first)
+    return f, k
 
 
 def _series(z, coeffs):
@@ -1040,8 +1121,7 @@ def _sorted_distinct(x) -> np.ndarray:
     return x[np.append(True, np.diff(x) > 0)]
 
 
-def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel=None,
-           config: QuadratureConfig = DEFAULT_CONFIG):
+def expect(spec: DistributionSpec, g, kernel=None, config: QuadratureConfig = DEFAULT_CONFIG):
     """E[g(X)] against the full mixture measure.
 
     g(x, tau) maps a 1-D array of points to values or to a (k, n) stack,
@@ -1058,20 +1138,18 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
     `_start_panels` cuts a few segments into starting panels.  The ends of
     the tail_quantile window and its midpoint split them too, so the nodes
     find a law however narrow it is or far from 0, and an infinite tail is
-    scaled to the window's segments.  Each starting panel that holds one of
-    extra_breaks is then cut there (`_cut_pass`).
+    scaled to the window's segments.  g should be smooth on each segment:
+    a g that jumps inside one is refined around the jump, slowly.
     On the gaps between those cells the Cantor CDF and partial mean are
     constant, so a kernel there is as smooth as the AC density; D is
     `config.cantor_depth`.  Atoms add their mass times g.  A Cantor part
     adds the mean of g over its cells: at the midpoints of the same 2^D
-    cells, second order by the symmetry of every cell.  An integral over a
-    window [lo, hi] is that of g times its indicator, with lo and hi among
-    extra_breaks.
+    cells, second order by the symmetry of every cell.
 
     The starting pass (the starting panels' GK15 nodes, the atoms and the
     Cantor midpoints) depends on the spec and config alone, so a kernel
     keeps it with p and tau at its points (`_first_pass`): g is evaluated
-    there, and p and tau only on cut panels' nodes and in refinement.
+    there, and p and tau only in refinement.
     """
     (ac, atoms, parts), (p, tau, atom_tau, part_taus) = _first_pass(spec, kernel, config)
 
@@ -1081,8 +1159,9 @@ def expect(spec: DistributionSpec, g, extra_breaks: Sequence[float] = (), kernel
 
     total = 0.0
     if ac is not None:
+        panels, _, jac, half = ac
         fx = np.asarray(g(ac[1], tau), dtype=float) * p
-        value, _, _ = _cut_pass(f, ac, fx, extra_breaks, config)
+        value, _, _ = _adapt(f, config, *panels, first=_gk15_reduce(fx, jac, half))
         total = value.sum(axis=-1)
         total = float(total) if value.ndim == 1 else total
     if atoms is not None:
@@ -1102,32 +1181,6 @@ def _first_pass(spec: DistributionSpec, kernel, config: QuadratureConfig) -> tup
         memo.clear()
         hit = memo[config] = spec, *_start_plan(spec, kernel, config)
     return hit[1:]
-
-
-def _cut_pass(f, ac, fx, breaks, config: QuadratureConfig):
-    """`_adapt`'s (value, error, origin) of f over the starting pass ac, f
-    fx at its nodes, each panel that holds a break cut there (a `qagi` tail
-    panel in its variable u = s / (x - anchor + s), s its side): only the
-    new panels' nodes are evaluated, in one call."""
-    (a, b, side, anchor), _, jac, half = ac
-    first = _gk15_reduce(fx, jac, half)
-    x = np.asarray(breaks, dtype=float)
-    if x.size:
-        s = side[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(s == 0.0, x, s / (x - anchor[:, None] + s))
-        inside = (a[:, None] < t) & (t < b[:, None])
-        cut = inside.any(axis=1)
-        if cut.any():
-            ends = [_sorted_distinct(np.append(t[k, inside[k]], (a[k], b[k])))
-                    for k in np.flatnonzero(cut)]
-            n = [len(e) - 1 for e in ends]
-            new = (np.concatenate([e[:-1] for e in ends]), np.concatenate([e[1:] for e in ends]),
-                   np.repeat(side[cut], n), np.repeat(anchor[cut], n))
-            a, b, side, anchor = (np.append(v[~cut], w) for v, w in zip((a, b, side, anchor), new))
-            first = tuple(np.append(v[..., ~cut], w, axis=-1)
-                          for v, w in zip(first, _gk15(f, *new)))
-    return _adapt(f, config, a, b, side, anchor, first=first)
 
 
 def _start_plan(spec: DistributionSpec, kernel, config: QuadratureConfig) -> tuple:

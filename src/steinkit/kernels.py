@@ -45,6 +45,7 @@ from .distributions import (
     _count,
     _positive_variance,
     _positivity_intervals,
+    _tail_sums,
 )
 from .errors import DegenerateError, ExistenceError, NumericsError, SpecError
 
@@ -227,6 +228,8 @@ class KernelFn:
     _fn_vec: Callable = field(default=None, repr=False)
     # expect's starting-pass plan {config: (spec, nodes, values)}, empty on a copy
     _start_pass: dict = field(default_factory=dict, init=False, repr=False)
+    # `_tau_moments` {config: (spec, E r, Var r)}, for the last spec met, empty on a copy
+    _r_moments: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def grid_tau(self) -> np.ndarray:
@@ -377,14 +380,22 @@ def kernel_stats(spec: DistributionSpec, kernel: KernelFn,
 
 def _tau_moments(spec: DistributionSpec, kernel: KernelFn, config: QuadratureConfig) -> tuple:
     """(E r, Var r), r = tau(X) / sigma^2 - 1, from one `expect` over its
-    rows; Var r = E r^2 - (E r)^2 does not cancel, since E r is about 0."""
-    var = moments(spec).variance
-    mean_r, sq = expect(spec, lambda x, tau: _r_rows(tau, var)[1:], kernel=kernel, config=config)
-    return float(mean_r), max(float(sq) - float(mean_r) ** 2, 0.0)
+    rows; Var r = E r^2 - (E r)^2 does not cancel, since E r is about 0.
+    The kernel keeps them for the last spec (by identity) and config it
+    met, as it keeps its starting pass, so `kernel_stats`,
+    `discrepancy_bounds` and `clt_bound` share one integration."""
+    memo = kernel._r_moments
+    hit = memo.get(config)
+    if hit is None or hit[0] is not spec:
+        memo.clear()
+        var = moments(spec).variance
+        mean_r, sq = expect(spec, lambda x, tau: _r_rows(tau, var), kernel=kernel, config=config)
+        hit = memo[config] = spec, float(mean_r), max(float(sq) - float(mean_r) ** 2, 0.0)
+    return hit[1:]
 
 
 def _r_rows(tau, var: float) -> np.ndarray:
-    """The rows [|r|, r, r^2] of r = tau / sigma^2 - 1, which is the same for
+    """The rows [r, r^2] of r = tau / sigma^2 - 1, which is the same for
     every scaled copy of a law.  A sigma^2 below the smallest normal float,
     or an r^2 past the float range, raises NumericsError before any warning."""
     if not var >= np.finfo(float).tiny:
@@ -394,22 +405,28 @@ def _r_rows(tau, var: float) -> np.ndarray:
         sq = r * r
     if np.isinf(sq).any():
         raise NumericsError(_VAR_TAU_OVERFLOW)
-    return np.stack([np.abs(r), r, sq])
+    return np.stack([r, sq])
 
 
-def nz_mass(spec: DistributionSpec, lo: float, hi: float,
-            config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral of the non-zero-bias density q over [lo, hi], for sigma^2 > 0 as in nz_density.
+def nz_mass(spec: DistributionSpec, lo: float, hi: float) -> float:
+    """integral of the non-zero-bias density q from lo to hi (negative for
+    lo > hi), for sigma^2 > 0 as in nz_density; lo and hi may be infinite.
 
-    Computed without quadrature of q itself: Fubini turns the integral into
-    sigma^-2 E[(X - m) (clamp(X, lo, hi) - lo)], an expectation of a
-    piecewise-smooth function that every component evaluates accurately.
+    Closed form, with no quadrature: sigma^2 q = -M' for M(x) =
+    E[(X - m)(X - x)+], so the integral is (M(lo) - M(hi)) / sigma^2, with
+    M read from `_tail_sums` on each end's side of the mean (sigma^2 - K
+    below it, K above it) and M(-inf) = sigma^2, M(inf) = 0.
     """
     var = _positive_variance(spec, "the non-zero-bias density")
-    m = moments(spec).mean
-    total = expect(spec, lambda x, _: (x - m) * (np.clip(x, lo, hi) - lo),
-                   extra_breaks=(lo, hi), config=config)
-    return float(total) / var
+    x = np.array([lo, hi], dtype=float)
+    lower = x < moments(spec).mean
+    k = np.zeros(2)
+    finite = np.isfinite(x)
+    k[finite] = _tail_sums(spec, x[finite], lower[finite])[1]
+    # M = sigma^2 - K below the mean and K above it; sigma^2 cancels exactly
+    # where both ends lie on the same side
+    k = np.where(lower, -k, k)
+    return float(var * (int(lower[0]) - int(lower[1])) + k[0] - k[1]) / var
 
 
 # ---------------------------------------------------------------------------

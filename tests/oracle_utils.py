@@ -4,9 +4,9 @@ Everything here recomputes library quantities by an independent route:
 plain quadrature against component densities, exact moments by sympy
 (imported on first use), atom sums, and equal-mass Cantor construction
 cells.  Nothing imports the library's closed forms
-beyond the raw component parameters.  The exceptions are
-`kernel_measure_integral` and `engine_integrate`, helpers only tests use,
-which run on the library's own expectation and quadrature engines.
+beyond the raw component parameters.  The exception is `engine_integrate`,
+a helper only tests use, which runs on the library's own quadrature
+engine.
 """
 
 import math
@@ -28,7 +28,6 @@ from steinkit.distributions import (
     _start_panels,
     cantor_points,
 )
-from steinkit.distributions import expect as engine_expect
 from steinkit.recovery import EXPONENT_FLOOR, _segmented_grid
 
 CANTOR_DEPTH = 14
@@ -45,6 +44,35 @@ def component_range(c, tail=1e-14):
     if isinstance(c, Tabulated):
         return (float(c.grid[0]), float(c.grid[-1]))
     raise TypeError(c)
+
+
+def component_mean(c):
+    """Mean of one component from its parameters: a tabulated piece's by a
+    3-point Gauss-Legendre rule per segment, exact on x times a line."""
+    return _component_moments(c)[0]
+
+
+def component_variance(c):
+    """Variance of one component from its parameters, as component_mean."""
+    return _component_moments(c)[1]
+
+
+def _component_moments(c):
+    if isinstance(c, (Uniform, CantorPart)):
+        return 0.5 * (c.lo + c.hi), (c.hi - c.lo) ** 2 / (12.0 if isinstance(c, Uniform) else 8.0)
+    if isinstance(c, Normal):
+        return c.mean, c.sd ** 2
+    if isinstance(c, Exponential):
+        return 1.0 / c.rate, 1.0 / c.rate ** 2
+    if isinstance(c, Atom):
+        return c.location, 0.0
+    x, w = np.polynomial.legendre.leggauss(3)
+    a, b = np.asarray(c.grid[:-1]), np.asarray(c.grid[1:])
+    t = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * x
+    dens = np.interp(t, c.grid, c.values) * (0.5 * (b - a))[:, None] * w
+    mass = dens.sum()
+    mean = (t * dens).sum() / mass
+    return mean, ((t - mean) ** 2 * dens).sum() / mass
 
 
 def raw_pdf(c, t):
@@ -89,11 +117,47 @@ def expect(spec, g):
     return total
 
 
-def kernel_measure_integral(spec, kernel, lo, hi, config=DEFAULT_CONFIG):
-    """integral of tau over [lo, hi] against the full mixture measure: tau
-    times the window's indicator, with the window's ends as breaks."""
-    return float(engine_expect(spec, lambda x, tau: tau * ((lo <= x) & (x <= hi)),
-                               extra_breaks=(lo, hi), kernel=kernel, config=config))
+def kernel_measure_integral(spec, kernel, lo, hi, nodes=8, cantor_depth=12):
+    """integral of tau over [lo, hi] against the full mixture measure, by a
+    composite Gauss-Legendre rule in numpy: the AC part between [lo, hi]'s
+    ends, the pieces' ends and knots, the atoms and the edges of each Cantor
+    part's 2^cantor_depth construction cells, each span cut into panels no
+    wider than 1/64 of the window, times the density from the raw
+    parameters; the atoms by their masses, and a Cantor part by the mean of
+    tau over its cells' left ends, which lie in the Cantor set.  On the
+    Cantor cells tau p is only Hoelder, which costs ~1e-8 at depth 12."""
+    cuts = [lo, hi]
+    for c in spec.components:
+        if isinstance(c, Tabulated):
+            cuts += [float(g) for g in c.grid]
+        elif isinstance(c, Uniform):
+            cuts += [c.lo, c.hi]
+        elif isinstance(c, Exponential):
+            cuts.append(0.0)
+        elif isinstance(c, Atom):
+            cuts.append(c.location)
+        elif isinstance(c, CantorPart):
+            left = c.lo + (c.hi - c.lo) * cantor_points(cantor_depth)
+            cuts += [*left, *(left + (c.hi - c.lo) / 3.0 ** cantor_depth)]
+    edges = np.unique(np.clip(cuts, lo, hi))
+    a, b = edges[:-1], edges[1:]
+    pieces = np.maximum(np.ceil(64.0 * (b - a) / (hi - lo)), 1).astype(int)
+    a = np.repeat(a, pieces) + (np.concatenate([np.arange(k) for k in pieces])
+                                * np.repeat((b - a) / pieces, pieces))
+    b = np.append(a[1:], hi)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (b - a)
+    t = (0.5 * (a + b))[:, None] + half[:, None] * x
+    pdf = sum(c.weight * _raw_pdf_array(c, t) for c in spec.components
+              if not isinstance(c, (Atom, CantorPart)))
+    total = float(np.sum(half * ((kernel.values(t) * pdf) @ w)))
+    for c in spec.components:
+        if isinstance(c, Atom) and lo <= c.location <= hi:
+            total += c.mass * float(kernel.values(c.location))
+        elif isinstance(c, CantorPart):
+            pts = c.lo + (c.hi - c.lo) * cantor_points(cantor_depth)
+            total += c.weight * float(np.mean(kernel.values(pts) * ((lo <= pts) & (pts <= hi))))
+    return total
 
 
 def engine_integrate(f, edges, config=DEFAULT_CONFIG):
@@ -229,6 +293,23 @@ def cantor_survival_upper_mean_exact(u, depth=70):
     return s / 2, s / 3 + m / 6
 
 
+def cantor_upper_second_moment_exact(u, depth=70):
+    """E[Y^2 1{Y >= u}] of the standard Cantor law as a Fraction, by the
+    self-similarity of `cantor_survival_upper_mean_exact`: with Y = Y'/3 on
+    the left half and 2/3 + Y'/3 on the right, E[(2/3 + Y'/3)^2] = 17/24."""
+    if u <= 0:
+        return Fraction(3, 8)
+    if u >= 1:
+        return Fraction(0)
+    u = Fraction(u)
+    if depth == 0 or 1 < 3 * u < 2:
+        return Fraction(17, 48)
+    if 3 * u <= 1:
+        return Fraction(17, 48) + cantor_upper_second_moment_exact(3 * u, depth - 1) / 18
+    s, m = cantor_survival_upper_mean_exact(3 * u - 2, depth - 1)
+    return (4 * s + 4 * m + cantor_upper_second_moment_exact(3 * u - 2, depth - 1)) / 18
+
+
 def cantor_in_support_by_levels(t, lo, hi, depth=64):
     """Cantor-set membership by the ternary map, one level at a time in
     floating point: t is a member while its image stays in [0, 1/3] or
@@ -298,6 +379,57 @@ def tv_to_normal_oracle(spec, lo, hi, singular_mass=0.0):
     m, var = moments_oracle(spec)
     tv = piecewise_density_tv(lambda t: mixture_pdf(spec, t), [lo, hi], m, math.sqrt(var))
     return tv + 0.5 * singular_mass
+
+
+def _singular_mass(spec):
+    return sum(c.mass if isinstance(c, Atom) else c.weight for c in spec.components
+               if isinstance(c, (Atom, CantorPart)))
+
+
+def _quad_edges(spec, crossings):
+    """-inf, the sorted crossings, AC piece ends and knots and atoms, and inf."""
+    cuts = set(map(float, crossings))
+    for c in spec.components:
+        if isinstance(c, Tabulated):
+            cuts.update(map(float, c.grid))
+        elif isinstance(c, (Uniform, CantorPart)):
+            cuts.update((c.lo, c.hi))
+        elif isinstance(c, Exponential):
+            cuts.add(0.0)
+        elif isinstance(c, Atom):
+            cuts.add(c.location)
+    return [-math.inf, *sorted(cuts), math.inf]
+
+
+def _abs_quad(f, edges):
+    """sum over consecutive edges of scipy's quad of f, which keeps its sign
+    on each span."""
+    return sum(integrate.quad(f, a, b, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def tv_quad_reference(spec, mean, var, crossings):
+    """d_TV of the spec to N(mean, var): |p - phi| by scipy's quad between
+    the given crossings of p and phi, the pieces' ends and knots and +-inf,
+    p from the raw parameters, plus half the singular mass."""
+    sd = math.sqrt(var)
+
+    def f(t):
+        return abs(mixture_pdf(spec, t) - math.exp(-0.5 * ((t - mean) / sd) ** 2)
+                   / (sd * math.sqrt(2 * math.pi)))
+
+    return 0.5 * (_abs_quad(f, _quad_edges(spec, crossings)) + _singular_mass(spec))
+
+
+def bound_l1_quad_reference(spec, kernel, var, crossings):
+    """2 E|tau(X) - var| for the kernel: |tau - var| p by scipy's quad between
+    the given crossings of tau and var, the pieces' ends and knots, the atoms
+    and +-inf, p from the raw parameters, plus var times the singular mass,
+    where the canonical tau is 0."""
+    def f(t):
+        return abs(kernel.evaluate(t) - var) * mixture_pdf(spec, t)
+
+    return 2.0 * (_abs_quad(f, _quad_edges(spec, crossings)) + var * _singular_mass(spec))
 
 
 def irwin_hall_tv(n):
@@ -406,8 +538,14 @@ def fft_convolution_tv_reference(spec, n, grid_size, tail=1e-9):
 
 def recover_density_reference(kernel, m, grid_size, config=DEFAULT_CONFIG, anchor=None):
     """(grid, values) of the density recovered from a positive kernel by
-    one scalar adaptive quadrature per grid cell, swept outward from the
-    anchor; the same grid, floor rule and normalization as the library."""
+    scipy's adaptive quadrature per grid cell, swept outward from the
+    anchor; the same grid, floor rule and normalization as the library.
+
+    The two cells at each end, where psi = (m - t)/tau ~ 1/(t - end) varies
+    most, each cell that holds a density break, and the anchor's part cell
+    take one scalar `quad` each; every other cell is mapped onto [0, 1] and
+    all of them go to one `quad_vec` call on the vectorized `kernel.values`
+    (Gauss-Kronrod 21, not the library's GK15 `_adapt`)."""
     lo = kernel.domain.lo if math.isfinite(kernel.domain.lo) else float(kernel.grid_t[0])
     hi = kernel.domain.hi if math.isfinite(kernel.domain.hi) else float(kernel.grid_t[-1])
     x0 = m if anchor is None else anchor
@@ -426,23 +564,34 @@ def recover_density_reference(kernel, m, grid_size, config=DEFAULT_CONFIG, ancho
                                 epsrel=config.rel_tol, limit=config.max_subdivisions)
         return val
 
-    start = min(max(int(np.searchsorted(grid, x0)), 0), n - 1)
-    expo = np.empty(n)
-    expo[start] = quad(x0, grid[start])
+    a, b = grid[:-1], grid[1:]
+    breaks = np.asarray(kernel.density_breaks, dtype=float)
+    rough = ((a[:, None] < breaks) & (breaks < b[:, None])).any(axis=1)
+    rough[[0, 1, -2, -1]] = True
+    cells = np.empty(n - 1)
+    cells[rough] = [quad(x, y) for x, y in zip(a[rough], b[rough])]
+    start, width = a[~rough], (b - a)[~rough]
+    cells[~rough] = integrate.quad_vec(
+        lambda u: width * (m - (start + u * width)) / kernel.values(start + u * width), 0.0, 1.0,
+        epsabs=config.abs_tol, epsrel=config.rel_tol, norm="max", limit=config.max_subdivisions)[0]
 
-    def sweep(indices):
-        prev, dead = start, False
+    k = min(max(int(np.searchsorted(grid, x0)), 0), n - 1)
+    expo = np.empty(n)
+    expo[k] = quad(x0, grid[k])
+
+    def sweep(indices, step):
+        prev, dead = k, False
         for i in indices:
             if dead:
                 expo[i] = -math.inf
                 continue
-            expo[i] = expo[prev] + quad(grid[prev], grid[i])
+            expo[i] = expo[prev] + step(i)
             if expo[i] < EXPONENT_FLOOR:
                 expo[i] = -math.inf
                 dead = True
             prev = i
 
-    sweep(range(start + 1, n))
-    sweep(range(start - 1, -1, -1))
+    sweep(range(k + 1, n), lambda i: cells[i - 1])
+    sweep(range(k - 1, -1, -1), lambda i: -cells[i])
     raw = np.exp(expo) / tau
     return grid, raw / float(np.trapezoid(raw, grid))

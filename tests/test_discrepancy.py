@@ -11,10 +11,12 @@ from scipy import optimize
 from steinkit import (
     DegenerateError,
     DistributionSpec,
+    ExistenceError,
     Exponential,
     IntegrationWarning,
     Normal,
     NumericsError,
+    Tabulated,
     Uniform,
     affine_transform,
     clt_bound,
@@ -28,6 +30,7 @@ from steinkit import (
 )
 from steinkit.corpus import KERNEL_SPECS, NO_KERNEL_SPECS
 from steinkit.discrepancy import MAX_PASSES, _find_crossings
+from steinkit.distributions import DEFAULT_CONFIG, _first_pass
 
 import oracle_utils as oracle
 
@@ -264,25 +267,36 @@ def test_bound_sd_matches_kernel_stats():
         assert rep.bound_sd == pytest.approx(2.0 * math.sqrt(var_tau), abs=1e-12)
 
 
+def _uniform_cantor_tau_gap(t):
+    """sigma^2 q(t) - sigma^2 p(t) on (0, 1) for uniform_cantor, 1/2 U[0, 1]
+    + 1/2 C[0, 1] (sigma^2 = 5/48, p = 1/2), with the Cantor tails in exact
+    arithmetic: the uniform gives t (1 - t) / 4, the Cantor part
+    (E[C 1{C >= t}] - P(C >= t) / 2) / 2."""
+    s, m = oracle.cantor_survival_upper_mean_exact(t)
+    return t * (1.0 - t) / 4.0 + float(m - s / 2) / 2.0 - 5.0 / 96.0
+
+
 def test_crossing_scan_skips_the_cantor_set(monkeypatch):
     # tau - sigma^2 crosses zero at 0.0771... and 0.9229...; on the Cantor set
     # the pointwise kernel reads -sigma^2, which is no crossing of the a.e. one
     import steinkit.discrepancy as disc
-    from steinkit.distributions import cantor_in_support
     seen = []
 
-    def recording_expect(*args, **kwargs):
-        seen.append(np.asarray(kwargs["extra_breaks"]))
-        return expect(*args, **kwargs)
+    def recording(*args):
+        seen.append(search(*args))
+        return seen[-1]
 
-    expect = disc.expect
-    monkeypatch.setattr(disc, "expect", recording_expect)
+    search = disc._node_crossings
+    monkeypatch.setattr(disc, "_node_crossings", recording)
     spec = KERNEL_SPECS["uniform_cantor"]
     discrepancy_bounds(spec, stein_kernel(spec, 1024))
-    (pts,) = seen
+    pts = seen[0]  # the tau search runs first
     interior = pts[(pts > 0.0) & (pts < 1.0)]
     assert len(interior) == 2
-    assert not cantor_in_support(interior, 0.0, 1.0).any()
+    assert not oracle.cantor_in_support_by_levels(interior, 0.0, 1.0).any()
+    want = [optimize.brentq(_uniform_cantor_tau_gap, a, b, xtol=1e-15) for a, b in
+            [(0.05, 0.1), (0.9, 0.95)]]
+    assert np.abs(interior - want).max() <= 1e-12
 
 
 def test_report_to_dict_keys():
@@ -371,14 +385,30 @@ def test_tv_holds_where_two_crossings_share_a_bracket():
     assert tv_to_normal(spec) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
-def test_tv_finds_a_crossing_pair_closer_than_a_scan_bracket():
+def test_tv_finds_a_crossing_pair_closer_than_a_scan_bracket(monkeypatch):
     # the pair at 0.959 and 1.084 lies between neighbouring starting nodes
-    # of its own; the reference is a 30-digit mpmath integral of |p - phi|
+    # of its own; the reference is a 30-digit mpmath integral of |p - phi|,
+    # and the crossings are brentq's on the raw densities
+    import steinkit.discrepancy as disc
+    seen = []
+    search = disc._node_crossings
+    monkeypatch.setattr(disc, "_node_crossings", lambda *args: seen.append(search(*args)) or seen[-1])
     spec = DistributionSpec((
         Normal(1.3705338877569138, 0.7400068196225158, 0.16610166912422483),
         Exponential(2.9927737241751426, 0.14133032588524455),
         Normal(0.8138503312837142, 1.827879623325489, 0.6925680049905306)))
     assert abs(tv_to_normal(spec) - 0.098256870129793411354) <= 1e-15
+    m, var = moments(spec).mean, moments(spec).variance
+
+    def gap(t):
+        return oracle.mixture_pdf(spec, t) - math.exp(-0.5 * (t - m) ** 2 / var) / math.sqrt(
+            2.0 * math.pi * var)
+
+    (got,) = seen
+    pair = got[(got > 0.9) & (got < 1.1)]
+    want = [optimize.brentq(gap, 0.9, 1.0, xtol=1e-15), optimize.brentq(gap, 1.0, 1.1, xtol=1e-15)]
+    assert len(pair) == 2 and np.abs(pair - want).max() <= 1e-13, (pair, want)
+    assert 0.959 < pair[0] < 0.960 and 1.084 < pair[1] < 1.085
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -496,3 +526,185 @@ def test_crossing_search_finds_each_bracketed_sign_change_once(pieces):
         assert len(inside) == 1
         r = inside[0]
         assert f(r) == 0.0 or f(r - 2e-14) * f(r + 2e-14) <= 0.0
+
+
+# -- random mixtures ------------------------------------------------------------
+
+def _measurement_mixtures(count, seed=11):
+    """The first `count` random mixtures of one fixed generator (numpy seed
+    11): 1-3 pieces with Dirichlet(1) weights, each a normal, a
+    uniform, an exponential or a 5-knot tabulated piece, at a location
+    ~ N(0, 1.5^2) with a scale ~ e^N(0, 0.36): the sd, the half-width, 1/rate
+    (an exponential has no location), or the half-width of evenly spaced
+    knots whose values are ~ U[0.05, 1], drawn for every piece whatever its
+    kind, which fixes the stream of draws."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        weights = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        weights[-1] = 1.0 - weights[:-1].sum()
+        pieces = []
+        for w in weights:
+            kind, loc, scale = int(rng.integers(0, 4)), rng.normal(0.0, 1.5), float(np.exp(rng.normal(0.0, 0.6)))
+            pieces.append((Normal(loc, scale, w), Uniform(loc - scale, loc + scale, w),
+                           Exponential(1.0 / scale, w),
+                           Tabulated(loc + scale * np.linspace(-1.0, 1.0, 5), rng.uniform(0.05, 1.0, 5), w)
+                           )[kind])
+        specs.append(DistributionSpec(tuple(pieces)))
+    return specs
+
+
+@functools.cache
+def _measurement_certificates(count):
+    """(spec, kernel or None, tv, bound_l1 or None, tau crossings or None,
+    density crossings) for each of the first `count` `_measurement_mixtures`:
+    `discrepancy_bounds` where a kernel exists, else `tv_to_normal`, with the
+    crossings `_node_crossings` returned to them."""
+    import steinkit.discrepancy as disc
+    search, out = disc._node_crossings, []
+    for spec in _measurement_mixtures(count):
+        seen = []
+        disc._node_crossings = lambda *args: seen.append(search(*args)) or seen[-1]
+        try:
+            try:
+                kernel = stein_kernel(spec)
+            except ExistenceError:  # a gap between pieces
+                kernel = None
+            if kernel is None:
+                tv, l1 = tv_to_normal(spec), None
+            else:
+                rep = discrepancy_bounds(spec, kernel)
+                tv, l1 = rep.tv_exact, rep.bound_l1
+        finally:
+            disc._node_crossings = search
+        out.append((spec, kernel, tv, l1, seen[0] if kernel else None, seen[-1]))
+    return out
+
+
+def _unfound_sign_changes(f, lo, hi, found, breaks, points):
+    """The sign changes of a `points`-point scan of f over [lo, hi] that lie
+    further than two scan steps from every point of `found`, leaving out
+    those within one step of a break, where f may jump."""
+    xs = np.linspace(lo, hi, points)
+    step = xs[1] - xs[0]
+    sign = np.sign(f(xs))
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    cuts = np.asarray(breaks, dtype=float)
+    if cuts.size:
+        i = i[np.abs(xs[i, None] - cuts).min(axis=1) > step]
+        i = i[np.abs(xs[i + 1, None] - cuts).min(axis=1) > step]
+    found = np.asarray(found, dtype=float)
+    return [float(xs[j]) for j in i if not (found.size and np.abs(found - xs[j]).min() <= 2 * step)]
+
+
+def test_no_crossing_of_either_search_is_missed_on_the_measurement_mixtures():
+    # 120 mixtures (109 with a kernel) and a 2^16-point scan between the
+    # first and last finite-panel node of the starting pass, where both
+    # searches look: every sign change of p - phi, and of tau - sigma^2
+    # where a kernel exists, is a returned crossing.  A missed pair would
+    # lose a whole lobe of the closed-form sums
+    missed = []
+    for k, (spec, kernel, _, _, tau_found, p_found) in enumerate(_measurement_certificates(120)):
+        (ac, _, _), _ = _first_pass(spec, kernel, DEFAULT_CONFIG)
+        (_, _, side, _), x, _, _ = ac
+        nodes = x[np.repeat(side == 0.0, len(x) // len(side))]
+        mo = moments(spec)
+        normal = Normal(mo.mean, math.sqrt(mo.variance), 1.0)
+        gaps = [(lambda t: oracle._raw_pdf_array(normal, t) - sum(
+            c.weight * oracle._raw_pdf_array(c, t) for c in spec.components), p_found)]
+        if kernel is not None:
+            gaps.append((lambda t: kernel.values_ae(t) - mo.variance, tau_found))
+        for f, found in gaps:
+            miss = _unfound_sign_changes(f, nodes[0], nodes[-1], found, spec._kernel_breaks, 1 << 16)
+            if miss:
+                missed.append((k, miss[:3]))
+    assert sum(kernel is not None for _, kernel, *_ in _measurement_certificates(120)) >= 100
+    assert not missed, missed
+
+
+def test_closed_form_distances_match_quadrature_on_the_measurement_mixtures():
+    # tv and bound_l1 against scipy's quad of |p - phi| and |tau - sigma^2| p
+    # between the crossings the searches returned (`oracle_utils`), on the
+    # first 60 `_measurement_mixtures`
+    eps = np.finfo(float).eps
+    worst = []
+    for spec, kernel, tv, l1, tau_found, p_found in _measurement_certificates(120)[:60]:
+        mo = moments(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # scipy's quad at its roundoff limit
+            pairs = [(tv, oracle.tv_quad_reference(spec, mo.mean, mo.variance, p_found))]
+            if kernel is not None:
+                pairs.append((l1, oracle.bound_l1_quad_reference(spec, kernel, mo.variance, tau_found)))
+        worst += [abs(got - want) / max(1e-12 * abs(want), 64 * eps) for got, want in pairs]
+    assert max(worst) <= 1.0, max(worst)
+
+
+def _near_normal_reference(w):
+    """(tv, bound_l1) of (1 - w) N(0, 1) + w U[0, 1] at 40 digits by mpmath:
+    |p - phi| and |sigma^2 q - sigma^2 p| integrated between their crossings
+    (root-found from a scan) and the breaks 0 and 1, sigma^2 q = E[(X - m)
+    1{X >= x}] in closed form, with m and sigma^2 from the weights as the
+    spec holds them."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        wn, wu = mp.mpf(1.0 - w), mp.mpf(w)
+        m = wu / 2
+        var = wn * (1 + m ** 2) + wu * (mp.mpf(1) / 12 + (mp.mpf(1) / 2 - m) ** 2)
+        sd = mp.sqrt(var)
+
+        def p(x):
+            return wn * mp.npdf(x) + (wu if 0 <= x < 1 else 0)
+
+        def q(x):  # sigma^2 q
+            a = min(max(x, 0), 1)
+            return wn * (mp.npdf(x) - m * (1 - mp.ncdf(x))) + wu * ((1 - a * a) / 2 - m * (1 - a))
+
+        def l1(f):
+            edges = [mp.mpf(-40), mp.mpf(-8), mp.mpf(0), mp.mpf(1), mp.mpf(8), mp.mpf(40)]
+            pts = []
+            for a, b in zip(edges[:-1], edges[1:]):
+                xs = [a + (b - a) * (i + mp.mpf(1) / 2) / 200 for i in range(200)]
+                vs = [f(x) for x in xs]
+                pts += [a] + [mp.findroot(f, (x0, x1), solver="anderson")
+                              for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]) if v0 * v1 < 0]
+            pts.append(edges[-1])
+            return sum(abs(mp.quad(f, [a, b])) for a, b in zip(pts[:-1], pts[1:]))
+
+        tv = l1(lambda x: p(x) - mp.npdf(x, m, sd)) / 2
+        bound = 2 * l1(lambda x: q(x) - var * p(x))
+        return float(tv), float(bound), float(var)
+
+
+@pytest.mark.parametrize("w", [1e-6, 1e-8, 1e-10])
+def test_closed_form_distances_on_a_near_normal_law(w):
+    # tv ~ 0.56 w: the closed forms hold 64 eps absolute against 40-digit
+    # references (at w = 1e-10 that is still ~1e-7 relative)
+    eps = np.finfo(float).eps
+    spec = DistributionSpec((Normal(0.0, 1.0, 1.0 - w), Uniform(0.0, 1.0, w)))
+    rep = discrepancy_bounds(spec, stein_kernel(spec))
+    tv, bound, var = _near_normal_reference(w)
+    assert abs(rep.tv_exact - tv) <= 64 * eps
+    assert abs(rep.bound_l1 - bound) <= 64 * eps * var
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec((Normal(0.0, 1.0, 1.0),)),
+    DistributionSpec((Normal(0.3, 1.7, 0.5), Normal(0.3, 1.7, 0.5))),
+], ids=["normal_std", "normal_in_two_copies"])
+def test_bound_l1_is_exactly_zero_on_a_normal(spec):
+    # sigma^2 q = sigma^2 p on a normal, and its tail terms cancel bit for
+    # bit: K = sd^2 P for each copy, as sigma^2 F is
+    assert discrepancy_bounds(spec, stein_kernel(spec)).bound_l1 == 0.0
+
+
+def test_bound_l1_on_the_w_shaped_law_needs_no_integral():
+    # its Var tau diverges, so `_tau_moments` warns, once; bound_l1 is
+    # finite and read from the tails
+    spec = spec_from_dict({"components": [{"kind": "tabulated", "grid": [-1, -0.5, 0, 0.5, 1],
+                                           "values": [0, 2, 0, 2, 0], "weight": 1.0}]})
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rep = discrepancy_bounds(spec, stein_kernel(spec))
+    assert [w.category for w in seen] == [IntegrationWarning]
+    assert rep.bound_l1 == pytest.approx(0.3955785923627079, rel=1e-13)

@@ -201,6 +201,68 @@ def test_piece_tail_forms_agree(spec, ts):
         assert np.abs(c_low - c_up).max() <= 1e-12 * max(1.0, np.abs(t).max()), c
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mixtures(), st.lists(_params(-25.0, 35.0), min_size=1, max_size=8))
+def test_piece_tail_second_moments_add_to_the_variance(spec, ts):
+    # E[(X - mean_c)(X - t)+] + E[(mean_c - X)(t - X)+] = Var_c at every t,
+    # and asking for D leaves P and C as they were, bit for bit
+    t = np.array([*ts, *spec.density_breaks])
+    for c in spec.components:
+        width = max(1.0, np.abs(t - oracle.component_mean(c)).max())
+        for lower in (False, True):
+            p, centred, _ = _piece_tail(c, t, lower, second=True)
+            assert [p.tobytes(), centred.tobytes()] == [a.tobytes() for a in _piece_tail(c, t, lower)]
+        up, low = _piece_tail(c, t, False, second=True)[2], _piece_tail(c, t, True, second=True)[2]
+        var = oracle.component_variance(c)
+        assert np.abs(up + low - var).max() <= 1e-12 * max(var, width * width), c
+
+
+@pytest.mark.parametrize("c", [
+    Uniform(-1.0, 2.0, 1.0), Normal(0.3, 1.7, 1.0), Exponential(1.5, 1.0),
+    Tabulated(np.array([-1.0, -0.5, 0.0, 0.7, 2.0]), np.array([0.1, 0.8, 0.2, 0.6, 0.0]), 1.0),
+], ids=["uniform", "normal", "exponential", "tabulated"])
+def test_piece_tail_second_moment_against_quadrature(c):
+    # E[(X - mean_c)(X - t)+] above t, E[(mean_c - X)(t - X)+] below it, by
+    # scipy's quad of the raw density split at t and the knots
+    from scipy import integrate
+    mean = oracle.component_mean(c)
+    lo, hi = oracle.component_range(c, tail=1e-18)
+    knots = [float(g) for g in c.grid] if isinstance(c, Tabulated) else []
+    for t in [-3.0, -1.0, -0.2, 0.0, 0.4, 1.0, 1.9, 3.0, 6.0]:
+        for lower, (a, b) in ((False, (max(t, lo), hi)), (True, (lo, min(t, hi)))):
+            def f(x):
+                return (x - mean) * (x - t) * oracle.raw_pdf(c, x)
+            inner = [k for k in knots if a < k < b] or None
+            want = integrate.quad(f, a, b, points=inner, epsabs=1e-15, epsrel=1e-13,
+                                  limit=200)[0] if a < b else 0.0
+            got = float(_piece_tail(c, np.array([t]), lower, second=True)[2][0])
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (t, lower)
+
+
+def test_cantor_second_moment_against_exact_oracle():
+    # in the gaps and at cell ends within one rounding; off them the Hoelder
+    # modulus magnifies the input's rounding, as for the first moment
+    rng = np.random.default_rng(7)
+    depth = 11
+    ks = rng.integers(0, 2 ** depth - 1, 40)
+    a = np.array(_cantor_ends(depth, ks)) + 1.0
+    b = np.array(_cantor_ends(depth, ks + 1), dtype=float)
+    gaps = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GK_X).ravel() / 3.0 ** depth
+    # cell ends in floats read as the exact ends, as in the walk's S and M
+    ends = [Fraction(k, 3 ** d) for d, k in ((0, 0), (0, 1), (1, 1), (1, 2), (3, 7), (3, 20))]
+    ends += [Fraction(1, 4), Fraction(-1, 2), Fraction(3, 2)]
+    near = np.clip(cantor_points(20)[rng.integers(0, 2 ** 20, 100)]
+                   + rng.uniform(-1e-12, 1e-12, 100), 0.0, 1.0)
+    for exact, tol in ((list(gaps), 4e-16), (ends, 4e-16), (list(near), 1e-10)):
+        u = np.array([float(x) for x in exact])
+        s, m, q = cantor_survival_upper_mean(u, second=True)
+        assert np.array_equal(s, cantor_survival_upper_mean(u)[0])
+        assert np.array_equal(m, cantor_survival_upper_mean(u)[1])
+        want = np.array([float(oracle.cantor_upper_second_moment_exact(x)) for x in exact])
+        assert np.abs(q - want).max() <= tol
+    assert math.isnan(cantor_survival_upper_mean(math.nan, second=True)[2])
+
+
 # -- moments -----------------------------------------------------------------
 
 def test_uniform_moments():
@@ -763,14 +825,17 @@ def test_expect_reads_the_mass_of_a_narrow_or_far_law(piece):
 
 @pytest.mark.parametrize("cut", [-7.5, -6.5, -3.0, 0.3, 6.5, 7.5])
 def test_expect_cuts_the_starting_panel_that_holds_a_break(cut):
-    # a break cuts its starting panel, a qagi tail panel (beyond the window's
-    # +-6.1) in its variable u, so the indicator of the side past the break
-    # is smooth on every panel; uncut, the tails read up to 13% off
-    from steinkit.distributions import _ndtr, expect
-    spec = DistributionSpec((Normal(0.0, 1.0, 1.0),))
-    g = lambda x, _: (x < cut if cut < 0 else x >= cut).astype(float)  # noqa: E731
-    want = _ndtr(-abs(cut))
-    assert expect(spec, g, extra_breaks=(cut,)) == pytest.approx(want, rel=1e-13)
+    # an atom is a break: it cuts the starting panels there, inside the
+    # tail_quantile window (+-6.1) or, since the window stretches to take
+    # the atom in, at its end next to a qagi tail, so the indicator of the
+    # side past the atom (which leaves the atom out) is smooth on every
+    # panel; the AC part then reads the normal's tail mass, against erfc
+    from steinkit.distributions import expect
+    w = 2.0 ** -10
+    spec = DistributionSpec((Normal(0.0, 1.0, 1.0 - w), Atom(cut, w)))
+    g = lambda x, _: (x < cut if cut < 0 else x > cut).astype(float)  # noqa: E731
+    want = (1.0 - w) * 0.5 * math.erfc(abs(cut) / math.sqrt(2.0))
+    assert expect(spec, g) == pytest.approx(want, rel=1e-13)
 
 
 # several AC pieces over the same seams, which `expect` integrates as one

@@ -160,6 +160,16 @@ def test_nz_density_integrates_to_one():
         assert nz_mass(spec, lo, hi) == pytest.approx(1.0, abs=1e-7), name
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_nz_mass_reads_the_limits_at_infinite_ends(name):
+    # M(-inf) = sigma^2 and M(inf) = 0, so the whole line holds mass 1, and
+    # the two sides of the mean add up to it
+    spec = KERNEL_SPECS[name]
+    m = moments(spec).mean
+    assert nz_mass(spec, -math.inf, math.inf) == 1.0
+    assert nz_mass(spec, -math.inf, m) + nz_mass(spec, m, math.inf) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_nz_density_against_rademacher_uniform_law():
     # the biased law of a Rademacher is uniform on (-1, 1)
     rade = NO_KERNEL_SPECS["rademacher"][0]

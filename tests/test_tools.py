@@ -96,6 +96,28 @@ def test_distance_diff_finds_a_checkout_identical_to_its_own_head(tmp_path):
     cases = _round_size("certify", 1) + len(KERNEL_SPECS)
     assert f"{cases} of {cases} cases bitwise identical" in out, out
     assert "largest tv difference (absolute): 0\n" in out, out
+    assert "largest E tau difference (relative): 0\n" in out, out
+    assert "largest Var tau difference (relative): 0\n" in out, out
+
+
+def test_distance_diff_reports_a_bound_near_zero_by_its_absolute_difference():
+    # bound_l1 on a normal is 0 or ~1e-16: relatively a whole unit apart,
+    # absolutely nothing
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import distance_diff
+    finally:
+        sys.path.remove(str(TOOLS))
+    old = {"tv": 0.0, "bound_l1": 8.9e-16, "bound_sd": 0.5, "E tau": 1.0, "Var tau": 0.25}
+    new = {**old, "bound_l1": 0.0, "Var tau": 0.25 * (1 + 2 ** -50)}
+    _, diffs, kinds = distance_diff.WORKLOADS["certify"]
+    lines = distance_diff.compare([["normal", old, None, 0]], [["normal", new, None, 0]],
+                                  diffs, kinds)
+    assert "  largest bound_l1 difference (relative): 1 (normal)" in lines, lines
+    assert "  largest absolute bound_l1 difference (absolute): 8.9e-16 (normal)" in lines, lines
+    assert "  largest absolute bound_sd difference (absolute): 0" in lines, lines
+    assert "  largest Var tau difference (relative): 8.88e-16 (normal)" in lines, lines
+    assert "  largest E tau difference (relative): 0" in lines, lines
 
 
 def test_distance_diff_compares_recovered_densities(tmp_path):

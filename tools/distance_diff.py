@@ -17,8 +17,8 @@ raised, if any, and the warnings issued.
 With --workload certify (the default) the cases are the operations of the
 certify round of each seed (`perfbench/rounds.py`, its known faults
 included) and the specs of `corpus.KERNEL_SPECS`; each runs `stein_kernel`,
-`kernel_stats` and then `discrepancy_bounds`, recording tv, bound_l1 and
-bound_sd.  With --workload recover the cases are the operations of the
+`kernel_stats` and then `discrepancy_bounds`, recording E tau and Var tau,
+tv, bound_l1 and bound_sd.  With --workload recover the cases are the operations of the
 recover round of each seed, at their grids, and the `corpus.KERNEL_SPECS`
 with no Cantor part and no atom inside the support, at grids 16, 512 and
 4096; each runs `stein_kernel` and then `recover_density` at its grid,
@@ -31,7 +31,7 @@ recording its route, error estimate and mass defect.
 
 The script prints how many cases are bitwise identical, the largest
 difference of each recorded quantity with its case (tv absolute, the
-bounds relative; a density's values relative, the two end points apart
+bounds relative and absolute, E tau and Var tau relative; a density's values relative, the two end points apart
 from the points inside; the empirical distances absolute and relative,
 the error estimates and mass defects absolute),
 every case whose density grids or routes differ, and every case whose
@@ -68,8 +68,9 @@ for case, text in cases:
         try:
             spec = parse_spec(text)
             kernel = stein_kernel(spec)
-            kernel_stats(spec, kernel)
-            values = discrepancy_bounds(spec, kernel).to_dict()
+            mean_tau, var_tau = kernel_stats(spec, kernel)
+            values = {**discrepancy_bounds(spec, kernel).to_dict(),
+                      "E tau": mean_tau, "Var tau": var_tau}
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
     out.append([case, values, error, len(seen)])
@@ -137,9 +138,13 @@ def _relative(x: float, y: float) -> float:
 
 
 def certify_diffs(a: dict, b: dict) -> dict:
-    """The differences of one certify case's two reports."""
-    return {"tv": abs(a["tv"] - b["tv"]), "bound_l1": _relative(a["bound_l1"], b["bound_l1"]),
-            "bound_sd": _relative(a["bound_sd"], b["bound_sd"])}
+    """The differences of one certify case's two reports; each bound's
+    absolute difference too, which reads sensibly where it is 0 or ~1e-16."""
+    out = {"tv": abs(a["tv"] - b["tv"])}
+    for f in ("bound_l1", "bound_sd"):
+        out[f], out[f"absolute {f}"] = _relative(a[f], b[f]), abs(a[f] - b[f])
+    return {**out, "E tau": _relative(a["E tau"], b["E tau"]),
+            "Var tau": _relative(a["Var tau"], b["Var tau"])}
 
 
 def recover_diffs(a: list, b: list):
@@ -170,7 +175,9 @@ def clt_diffs(a: list, b: list):
 # per workload: the child, the differences of a case and their kinds
 WORKLOADS = {
     "certify": (CERTIFY_CHILD, certify_diffs,
-                {"tv": "absolute", "bound_l1": "relative", "bound_sd": "relative"}),
+                {"tv": "absolute", "bound_l1": "relative", "absolute bound_l1": "absolute",
+                 "bound_sd": "relative", "absolute bound_sd": "absolute",
+                 "E tau": "relative", "Var tau": "relative"}),
     "recover": (RECOVER_CHILD, recover_diffs,
                 {"end point value": "relative", "inside value": "relative"}),
     "clt": (CLT_CHILD, clt_diffs, {"empirical": "absolute", "relative empirical": "relative",
